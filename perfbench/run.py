@@ -66,6 +66,8 @@ def _spawn(args, deadline):
 # End-to-end figures of the summary line, with units, for the readable report.
 E2E_UNITS = {
     "op_p50_s": "s",
+    "op_p50_cal_s": "s",
+    "host_speed_p50": "ratio",
     "op_p90_s": "s",
     "evals_per_s": "1/s",
     "peak_rss_mb": "MB",

@@ -2,15 +2,19 @@
 
 Checks the exact oracle against the package's numerators and a direct
 series, the eval-disk generator's determinism, interior rows and region
-coverage, and that the shims restore every attribute and that an untraced
-loop runs with none installed.
+coverage, that the shims restore every attribute, that an untraced loop
+runs with none installed, and that the host-speed probe samples during an
+op and cleans up after it.
 """
 
+import signal
 import sys
+import time
 
 import numpy as np
 
 import disk
+import probe
 import shims
 import worker
 
@@ -79,8 +83,17 @@ def main():
     wl = worker.VerifyLarge(1)
     wl.params = fbh.DomainParams(1, 1, 1.0)
     wl.suites = fbh.verify.SUITE_NAMES
-    _, failed, leaks = worker.run_window(wl, 0.0, 0, guard_untraced=True)
+    times, calibrated, failed, leaks = worker.run_window(wl, 0.0, 0, guard_untraced=True,
+                                                          speed=probe.SpeedProbe(*probe.INTERPRETER))
     ok &= check(failed == 0 and leaks == 0, "an untraced loop runs with no shim installed")
+    ok &= check(len(times) == len(calibrated) == 1 and min(times + calibrated) > 0, "the loop gives calibrated times")
+    ok &= check(signal.getsignal(signal.SIGALRM) == signal.SIG_DFL and signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0),
+                "the probe disarms its timer and restores the SIGALRM handler")
+
+    speed = probe.SpeedProbe(*probe.INTERPRETER)
+    _, error, wall, _ = speed.run(lambda: time.sleep(0.35) or 1 / 0)
+    ok &= check(isinstance(error, ZeroDivisionError) and 0 < wall < 0.35, "the probe returns an op's error")
+    ok &= check(len(speed.samples) >= 4, f"the probe samples during the op ({len(speed.samples)} samples)")
 
     print("self-test " + ("passed" if ok else "FAILED"))
     return 0 if ok else 1

@@ -24,6 +24,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 
 import disk  # noqa: E402  (sibling module; HERE is sys.path[0])
+import probe  # noqa: E402
 import shims  # noqa: E402
 
 import fbh  # noqa: E402
@@ -49,6 +50,7 @@ class VerifyLarge:
     """In-process run_suite(DomainParams(32, 4, 1.0), seed_i, ("all",))."""
 
     name = "verify-large"
+    speed = probe.INTERPRETER
     params = DomainParams(32, 4, 1.0)
     suites = ("kernel-law", "metric-law", "cartan", "gram", "boundary")  # mc needs n = m = 1
 
@@ -82,6 +84,7 @@ class EvalDisk:
     2^16 rows whose t covers the closed disk |t| <= 1 - 1e-3."""
 
     name = "eval-disk"
+    speed = probe.STREAM
     params = DomainParams(disk.N_ORDER, disk.M_ORDER, disk.MU)
 
     def __init__(self, seed):
@@ -172,6 +175,7 @@ class CliVerify:
     --json` subprocesses, one at a time."""
 
     name = "cli-verify"
+    speed = probe.SPAWN
 
     def __init__(self, seed):
         self.seeds = _op_seeds(seed)
@@ -220,29 +224,35 @@ WORKLOADS = {cls.name: cls for cls in (VerifyLarge, EvalDisk, CliVerify)}
 
 # ------------------------------------------------------------------- loop
 
-def run_window(wl, seconds, first, guard_untraced):
+def run_window(wl, seconds, first, guard_untraced, speed=None):
     """Closed loop, one caller: start ops until `seconds` have passed (at
-    least one), numbering them from `first`.  Returns per-op wall times,
-    the number that failed and, if guarded, shims found installed."""
-    times, failed, shim_leaks = [], 0, 0
+    least one), numbering them from `first`.
+    Returns per-op wall times, per-op calibrated times (with a SpeedProbe;
+    the wall times then exclude the probe's own time), the number that
+    failed and, if guarded, shims found installed."""
+    times, calibrated, failed, shim_leaks = [], [], 0, 0
     start = time.perf_counter()
     i = first
     while not times or time.perf_counter() - start < seconds:
-        t0 = time.perf_counter()
-        try:
-            out = wl.op(i)
-            ok = None
-        except Exception:  # an op that raises is a failed op, not a crash
-            traceback.print_exc()
-            out, ok = None, False
-        times.append(time.perf_counter() - t0)
-        if ok is None:
-            ok = wl.check(i, out)
+        if speed is None:
+            t0 = time.perf_counter()
+            try:
+                out, error = wl.op(i), None
+            except Exception as exc:  # an op that raises is a failed op, not a crash
+                out, error = None, exc
+            times.append(time.perf_counter() - t0)
+        else:
+            out, error, wall, cal = speed.run(lambda: wl.op(i))
+            times.append(wall)
+            calibrated.append(cal)
+        if error is not None:
+            traceback.print_exception(error)
+        ok = error is None and wl.check(i, out)
         failed += not ok
         if guard_untraced:
             shim_leaks += shims.installed_count()
         i += 1
-    return times, failed, shim_leaks
+    return times, calibrated, failed, shim_leaks
 
 
 def environment():
@@ -386,14 +396,14 @@ def main(argv=None):
         return 0
 
     if args.trace:
-        times, failed, leaks = run_window(wl, args.seconds / 2, 0, guard_untraced=True)
+        times, calibrated, failed, leaks = run_window(wl, args.seconds / 2, 0, guard_untraced=True)
         tracer = shims.Tracer()
         if isinstance(wl, CliVerify):
             wl.tracer_parts = []
         else:
             tracer.install()
         try:
-            traced, traced_failed, _ = run_window(wl, args.seconds / 2, len(times), guard_untraced=False)
+            traced, _, traced_failed, _ = run_window(wl, args.seconds / 2, len(times), guard_untraced=False)
         finally:
             tracer.uninstall()
         totals = shims.merge_totals(wl.tracer_parts) if isinstance(wl, CliVerify) else tracer.totals()
@@ -402,7 +412,8 @@ def main(argv=None):
         failed += traced_failed
     else:
         traced = []
-        times, failed, leaks = run_window(wl, args.seconds, 0, guard_untraced=True)
+        times, calibrated, failed, leaks = run_window(wl, args.seconds, 0, guard_untraced=True,
+                                                      speed=probe.SpeedProbe(*wl.speed))
 
     finish_ok, info = wl.finish()
     ops = len(times) + len(traced)
@@ -414,6 +425,8 @@ def main(argv=None):
         "ops": ops,
         "ops_untraced": len(times),
         "op_p50_s": p50,
+        "op_p50_cal_s": statistics.median(calibrated) if calibrated else None,
+        "host_speed_p50": statistics.median(c / t for c, t in zip(calibrated, times)) if calibrated else None,
         "op_p90_s": statistics.quantiles(times, n=10, method="inclusive")[-1]
         if len(times) * 0.1 >= P90_TAIL else None,
         "fail_share": failed / ops,
@@ -436,7 +449,7 @@ def main(argv=None):
         result_metrics = {k: {"value": v, "unit": _unit(k)} for k, v in metrics.items()}
     else:
         result_metrics = {
-            "op_p50_s": {"value": p50, "unit": "s"},
+            "op_p50_cal_s": {"value": summary["op_p50_cal_s"], "unit": "s"},
             "peak_rss_mb": {"value": summary["peak_rss_mb"], "unit": "MB"},
         }
     print(json.dumps({"summary": summary}))
