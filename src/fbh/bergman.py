@@ -29,7 +29,7 @@ from .errors import (
     NotHermitian,
     NotPositiveDefinite,
 )
-from .polylog import polylog_deriv
+from .polylog import log_derivatives, polylog_deriv
 
 # |K| below this counts as a kernel zero: the transformation law for the
 # metric is only asserted where the kernel does not vanish.
@@ -59,8 +59,19 @@ class KernelValue:
     t_arg: complex
 
 
-def _prefactor(params: DomainParams) -> float:
-    return params.mu ** params.n / math.pi ** params.dim
+def _kernel_rows(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray):
+    """(s, t, K) against the rows q_i = (Z_i, Zeta_i): s_i = <p.z, Z_i>,
+    t_i = exp(mu s_i) <p.zeta, Zeta_i> and K(p, q_i).  The one place the
+    kernel formula is written down; every evaluation below goes through it.
+    """
+    check_point(params, p)
+    s = Z.conj() @ p.z
+    t = np.exp(params.mu * s) * (Zeta.conj() @ p.zeta)
+    prefactor = params.mu ** params.n / math.pi ** params.dim
+    values = prefactor * np.exp(params.m * params.mu * s) * polylog_deriv(
+        params.n, params.m, t
+    )
+    return s, t, values
 
 
 def kernel(params: DomainParams, p: Point, q: Point) -> KernelValue:
@@ -69,14 +80,9 @@ def kernel(params: DomainParams, p: Point, q: Point) -> KernelValue:
     Raises PoleProximity when t falls inside the guard band around 1, which
     on the diagonal only happens in the boundary limit.
     """
-    check_point(params, p)
     check_point(params, q)
-    s = inner(p.z, q.z)
-    t = np.exp(params.mu * s) * inner(p.zeta, q.zeta)
-    value = _prefactor(params) * np.exp(params.m * params.mu * s) * polylog_deriv(
-        params.n, params.m, t
-    )
-    return KernelValue(value=complex(value), t_arg=complex(t))
+    _, t, values = _kernel_rows(params, p, q.z[None], q.zeta[None])
+    return KernelValue(value=complex(values[0]), t_arg=complex(t[0]))
 
 
 def kernel_batch(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray):
@@ -85,28 +91,23 @@ def kernel_batch(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray
     Z has shape (count, n) and Zeta (count, m); returns (values, t_args) as
     complex arrays of length count.  Same formula as kernel(), broadcast.
     """
-    check_point(params, p)
     Z = np.asarray(Z, dtype=complex)
     Zeta = np.asarray(Zeta, dtype=complex)
     if Z.ndim != 2 or Z.shape[1] != params.n or Zeta.shape != (Z.shape[0], params.m):
         raise DimensionMismatch("batch shapes must be (count, n) and (count, m)")
-    s = Z.conj() @ p.z
-    t = np.exp(params.mu * s) * (Zeta.conj() @ p.zeta)
-    values = _prefactor(params) * np.exp(params.m * params.mu * s) * polylog_deriv(
-        params.n, params.m, t
-    )
+    _, t, values = _kernel_rows(params, p, Z, Zeta)
     return values, t
 
 
 def _log_kernel_pieces(params: DomainParams, p: Point, q: Point):
-    """Shared intermediates (s, t) plus the F_m chain with a zero guard."""
-    s = inner(p.z, q.z)
-    t = np.exp(params.mu * s) * inner(p.zeta, q.zeta)
-    fm = polylog_deriv(params.n, params.m, t)
-    value = _prefactor(params) * np.exp(params.m * params.mu * s) * fm
-    if abs(value) < KERNEL_FLOOR:
-        raise KernelZero(f"|K| = {abs(value):.3e} below {KERNEL_FLOOR}")
-    return s, t, fm
+    """s, t and the log-derivatives G = F_{m+1}/F_m, H = G' at t for one
+    pair, with a zero guard on K."""
+    check_point(params, q)
+    s, t, values = _kernel_rows(params, p, q.z[None], q.zeta[None])
+    if abs(values[0]) < KERNEL_FLOOR:
+        raise KernelZero(f"|K| = {abs(values[0]):.3e} below {KERNEL_FLOOR}")
+    G, H = log_derivatives(params.n, params.m, t[0])
+    return s[0], t[0], G, H
 
 
 def log_kernel_grad_wbar(params: DomainParams, p: Point, q: Point) -> np.ndarray:
@@ -117,12 +118,9 @@ def log_kernel_grad_wbar(params: DomainParams, p: Point, q: Point) -> np.ndarray
         d/d conj(z'_i)    = mu z_i (m + t F_{m+1}(t)/F_m(t)),
         d/d conj(zeta'_i) = exp(mu s) zeta_i F_{m+1}(t)/F_m(t).
     """
-    check_point(params, p)
-    check_point(params, q)
-    s, t, fm = _log_kernel_pieces(params, p, q)
-    g = polylog_deriv(params.n, params.m + 1, t) / fm
-    grad_z = params.mu * p.z * (params.m + t * g)
-    grad_zeta = np.exp(params.mu * s) * p.zeta * g
+    s, t, G, _ = _log_kernel_pieces(params, p, q)
+    grad_z = params.mu * p.z * (params.m + t * G)
+    grad_zeta = np.exp(params.mu * s) * p.zeta * G
     return np.concatenate([grad_z, grad_zeta])
 
 
@@ -139,12 +137,8 @@ def metric(params: DomainParams, p: Point, q: Point) -> np.ndarray:
     Hermitian positive definite on the diagonal; at q = origin it collapses
     to the constant diag(m mu I_n, (F_{m+1}(0)/F_m(0)) I_m).
     """
-    check_point(params, p)
-    check_point(params, q)
-    s, t, fm = _log_kernel_pieces(params, p, q)
+    s, t, G, H = _log_kernel_pieces(params, p, q)
     E = np.exp(params.mu * s)
-    G = polylog_deriv(params.n, params.m + 1, t) / fm
-    H = polylog_deriv(params.n, params.m + 2, t) / fm - G * G
     W = G + t * H
     mu = params.mu
     zbar = q.z.conj()
@@ -154,6 +148,17 @@ def metric(params: DomainParams, p: Point, q: Point) -> np.ndarray:
     zeta_z = mu * E * W * np.outer(p.zeta, zbar)
     zeta_zeta = E * G * np.eye(params.m) + E * E * H * np.outer(p.zeta, zetabar)
     return np.block([[zz, z_zeta], [zeta_z, zeta_zeta]])
+
+
+def _origin_metric_diagonal(params: DomainParams) -> np.ndarray:
+    """Diagonal of T(0,0) = diag(m mu I_n, (m+1)^(n+1)/m^n I_m).
+
+    Closed form of metric(o, o): at t = 0 only the k = j term of
+    sum_j j^n t^j survives k derivatives, so F_k(0) = k! k^n and
+    G(0) = F_{m+1}(0)/F_m(0) = (m+1)^(n+1)/m^n.
+    """
+    n, m = params.n, params.m
+    return np.array([m * params.mu] * n + [(m + 1) ** (n + 1) / m ** n] * m)
 
 
 def _checked_hermitian(M) -> np.ndarray:
@@ -192,27 +197,26 @@ def representative_map(params: DomainParams, p: Point) -> np.ndarray:
 
         T(0,0)^(-1/2) grad_wbar log [K(p, w) / K(0, w)] at w = 0.
 
-    Both gradients are evaluated; their difference is what gets normalized.
-    On this domain the result coincides with T(0,0)^(1/2) p, which the
-    test-suite verifies rather than assumes.
+    Both gradients are evaluated; their difference is what gets normalized,
+    by the closed-form diagonal of T(0,0).  On this domain the result
+    coincides with T(0,0)^(1/2) p, which the test-suite verifies rather
+    than assumes.
     """
     check_point(params, p)
     o = Point.origin(params)
-    t0 = metric(params, o, o)
     g = log_kernel_grad_wbar(params, p, o) - log_kernel_grad_wbar(params, o, o)
-    return inv_sqrt_pd(t0) @ g
+    return g / np.sqrt(_origin_metric_diagonal(params))
 
 
 def l_matrix(params: DomainParams, phi: Automorphism) -> np.ndarray:
     """The unitary T(0,0)^(-1/2) (J(phi, 0)^H)^(-1) T(0,0)^(1/2).
 
     Requires phi to fix the origin (||v|| <= 1e-12); this matrix conjugates
-    the representative map of phi into a linear action.
+    the representative map of phi into a linear action; T(0,0) enters
+    through its closed-form diagonal.
     """
     if float(np.linalg.norm(phi.v)) > 1e-12:
         raise DoesNotFixOrigin(f"translation part has norm {np.linalg.norm(phi.v):.3e}")
-    o = Point.origin(params)
-    J0 = jacobian(params, phi, o)
-    t0 = metric(params, o, o)
-    middle = np.linalg.inv(J0.conj().T)
-    return inv_sqrt_pd(t0) @ middle @ sqrt_pd(t0)
+    J0 = jacobian(params, phi, Point.origin(params))
+    root = np.sqrt(_origin_metric_diagonal(params))
+    return np.linalg.inv(J0.conj().T) * root / root[:, None]

@@ -10,7 +10,6 @@ through double precision.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from .autgroup import Automorphism, apply, compose, inverse
 from .bergman import kernel, metric
@@ -20,17 +19,6 @@ from .polylog import a_poly
 from .verify import SUITE_NAMES, run_suite
 
 FORMATS = ("text", "json", "csv")
-
-
-@dataclass
-class CliConfig:
-    """Validated invocation: the shared knobs, built before dispatch."""
-
-    subcommand: str
-    params: DomainParams = None
-    seed: int = 0
-    fmt: str = "text"
-    tolerances: dict = field(default_factory=dict)
 
 
 def _fmt(x: float) -> str:
@@ -110,22 +98,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_a_poly(config: CliConfig, args) -> int:
+def _cmd_a_poly(args) -> int:
     coeffs = list(a_poly(args.n, args.m).coeffs)
-    if config.fmt == "csv":
+    if args.format == "csv":
         print(",".join(str(c) for c in coeffs))
-    elif config.fmt == "json":
+    elif args.format == "json":
         print(json.dumps(coeffs))
     else:
         print(" ".join(str(c) for c in coeffs))
     return 0
 
 
-def _cmd_kernel_eval(config: CliConfig, args) -> int:
+def _cmd_kernel_eval(args) -> int:
     p = Point.from_json(_load_json(args.p))
     q = Point.from_json(_load_json(args.q))
-    kv = kernel(config.params, p, q)
-    if config.fmt == "json":
+    kv = kernel(args.params, p, q)
+    if args.format == "json":
         print(
             json.dumps(
                 {
@@ -134,7 +122,7 @@ def _cmd_kernel_eval(config: CliConfig, args) -> int:
                 }
             )
         )
-    elif config.fmt == "csv":
+    elif args.format == "csv":
         print(
             ",".join(
                 _fmt(x)
@@ -147,19 +135,19 @@ def _cmd_kernel_eval(config: CliConfig, args) -> int:
     return 0
 
 
-def _cmd_metric_origin(config: CliConfig, args) -> int:
-    params = config.params
+def _cmd_metric_origin(args) -> int:
+    params = args.params
     o = Point.origin(params)
     T = metric(params, o, o)
     z_block = float(T[0, 0].real)
     zeta_block = float(T[params.n, params.n].real)
-    if config.fmt == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 {"n": params.n, "m": params.m, "z_block": z_block, "zeta_block": zeta_block}
             )
         )
-    elif config.fmt == "csv":
+    elif args.format == "csv":
         print(f"{_fmt(z_block)},{_fmt(zeta_block)}")
     else:
         print(f"z_block {_fmt(z_block)}")
@@ -167,21 +155,21 @@ def _cmd_metric_origin(config: CliConfig, args) -> int:
     return 0
 
 
-def _cmd_apply(config: CliConfig, args) -> int:
+def _cmd_apply(args) -> int:
     aut = Automorphism.from_json(_load_json(args.aut))
     p = Point.from_json(_load_json(args.p))
-    print(json.dumps(apply(config.params, aut, p).to_json()))
+    print(json.dumps(apply(args.params, aut, p).to_json()))
     return 0
 
 
-def _cmd_compose(config: CliConfig, args) -> int:
+def _cmd_compose(args) -> int:
     a = Automorphism.from_json(_load_json(args.a))
     b = Automorphism.from_json(_load_json(args.b))
-    print(json.dumps(compose(config.params, a, b).to_json()))
+    print(json.dumps(compose(args.params, a, b).to_json()))
     return 0
 
 
-def _cmd_inverse(config: CliConfig, args) -> int:
+def _cmd_inverse(args) -> int:
     a = Automorphism.from_json(_load_json(args.a))
     # mu never enters the inverse, so any valid params with matching sizes do
     params = DomainParams(n=a.U.shape[0], m=a.Uprime.shape[0], mu=1.0)
@@ -189,13 +177,13 @@ def _cmd_inverse(config: CliConfig, args) -> int:
     return 0
 
 
-def _cmd_verify(config: CliConfig, args) -> int:
+def _cmd_verify(args) -> int:
     reports = run_suite(
-        config.params,
-        config.seed,
+        args.params,
+        args.seed,
         suites=(args.suite,),
         samples=args.samples,
-        tolerances=config.tolerances,
+        tolerances=args.tol,
     )
     if args.json:
         print(json.dumps([r.to_dict() for r in reports]))
@@ -221,24 +209,16 @@ _DISPATCH = {
 }
 
 
-def _build_config(args) -> CliConfig:
-    """Validate the shared flags (params in particular) before dispatch."""
-    params_text = getattr(args, "params", None)
-    return CliConfig(
-        subcommand=args.subcommand,
-        params=_parse_params(params_text) if params_text else None,
-        seed=getattr(args, "seed", 0),
-        fmt=getattr(args, "format", "text"),
-        tolerances=_parse_tolerances(getattr(args, "tol", None)),
-    )
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _build_config(args)
-        return _DISPATCH[config.subcommand](config, args)
+        # validate the shared flags in place before dispatch
+        if getattr(args, "params", None):
+            args.params = _parse_params(args.params)
+        if getattr(args, "tol", None):
+            args.tol = _parse_tolerances(args.tol)
+        return _DISPATCH[args.subcommand](args)
     except (FbhError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

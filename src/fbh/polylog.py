@@ -157,6 +157,13 @@ def li_neg_rational(n: int) -> RationalForm:
     return RationalForm(numerator=a_poly(n, 0), pole_order=n + 1)
 
 
+def _guarded(n: int, t) -> np.ndarray:
+    tt = np.asarray(t, dtype=complex)
+    if np.any(np.abs(1.0 - tt) < EPS_POLE):
+        raise PoleProximity(f"|1 - t| < {EPS_POLE} at the pole of the order -{n} polylogarithm")
+    return tt
+
+
 def polylog_deriv(n: int, m: int, t):
     """m-th derivative of the order -n polylogarithm at t.
 
@@ -164,10 +171,24 @@ def polylog_deriv(n: int, m: int, t):
     PoleProximity when any point lies within EPS_POLE of the pole at t = 1.
     """
     _check_orders(n, m)
-    tt = np.asarray(t, dtype=complex)
-    if np.any(np.abs(1.0 - tt) < EPS_POLE):
-        raise PoleProximity(f"|1 - t| < {EPS_POLE} at the pole of the order -{n} polylogarithm")
+    tt = _guarded(n, t)
     val = a_poly(n, m).eval(tt) / (1.0 - tt) ** (n + m + 1)
     if np.ndim(t) == 0:
         return complex(val)
     return val
+
+
+def log_derivatives(n: int, m: int, t):
+    """G = F_{m+1}/F_m and H = G' = F_{m+2}/F_m - G^2 at t, F_m = polylog_deriv(n, m, .).
+
+    Both come from A = a_poly(n, m) alone, so they stay defined at m = MAX_ORDER:
+    G = A'/A + p/(1-t) and H = A''/A - (A'/A)^2 + p/(1-t)^2 with p = n+m+1.
+    Same pole guard and argument forms as polylog_deriv.
+    """
+    A = a_poly(n, m)
+    dA = A.derivative()
+    tt = _guarded(n, t)
+    a = A.eval(tt)
+    r = dA.eval(tt) / a
+    pole = (n + m + 1) / (1.0 - tt)
+    return r + pole, dA.derivative().eval(tt) / a - r * r + pole / (1.0 - tt)

@@ -8,7 +8,7 @@ precision error accumulation across determinants and matrix products.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,21 @@ from .domain import (
 )
 from .errors import KernelZero
 
-SUITE_NAMES = ("kernel-law", "metric-law", "cartan", "gram", "mc", "boundary")
+# One row per suite: (check, automorphism factory, its seed offset, sampler,
+# its seed offset, sample count, parts); part j uses sub-seeds seed + offset + j.
+# Without a sampler the check gets the sub-seed and count.  Names resolve when
+# the suite runs, so whatever the module attribute holds then gets called.
+_SUITE_TABLE = {
+    "kernel-law": ("check_kernel_law", "random_automorphism", 101, "sample_pairs", 301, 10, 10),
+    "metric-law": ("check_metric_law", "random_automorphism", 501, "sample_pairs", 701, 5, 10),
+    "cartan": ("check_cartan", "_rotation", 901, "sample_interior", 1101, 10, 10),
+    "gram": ("check_gram_psd", None, 0, "sample_interior", 1301, 40, 1),
+    "mc": ("mc_reproduce_constant", None, 0, None, 1501, 1_000_000, 1),
+    "boundary": (
+        "check_boundary_invariance", "random_automorphism", 1701, "sample_boundary", 1901, 50, 4
+    ),
+}
+SUITE_NAMES = tuple(_SUITE_TABLE)
 
 DEFAULT_TOLERANCES = {
     "kernel-law": 1e-8,
@@ -63,16 +77,7 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "samples": self.samples,
-            "passed": self.passed,
-            "seed": self.seed,
-            "residual_kind": self.residual_kind,
-            "details": dict(self.details),
-        }
+        return asdict(self)
 
 
 def _report(name, max_residual, tolerance, samples, seed, residual_kind, **details):
@@ -88,6 +93,11 @@ def _report(name, max_residual, tolerance, samples, seed, residual_kind, **detai
         residual_kind=residual_kind,
         details={k: float(v) for k, v in details.items()},
     )
+
+
+def _worst(residuals) -> float:
+    """Largest residual, 0 for none; a NaN anywhere makes the result NaN."""
+    return float(np.max(residuals, initial=0.0))
 
 
 def sample_pairs(params: DomainParams, seed: int, count: int) -> list:
@@ -113,15 +123,15 @@ def check_kernel_law(params, a: Automorphism, pairs, tolerance=None, seed=0) -> 
     """Residual of K(p,q) = conj(det J(a,q)) K(a p, a q) det J(a,p), relative
     to |K(p,q)| per pair."""
     tolerance = DEFAULT_TOLERANCES["kernel-law"] if tolerance is None else tolerance
-    worst = 0.0
+    residuals = []
     for p, q in pairs:
         kv = kernel(params, p, q).value
         det_p = np.linalg.det(jacobian(params, a, p))
         det_q = np.linalg.det(jacobian(params, a, q))
         image = kernel(params, apply(params, a, p), apply(params, a, q)).value
         rhs = np.conj(det_q) * image * det_p
-        worst = max(worst, abs(kv - rhs) / max(abs(kv), KERNEL_FLOOR))
-    return _report("kernel-law", worst, tolerance, len(pairs), seed, "relative")
+        residuals.append(abs(kv - rhs) / max(abs(kv), KERNEL_FLOOR))
+    return _report("kernel-law", _worst(residuals), tolerance, len(pairs), seed, "relative")
 
 
 def check_metric_law(params, a: Automorphism, pairs, tolerance=None, seed=0) -> CheckReport:
@@ -129,7 +139,7 @@ def check_metric_law(params, a: Automorphism, pairs, tolerance=None, seed=0) -> 
     relative to the max-norm of T(p,q).  Pairs where the kernel vanishes are
     skipped and counted."""
     tolerance = DEFAULT_TOLERANCES["metric-law"] if tolerance is None else tolerance
-    worst = 0.0
+    residuals = []
     skipped = 0
     for p, q in pairs:
         try:
@@ -143,9 +153,9 @@ def check_metric_law(params, a: Automorphism, pairs, tolerance=None, seed=0) -> 
             skipped += 1
             continue
         scale = np.max(np.abs(lhs))
-        worst = max(worst, np.max(np.abs(lhs - rhs)) / max(scale, KERNEL_FLOOR))
+        residuals.append(np.max(np.abs(lhs - rhs)) / max(scale, KERNEL_FLOOR))
     return _report(
-        "metric-law", worst, tolerance, len(pairs), seed, "relative", skipped=skipped
+        "metric-law", _worst(residuals), tolerance, len(pairs), seed, "relative", skipped=skipped
     )
 
 
@@ -156,7 +166,8 @@ def check_cartan(params, a: Automorphism, points, tolerance=None, seed=0) -> Che
     intertwines the action with the unitary L = l_matrix(a), that the
     reconstructed linear map T^(-1/2) L T^(1/2) reproduces the action, and
     that this matrix is exactly the block-diagonal (U, U'); the block
-    deviation is reported in the details.
+    deviation is reported in the details.  T^(+-1/2) come from metric(0, 0)
+    here, so the closed-form diagonal in representative_map is checked too.
     """
     tolerance = DEFAULT_TOLERANCES["cartan"] if tolerance is None else tolerance
     L = l_matrix(params, a)
@@ -167,27 +178,25 @@ def check_cartan(params, a: Automorphism, points, tolerance=None, seed=0) -> Che
     block[: params.n, : params.n] = a.U
     block[params.n :, params.n :] = a.Uprime
     block_residual = float(np.max(np.abs(linear_map - block)))
-    worst_comm = 0.0
-    worst_lin = 0.0
+    comm = []
+    lin = []
     for p in points:
         image = apply(params, a, p)
         sig_p = representative_map(params, p)
         sig_image = representative_map(params, image)
         denom_c = max(np.max(np.abs(sig_image)), KERNEL_FLOOR)
-        worst_comm = max(worst_comm, np.max(np.abs(sig_image - L @ sig_p)) / denom_c)
+        comm.append(np.max(np.abs(sig_image - L @ sig_p)) / denom_c)
         denom_l = max(np.max(np.abs(image.coords())), KERNEL_FLOOR)
-        worst_lin = max(
-            worst_lin, np.max(np.abs(image.coords() - linear_map @ p.coords())) / denom_l
-        )
+        lin.append(np.max(np.abs(image.coords() - linear_map @ p.coords())) / denom_l)
     return _report(
         "cartan",
-        max(worst_comm, worst_lin),
+        _worst(comm + lin),
         tolerance,
         len(points),
         seed,
         "relative",
-        commutation_residual=worst_comm,
-        linearity_residual=worst_lin,
+        commutation_residual=_worst(comm),
+        linearity_residual=_worst(lin),
         block_residual=block_residual,
     )
 
@@ -201,14 +210,20 @@ def check_gram_psd(params, points, tol=None, seed=0) -> CheckReport:
     raw diagonal entries to 1e10, where an absolute floor on the raw
     spectrum would only measure rounding.  The raw minimum eigenvalue is
     reported in the details.
+
+    A Gram matrix with non-finite entries (kernel values overflow at large
+    orders) fails, with its count of them in the details, and no warning.
     """
     tol = DEFAULT_TOLERANCES["gram"] if tol is None else tol
     npts = len(points)
-    G = np.empty((npts, npts), dtype=complex)
-    for i in range(npts):
-        for j in range(i, npts):
-            G[i, j] = kernel(params, points[i], points[j]).value
-            G[j, i] = np.conj(G[i, j])
+    kind = "absolute (diagonal-normalized Gram)"
+    Z = np.array([p.z for p in points])
+    Zeta = np.array([p.zeta for p in points])
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = np.array([kernel_batch(params, p, Z, Zeta)[0] for p in points])
+    non_finite = np.count_nonzero(~np.isfinite(G))
+    if non_finite:
+        return _report("gram", math.inf, tol, npts, seed, kind, non_finite=non_finite)
     G = (G + G.conj().T) / 2.0
     d = np.sqrt(np.abs(np.diagonal(G).real))
     normalized = G / np.outer(d, d)
@@ -220,7 +235,7 @@ def check_gram_psd(params, points, tol=None, seed=0) -> CheckReport:
         tol,
         npts,
         seed,
-        "absolute (diagonal-normalized Gram)",
+        kind,
         min_eigenvalue_normalized=min_norm,
         min_eigenvalue_raw=min_raw,
     )
@@ -261,7 +276,7 @@ def mc_reproduce_constant(params: DomainParams, seed: int, samples: int = 1_000_
 def check_boundary_invariance(params, a: Automorphism, boundary_points, tolerance=None, seed=0) -> CheckReport:
     """Boundary points must stay on the boundary: max |defect(a p)|."""
     tolerance = DEFAULT_TOLERANCES["boundary"] if tolerance is None else tolerance
-    worst = max(abs(defect(params, apply(params, a, p))) for p in boundary_points)
+    worst = _worst([abs(defect(params, apply(params, a, p))) for p in boundary_points])
     return _report("boundary", worst, tolerance, len(boundary_points), seed, "absolute")
 
 
@@ -269,19 +284,19 @@ def check_boundary_invariance(params, a: Automorphism, boundary_points, toleranc
 
 def _merge(reports) -> CheckReport:
     """Merge same-named reports by max residual (checks are seed-split);
-    sample and skip counts accumulate."""
+    sample and skip counts accumulate.  A NaN residual or detail survives
+    the merge, so the merged report fails."""
     first = reports[0]
-    worst = max(r.max_residual for r in reports)
     details = {}
     for r in reports:
         for k, v in r.details.items():
             if k == "skipped":
                 details[k] = details.get(k, 0.0) + v
             else:
-                details[k] = max(details.get(k, v), v)
+                details[k] = float(np.maximum(details.get(k, v), v))
     return _report(
         first.name,
-        worst,
+        _worst([r.max_residual for r in reports]),
         first.tolerance,
         sum(r.samples for r in reports),
         first.seed,
@@ -290,15 +305,34 @@ def _merge(reports) -> CheckReport:
     )
 
 
+def _rotation(params: DomainParams, seed: int) -> Automorphism:
+    """Origin-fixing automorphism: the rotation part of a random one."""
+    rot = random_automorphism(params, seed)
+    return Automorphism(rot.U, rot.Uprime, np.zeros(params.n))
+
+
+def _run_part(params, seed, row, j, samples, tol) -> CheckReport:
+    check, factory, factory_offset, sampler, sample_offset, count, _ = row
+    names = globals()
+    if sampler is None:
+        return names[check](params, seed + sample_offset + j, samples or count)
+    args = [params]
+    if factory is not None:
+        args.append(names[factory](params, seed + factory_offset + j))
+    args.append(names[sampler](params, seed + sample_offset + j, count))
+    return names[check](*args, tol, seed)
+
+
 def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, tolerances=None):
     """Run the selected verification suites and return their reports.
 
     `suites` is an iterable of names from SUITE_NAMES, or ("all",), in which
     case the Monte-Carlo check is included only where it is defined
     (n = m = 1).  `samples` overrides the Monte-Carlo sample count and
-    `tolerances` maps suite names to tolerance overrides.
+    `tolerances` maps suite names to tolerance overrides.  Each suite runs
+    as its _SUITE_TABLE row says, and every report carries the root seed.
     """
-    tolerances = dict(tolerances or {})
+    tolerances = tolerances or {}
     wanted = list(SUITE_NAMES) if "all" in suites else list(suites)
     if "all" in suites and not (params.n == 1 and params.m == 1):
         wanted.remove("mc")
@@ -308,56 +342,12 @@ def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, to
 
     reports = []
     for name in wanted:
-        tol = tolerances.get(name)
-        if name == "kernel-law":
-            parts = [
-                check_kernel_law(
-                    params,
-                    random_automorphism(params, seed + 101 + j),
-                    sample_pairs(params, seed + 301 + j, 10),
-                    tolerance=tol,
-                    seed=seed,
-                )
-                for j in range(10)
-            ]
-            reports.append(_merge(parts))
-        elif name == "metric-law":
-            parts = [
-                check_metric_law(
-                    params,
-                    random_automorphism(params, seed + 501 + j),
-                    sample_pairs(params, seed + 701 + j, 5),
-                    tolerance=tol,
-                    seed=seed,
-                )
-                for j in range(10)
-            ]
-            reports.append(_merge(parts))
-        elif name == "cartan":
-            parts = []
-            for j in range(10):
-                rot = random_automorphism(params, seed + 901 + j)
-                fixing = Automorphism(rot.U, rot.Uprime, np.zeros(params.n))
-                pts = sample_interior(params, seed + 1101 + j, 10)
-                parts.append(check_cartan(params, fixing, pts, tolerance=tol, seed=seed))
-            reports.append(_merge(parts))
-        elif name == "gram":
-            pts = sample_interior(params, seed + 1301, 40)
-            reports.append(check_gram_psd(params, pts, tol=tol, seed=seed))
-        elif name == "mc":
-            rep = mc_reproduce_constant(params, seed + 1501, samples or 1_000_000)
-            rep.seed = seed  # report the suite's root seed like the other checks
-            reports.append(rep)
-        elif name == "boundary":
-            parts = [
-                check_boundary_invariance(
-                    params,
-                    random_automorphism(params, seed + 1701 + j),
-                    sample_boundary(params, seed + 1901 + j, 50),
-                    tolerance=tol,
-                    seed=seed,
-                )
-                for j in range(4)
-            ]
-            reports.append(_merge(parts))
+        row = _SUITE_TABLE[name]
+        parts = [
+            _run_part(params, seed, row, j, samples, tolerances.get(name))
+            for j in range(row[-1])
+        ]
+        report = _merge(parts)
+        report.seed = seed
+        reports.append(report)
     return reports

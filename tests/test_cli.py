@@ -178,3 +178,12 @@ def test_bad_params_string_exits_2(capsys):
 def test_bad_tol_flag_exits_2(capsys):
     assert main(["verify", "--suite", "gram", "--params", "1,1,1.0", "--tol", "gram"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_verify_gram_non_finite_fails_with_exit_1(capsys):
+    # kernel values overflow at (32, 16): a failed report, not a crash
+    argv = ["verify", "--suite", "gram", "--params", "32,16,1.0", "--json"]
+    assert main(argv) == 1
+    (report,) = json.loads(capsys.readouterr().out)
+    assert report["name"] == "gram" and not report["passed"]
+    assert report["details"]["non_finite"] > 0

@@ -1,12 +1,17 @@
 """Tests for the verification harness itself."""
 
+import math
+
 import numpy as np
 import pytest
 
+from fbh import autgroup, verify
 from fbh.autgroup import Automorphism, identity, random_automorphism
 from fbh.domain import DomainParams, Point, sample_boundary, sample_interior
 from fbh.verify import (
     SUITE_NAMES,
+    CheckReport,
+    _merge,
     check_boundary_invariance,
     check_cartan,
     check_gram_psd,
@@ -233,3 +238,85 @@ def test_run_suite_full_grid(nm, mu):
     ]
     failing = [r.name for r in reports if not r.passed]
     assert not failing, f"suites failed at {params}: {failing}"
+
+
+@pytest.mark.parametrize("nm", [(2, 64), (1, 64)])
+def test_run_suite_metric_law_and_cartan_at_max_order(nm):
+    # the metric's log-derivatives come from the order-m numerator alone, so
+    # m = MAX_ORDER needs no numerator of order m + 1 or m + 2
+    reports = run_suite(DomainParams(nm[0], nm[1], 1.0), 0, suites=("metric-law", "cartan"))
+    assert [r.name for r in reports] == ["metric-law", "cartan"]
+    assert all(r.passed for r in reports)
+
+
+# ------------------------- NaN fails closed --------------------------------
+
+def _plain_report(residual):
+    return CheckReport("x", residual, 1.0, 1, residual <= 1.0, 0)
+
+
+@pytest.mark.parametrize("order", [(0.0, math.nan), (math.nan, 0.0)])
+def test_merge_propagates_nan(order):
+    merged = _merge([_plain_report(r) for r in order])
+    assert math.isnan(merged.max_residual)
+    assert not merged.passed
+
+
+def test_check_fed_nan_residual_fails(monkeypatch):
+    defects = iter([0.0, math.nan, 0.0])
+    monkeypatch.setattr(verify, "defect", lambda params, p: next(defects))
+    report = check_boundary_invariance(P11, identity(P11), sample_boundary(P11, 67, 3))
+    assert math.isnan(report.max_residual)
+    assert not report.passed
+
+
+# ------------------------------ mutations -----------------------------------
+# Each deliberately broken formula, patched in at the module attribute its
+# callers look up, must turn the suites that depend on it red.
+
+MUTATION_CONFIGS = [P11, DomainParams(3, 2, 1.0)]
+
+
+def _failed_suites(params, suites):
+    return {r.name for r in run_suite(params, 0, suites=suites) if not r.passed}
+
+
+@pytest.mark.parametrize("params", MUTATION_CONFIGS)
+def test_mutation_jacobian_lower_left_sign(params, monkeypatch):
+    real = verify.jacobian
+
+    def flipped(params, a, p):
+        J = real(params, a, p)
+        J[params.n :, : params.n] *= -1.0
+        return J
+
+    monkeypatch.setattr(verify, "jacobian", flipped)
+    assert _failed_suites(params, ("metric-law",)) == {"metric-law"}
+
+
+@pytest.mark.parametrize("params", MUTATION_CONFIGS)
+def test_mutation_scale_factor_without_norm_term(params, monkeypatch):
+    def no_norm_term(params, a, z):
+        return complex(np.exp(-params.mu * np.vdot(a.v, a.U @ z)))
+
+    monkeypatch.setattr(autgroup, "scale_factor", no_norm_term)
+    suites = ("kernel-law", "metric-law", "boundary")
+    assert _failed_suites(params, suites) == set(suites)
+
+
+@pytest.mark.parametrize("params", MUTATION_CONFIGS)
+def test_mutation_metric_z_block_scaled(params, monkeypatch):
+    real = verify.metric
+
+    def scaled(params, p, q):
+        T = real(params, p, q)
+        T[: params.n, : params.n] *= 1.0 + 1e-4
+        return T
+
+    monkeypatch.setattr(verify, "metric", scaled)
+    assert _failed_suites(params, ("metric-law",)) == {"metric-law"}
+
+
+@pytest.mark.parametrize("params", MUTATION_CONFIGS)
+def test_unmutated_suites_pass(params):
+    assert not _failed_suites(params, ("kernel-law", "metric-law", "boundary"))
