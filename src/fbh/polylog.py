@@ -11,12 +11,15 @@ where A is a degree-n polynomial with integer coefficients,
     A(t) = m! sum_{j=0..n} (-1)^(n+j) (m+1)_j S(n+1, j+1) (1-t)^(n-j),
 
 S(.,.) the Stirling numbers of the second kind and (x)_j the rising
-factorial.  All coefficient arithmetic here is exact (Python integers);
-conversion to floating point happens once, at evaluation time.
+factorial.  All coefficient arithmetic here is exact (Python integers).
+Each numerator is built once per (n, m) and kept (a_poly is memoized; the
+polynomials are immutable), and conversion to floating point happens once
+per polynomial, on its first evaluation.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -38,22 +41,23 @@ def _check_orders(n: int, m: int) -> None:
         raise ValueError(f"derivative order m must be in 0..{MAX_ORDER}, got {m}")
 
 
+def _stirling2_row(n: int) -> list:
+    """Row S(n, 0..n), built bottom-up from S(i, j) = j S(i-1, j) + S(i-1, j-1)."""
+    row = [1]  # S(0, .)
+    for i in range(1, n + 1):
+        row = [0] + [j * (row[j] if j < i else 0) + row[j - 1] for j in range(1, i + 1)]
+    return row
+
+
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind S(n, k), exact.
 
-    Computed bottom-up from S(n, k) = k S(n-1, k) + S(n-1, k-1).  Returns 0
-    outside 0 <= k <= n, so the function is total.
+    Read from the row S(n, .).  Returns 0 outside 0 <= k <= n, so the
+    function is total.
     """
     if n < 0 or k < 0 or k > n:
         return 0
-    # Row-by-row so every call is pure; no module-level cache to guard.
-    row = [1]  # S(0, .)
-    for i in range(1, n + 1):
-        new = [0] * (i + 1)
-        for j in range(1, i + 1):
-            new[j] = j * (row[j] if j < i else 0) + row[j - 1]
-        row = new
-    return row[k]
+    return _stirling2_row(n)[k]
 
 
 def pochhammer(x: int, j: int) -> int:
@@ -71,7 +75,9 @@ class PolyExact:
     """Dense polynomial with exact integer coefficients, lowest degree first.
 
     Trailing (highest-degree) zero coefficients are stripped on
-    construction; the zero polynomial has an empty coefficient tuple.
+    construction; the zero polynomial has an empty coefficient tuple.  The
+    float coefficients and the derivative are computed on first use and
+    kept on the instance, which never changes.
     """
 
     coeffs: tuple
@@ -110,13 +116,22 @@ class PolyExact:
         return PolyExact(tuple(k * v for v in self.coeffs))
 
     def derivative(self) -> "PolyExact":
+        return self._derivative
+
+    @cached_property
+    def _derivative(self) -> "PolyExact":
         c = self.coeffs
         return PolyExact(tuple(i * c[i] for i in range(1, len(c))))
+
+    @cached_property
+    def float_coeffs(self) -> tuple:
+        """Coefficients rounded correctly to floats, lowest degree first."""
+        return tuple(float(c) for c in self.coeffs)
 
     def eval(self, t):
         """Horner evaluation in complex floating point; t may be an array."""
         acc = np.asarray(t, dtype=complex) * 0.0
-        for c in reversed(self.coeffs):
+        for c in reversed(self.float_coeffs):
             acc = acc * t + c
         return acc
 
@@ -134,6 +149,10 @@ def _one_minus_t_power(k: int) -> PolyExact:
     return PolyExact(tuple((-1) ** i * math.comb(k, i) for i in range(k + 1)))
 
 
+# At most MAX_ORDER * (MAX_ORDER + 1) immutable results.  Orders are checked
+# on every miss and an error is never cached; typed keys keep a float order
+# from reusing an int order's entry.
+@lru_cache(maxsize=None, typed=True)
 def a_poly(n: int, m: int) -> PolyExact:
     """Exact numerator of the m-th derivative of sum_{k>=1} k^n t^k.
 
@@ -143,10 +162,11 @@ def a_poly(n: int, m: int) -> PolyExact:
     positive.
     """
     _check_orders(n, m)
+    stirling_row = _stirling2_row(n + 1)
     total = PolyExact(())
     fact_m = math.factorial(m)
     for j in range(n + 1):
-        w = (-1) ** (n + j) * fact_m * pochhammer(m + 1, j) * stirling2(n + 1, j + 1)
+        w = (-1) ** (n + j) * fact_m * pochhammer(m + 1, j) * stirling_row[j + 1]
         total = total + _one_minus_t_power(n - j).scale(w)
     return total
 

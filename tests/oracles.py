@@ -5,6 +5,8 @@ oracle sums the defining power series directly, and the finite-difference
 oracles only ever call the functions they are checking at perturbed points.
 """
 
+from math import comb
+
 import numpy as np
 
 from fbh.autgroup import apply
@@ -48,6 +50,26 @@ def stirling2_recursive(n, k, _cache={}):
     if key not in _cache:
         _cache[key] = k * stirling2_recursive(n - 1, k) + stirling2_recursive(n - 1, k - 1)
     return _cache[key]
+
+
+def eulerian_numerator(n, m):
+    """Coefficients (lowest first) of P with d^m/dt^m sum_{k>=1} k^n t^k =
+    P(t) / (1-t)^(n+m+1), from Eulerian numbers and no Stirling numbers.
+
+    Li_{-n}(t) = t sum_k E(n, k) t^k / (1-t)^(n+1) with the explicit
+    E(n, k) = sum_j (-1)^j C(n+1, j) (k+1-j)^n; each derivative maps
+    P / (1-t)^e to (P' (1-t) + e P) / (1-t)^(e+1).
+    """
+    poly = [0] + [
+        sum((-1) ** j * comb(n + 1, j) * (k + 1 - j) ** n for j in range(k + 2))
+        for k in range(n)
+    ]
+    for e in range(n + 1, n + m + 1):
+        dp = [i * poly[i] for i in range(1, len(poly))] + [0]
+        poly = [dp[i] - (dp[i - 1] if i else 0) + e * poly[i] for i in range(len(poly))]
+    while poly and poly[-1] == 0:
+        poly.pop()
+    return tuple(poly)
 
 
 def perturb(p: Point, index: int, delta: complex) -> Point:

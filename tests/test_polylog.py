@@ -16,7 +16,7 @@ from fbh.polylog import (
     stirling2,
 )
 
-from oracles import series_polylog_deriv, stirling2_recursive
+from oracles import eulerian_numerator, series_polylog_deriv, stirling2_recursive
 
 
 # ------------------------------- stirling2 ---------------------------------
@@ -132,6 +132,30 @@ def test_a_poly_order_guard():
         a_poly(2, 65)
     with pytest.raises(ValueError):
         a_poly(2, -1)
+
+
+def test_a_poly_is_memoized():
+    assert a_poly(7, 3) is a_poly(7, 3)
+    assert a_poly(7, 3).derivative() is a_poly(7, 3).derivative()
+
+
+@pytest.mark.parametrize("orders", [(2, 65), (0, 1)])
+def test_a_poly_bad_order_raises_on_every_call(orders):
+    # a raised error is never memoized
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            a_poly(*orders)
+
+
+@pytest.mark.parametrize("nm", [(64, 0), (64, 8), (1, 64), (64, 64)])
+def test_a_poly_matches_eulerian_oracle_at_max_order(nm):
+    n, m = nm
+    poly = a_poly(n, m)
+    assert poly.coeffs == eulerian_numerator(n, m)
+    # A(1) = (n+m)! and no coefficient is negative, so each is at most
+    # (n+m)! <= 128! ~ 3.9e215 and the float coefficients stay finite
+    assert sum(poly.coeffs) == math.factorial(n + m)
+    assert all(math.isfinite(c) for c in poly.float_coeffs)
 
 
 # ---------------------------- li_neg_rational ------------------------------

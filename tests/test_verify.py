@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fbh import autgroup, verify
+from fbh import autgroup, polylog, verify
 from fbh.autgroup import Automorphism, identity, random_automorphism
 from fbh.domain import DomainParams, Point, sample_boundary, sample_interior
 from fbh.verify import (
@@ -181,6 +181,15 @@ def test_boundary_pure_zeta_rotation():
     assert report.max_residual <= 1e-13
 
 
+def test_boundary_radius_underflow_fails_closed():
+    # exp(-mu ||z||^2) underflows to 0 once the image sits at ||z|| = 40,
+    # so no relative residual exists in floating point there
+    a = Automorphism(np.eye(1), np.eye(1), np.array([40.0]))
+    report = check_boundary_invariance(P11, a, sample_boundary(P11, 0, 3))
+    assert report.max_residual == math.inf
+    assert not report.passed
+
+
 @pytest.mark.parametrize("params", CONFIGS)
 def test_boundary_random(params):
     report = check_boundary_invariance(
@@ -315,6 +324,29 @@ def test_mutation_metric_z_block_scaled(params, monkeypatch):
 
     monkeypatch.setattr(verify, "metric", scaled)
     assert _failed_suites(params, ("metric-law",)) == {"metric-law"}
+
+
+def test_mutation_scale_factor_perturbed_at_large_order(monkeypatch):
+    # the boundary defect shrinks like exp(-mu ||z||^2); only a relative
+    # residual sees a 1e-9 error in the zeta multiplier at (32, 4)
+    real = autgroup.scale_factor
+    monkeypatch.setattr(
+        autgroup, "scale_factor", lambda params, a, z: real(params, a, z) * (1.0 + 1e-9)
+    )
+    assert _failed_suites(DomainParams(32, 4, 1.0), ("boundary",)) == {"boundary"}
+
+
+def test_mutation_a_poly_constant_term_after_warm_caches(monkeypatch):
+    run_suite(P11, 0, suites=("all",), samples=100_000)
+    real = polylog.a_poly
+
+    def shifted(n, m):
+        c = real(n, m).coeffs
+        return polylog.PolyExact((c[0] + 1,) + c[1:])
+
+    monkeypatch.setattr(polylog, "a_poly", shifted)
+    reports = run_suite(P11, 0, suites=("mc",), samples=100_000)
+    assert not reports[0].passed
 
 
 @pytest.mark.parametrize("params", MUTATION_CONFIGS)
