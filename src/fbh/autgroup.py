@@ -13,7 +13,7 @@ cross-checked pointwise by the test-suite.
 """
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,13 +31,6 @@ from .errors import DimensionMismatch, NotUnitary
 UNITARY_TOL = 1e-10
 
 
-def _reunitarize(M: np.ndarray) -> np.ndarray:
-    """Nearest-ish unitary via QR with the R-diagonal phases absorbed."""
-    q, r = np.linalg.qr(M)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -48,16 +41,14 @@ class Automorphism:
     """Canonical triple (U, Uprime, v); U and Uprime validated unitary.
 
     Construction rejects non-unitary blocks (max-norm of U^H U - I above
-    1e-10) unless repair=True, which re-orthonormalizes via QR first.
-    Silent repair is off by default so caller bugs stay visible.
+    1e-10), so caller bugs stay visible.
     """
 
     U: np.ndarray
     Uprime: np.ndarray
     v: np.ndarray
-    repair: InitVar[bool] = False
 
-    def __post_init__(self, repair: bool):
+    def __post_init__(self):
         U = np.array(self.U, dtype=complex)
         Up = np.array(self.Uprime, dtype=complex)
         v = np.array(self.v, dtype=complex)
@@ -66,9 +57,6 @@ class Automorphism:
                 raise DimensionMismatch(f"{name} must be square, got {M.shape}")
         if v.ndim != 1 or v.shape[0] != U.shape[0]:
             raise DimensionMismatch("v must be a vector of length matching U")
-        if repair:
-            U = _reunitarize(U)
-            Up = _reunitarize(Up)
         for name, M in (("U", U), ("Uprime", Up)):
             dev = np.max(np.abs(M.conj().T @ M - np.eye(M.shape[0])))
             if dev > UNITARY_TOL:
@@ -85,12 +73,11 @@ class Automorphism:
         }
 
     @staticmethod
-    def from_json(obj: dict, repair: bool = False) -> "Automorphism":
+    def from_json(obj: dict) -> "Automorphism":
         return Automorphism(
             mat_from_pairs(obj["U"]),
             mat_from_pairs(obj["Uprime"]),
             vec_from_pairs(obj["v"]),
-            repair=repair,
         )
 
 
@@ -106,18 +93,20 @@ def _check_dims(params: DomainParams, a: Automorphism) -> None:
         )
 
 
-def scale_factor(params: DomainParams, a: Automorphism, z: np.ndarray) -> complex:
-    """The zeta multiplier exp(-mu v*(U z) - mu ||v||^2 / 2)."""
-    expo = -params.mu * np.vdot(a.v, a.U @ z) - 0.5 * params.mu * np.vdot(a.v, a.v)
-    return complex(np.exp(expo))
+def scale_factor(params: DomainParams, a: Automorphism, z: np.ndarray):
+    """The zeta multiplier exp(-mu v*(U z) - mu ||v||^2 / 2), one per row of
+    z, which has shape (..., n)."""
+    v_star = a.v.conj()
+    return np.exp(-params.mu * (z @ (v_star @ a.U)) - 0.5 * params.mu * (v_star @ a.v))
 
 
 def apply(params: DomainParams, a: Automorphism, p: Point) -> Point:
-    """Action of the automorphism on a point; preserves the defect sign."""
+    """Action of the automorphism on a point or a stack of points; preserves
+    the defect sign."""
     _check_dims(params, a)
     check_point(params, p)
-    z_new = a.U @ p.z + a.v
-    zeta_new = scale_factor(params, a, p.z) * (a.Uprime @ p.zeta)
+    z_new = p.z @ a.U.T + a.v
+    zeta_new = scale_factor(params, a, p.z)[..., None] * (p.zeta @ a.Uprime.T)
     return Point(z_new, zeta_new)
 
 
@@ -143,7 +132,8 @@ def inverse(params: DomainParams, a: Automorphism) -> Automorphism:
 
 
 def jacobian(params: DomainParams, a: Automorphism, p: Point) -> np.ndarray:
-    """Holomorphic Jacobian of the action at p, blocks ordered (z, zeta).
+    """Holomorphic Jacobian of the action at p, blocks ordered (z, zeta);
+    a stack of points gives a stack of matrices.
 
     With s(z) = exp(-mu v*(U z) - mu ||v||^2 / 2):
 
@@ -152,13 +142,14 @@ def jacobian(params: DomainParams, a: Automorphism, p: Point) -> np.ndarray:
     """
     _check_dims(params, a)
     check_point(params, p)
-    s = scale_factor(params, a, p.z)
+    n = params.n
+    s = scale_factor(params, a, p.z)[..., None, None]
     row_vhU = a.v.conj() @ a.U
-    upper = np.hstack([a.U, np.zeros((params.n, params.m))])
-    lower = np.hstack(
-        [-params.mu * s * np.outer(a.Uprime @ p.zeta, row_vhU), s * a.Uprime]
-    )
-    return np.vstack([upper, lower])
+    J = np.zeros(p.z.shape[:-1] + (params.dim, params.dim), dtype=complex)
+    J[..., :n, :n] = a.U
+    J[..., n:, :n] = -params.mu * s * ((p.zeta @ a.Uprime.T)[..., :, None] * row_vhU)
+    J[..., n:, n:] = s * a.Uprime
+    return J
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

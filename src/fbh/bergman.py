@@ -39,34 +39,43 @@ HERMITIAN_TOL = 1e-10
 EIGEN_FLOOR = 1e-10
 
 
-def inner(u, w) -> complex:
-    """Hermitian product sum_i u_i conj(w_i), linear in the first slot."""
+def inner(u, w):
+    """Hermitian product sum_i u_i conj(w_i) over the last axis, linear in the
+    first slot; the leading axes of u and w broadcast against each other.
+
+    Computed as conj(w conj(u)^T) so that only u and the result are
+    conjugated: a large w, such as a batch of kernel rows, is never copied.
+    """
     u = np.asarray(u, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    if u.shape != w.shape:
-        raise DimensionMismatch(f"inner product shapes {u.shape} != {w.shape}")
-    return complex(np.sum(u * np.conj(w)))
+    try:
+        if u.ndim == 1:  # one vector against rows: a single BLAS matrix-vector product
+            return np.conj(w @ u.conj())
+        return np.conj((w[..., None, :] @ u.conj()[..., :, None])[..., 0, 0])
+    except (ValueError, IndexError):
+        raise DimensionMismatch(f"inner product shapes {u.shape}, {w.shape} do not match") from None
 
 
 @dataclass(frozen=True)
 class KernelValue:
     """Kernel value together with the intermediate argument t.
 
+    Both are arrays over the broadcast leading shape of stacked arguments.
     On the diagonal p = q the value is real positive and t lies in [0, 1).
     """
 
-    value: complex
-    t_arg: complex
+    value: complex | np.ndarray
+    t_arg: complex | np.ndarray
 
 
 def _kernel_rows(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray):
-    """(s, t, K) against the rows q_i = (Z_i, Zeta_i): s_i = <p.z, Z_i>,
-    t_i = exp(mu s_i) <p.zeta, Zeta_i> and K(p, q_i).  The one place the
-    kernel formula is written down; every evaluation below goes through it.
+    """(s, t, K) against q = (Z, Zeta), broadcast over leading axes: s = <p.z, Z>,
+    t = exp(mu s) <p.zeta, Zeta> and K(p, q).  The one place the kernel
+    formula is written down; every evaluation below goes through it.
     """
     check_point(params, p)
-    s = Z.conj() @ p.z
-    t = np.exp(params.mu * s) * (Zeta.conj() @ p.zeta)
+    s = inner(p.z, Z)
+    t = np.exp(params.mu * s) * inner(p.zeta, Zeta)
     prefactor = params.mu ** params.n / math.pi ** params.dim
     values = prefactor * np.exp(params.m * params.mu * s) * polylog_deriv(
         params.n, params.m, t
@@ -75,43 +84,40 @@ def _kernel_rows(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray
 
 
 def kernel(params: DomainParams, p: Point, q: Point) -> KernelValue:
-    """Evaluate K(p, q); Hermitian in its arguments.
+    """Evaluate K(p, q), broadcast over stacked points; Hermitian in its arguments.
 
     Raises PoleProximity when t falls inside the guard band around 1, which
     on the diagonal only happens in the boundary limit.
     """
-    check_point(params, q)
-    _, t, values = _kernel_rows(params, p, q.z[None], q.zeta[None])
-    return KernelValue(value=complex(values[0]), t_arg=complex(t[0]))
+    _, t, values = _kernel_rows(params, p, q.z, q.zeta)
+    return KernelValue(value=values, t_arg=t)
 
 
 def kernel_batch(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray):
     """Kernel values K(p, q_i) against a batch of second arguments.
 
     Z has shape (count, n) and Zeta (count, m); returns (values, t_args) as
-    complex arrays of length count.  Same formula as kernel(), broadcast.
+    complex arrays of length count.  Same formula as kernel() on a stacked
+    Point, without copying the rows into one.
     """
-    Z = np.asarray(Z, dtype=complex)
-    Zeta = np.asarray(Zeta, dtype=complex)
-    if Z.ndim != 2 or Z.shape[1] != params.n or Zeta.shape != (Z.shape[0], params.m):
+    if np.ndim(Z) != 2 or np.shape(Z)[1] != params.n or np.shape(Zeta) != (len(Z), params.m):
         raise DimensionMismatch("batch shapes must be (count, n) and (count, m)")
     _, t, values = _kernel_rows(params, p, Z, Zeta)
     return values, t
 
 
 def _log_kernel_pieces(params: DomainParams, p: Point, q: Point):
-    """s, t and the log-derivatives G = F_{m+1}/F_m, H = G' at t for one
-    pair, with a zero guard on K."""
-    check_point(params, q)
-    s, t, values = _kernel_rows(params, p, q.z[None], q.zeta[None])
-    if abs(values[0]) < KERNEL_FLOOR:
-        raise KernelZero(f"|K| = {abs(values[0]):.3e} below {KERNEL_FLOOR}")
-    G, H = log_derivatives(params.n, params.m, t[0])
-    return s[0], t[0], G, H
+    """s, t and G = F_{m+1}/F_m, H = G' at t, broadcast like kernel(); raises
+    KernelZero if any |K| is below KERNEL_FLOOR."""
+    s, t, values = _kernel_rows(params, p, q.z, q.zeta)
+    if np.any(np.abs(values) < KERNEL_FLOOR):
+        raise KernelZero(f"|K| = {np.nanmin(np.abs(values)):.3e} below {KERNEL_FLOOR}")
+    G, H = log_derivatives(params.n, params.m, t)
+    return s, t, G, H
 
 
 def log_kernel_grad_wbar(params: DomainParams, p: Point, q: Point) -> np.ndarray:
-    """Conjugate-Wirtinger gradient of log K(p, w) in w at w = q.
+    """Conjugate-Wirtinger gradient of log K(p, w) in w at w = q, along the last axis.
 
     From log K = n log mu - (n+m) log pi + m mu <z, z'> + log F_m(t):
 
@@ -119,14 +125,14 @@ def log_kernel_grad_wbar(params: DomainParams, p: Point, q: Point) -> np.ndarray
         d/d conj(zeta'_i) = exp(mu s) zeta_i F_{m+1}(t)/F_m(t).
     """
     s, t, G, _ = _log_kernel_pieces(params, p, q)
-    grad_z = params.mu * p.z * (params.m + t * G)
-    grad_zeta = np.exp(params.mu * s) * p.zeta * G
-    return np.concatenate([grad_z, grad_zeta])
+    grad_z = params.mu * p.z * (params.m + t * G)[..., None]
+    grad_zeta = np.exp(params.mu * s)[..., None] * p.zeta * G[..., None]
+    return np.concatenate([grad_z, grad_zeta], axis=-1)
 
 
 def metric(params: DomainParams, p: Point, q: Point) -> np.ndarray:
     """Mixed Wirtinger Hessian of log K: entry (i, k) is
-    d^2 log K / (d conj(w_i) d z_k) evaluated at (p, q).
+    d^2 log K / (d conj(w_i) d z_k) evaluated at (p, q), in the last two axes.
 
     Analytic blocks, with E = exp(mu s), G = F_{m+1}/F_m,
     H = F_{m+2}/F_m - G^2 and W = G + t H:
@@ -138,15 +144,16 @@ def metric(params: DomainParams, p: Point, q: Point) -> np.ndarray:
     to the constant diag(m mu I_n, (F_{m+1}(0)/F_m(0)) I_m).
     """
     s, t, G, H = _log_kernel_pieces(params, p, q)
+    s, t, G, H = (x[..., None, None] for x in (s, t, G, H))
     E = np.exp(params.mu * s)
     W = G + t * H
     mu = params.mu
-    zbar = q.z.conj()
-    zetabar = q.zeta.conj()
-    zz = mu * (params.m + t * G) * np.eye(params.n) + mu * mu * t * W * np.outer(p.z, zbar)
-    z_zeta = mu * E * W * np.outer(p.z, zetabar)
-    zeta_z = mu * E * W * np.outer(p.zeta, zbar)
-    zeta_zeta = E * G * np.eye(params.m) + E * E * H * np.outer(p.zeta, zetabar)
+    z, zeta = p.z[..., :, None], p.zeta[..., :, None]
+    zbar, zetabar = q.z.conj()[..., None, :], q.zeta.conj()[..., None, :]
+    zz = mu * (params.m + t * G) * np.eye(params.n) + mu * mu * t * W * (z * zbar)
+    z_zeta = mu * E * W * (z * zetabar)
+    zeta_z = mu * E * W * (zeta * zbar)
+    zeta_zeta = E * G * np.eye(params.m) + E * E * H * (zeta * zetabar)
     return np.block([[zz, z_zeta], [zeta_z, zeta_zeta]])
 
 
@@ -193,18 +200,16 @@ def inv_sqrt_pd(M) -> np.ndarray:
 
 
 def representative_map(params: DomainParams, p: Point) -> np.ndarray:
-    """Origin-normalized representative of p:
+    """Origin-normalized representative of p, one row per point of a stack:
 
         T(0,0)^(-1/2) grad_wbar log [K(p, w) / K(0, w)] at w = 0.
 
-    Both gradients are evaluated; their difference is what gets normalized,
-    by the closed-form diagonal of T(0,0).  On this domain the result
-    coincides with T(0,0)^(1/2) p, which the test-suite verifies rather
-    than assumes.
+    grad_wbar log K(0, w) is proportional to the coordinates of 0, so only
+    the first gradient is evaluated, scaled by the closed-form diagonal of
+    T(0,0).  On this domain the result coincides with T(0,0)^(1/2) p, which
+    the test-suite verifies rather than assumes.
     """
-    check_point(params, p)
-    o = Point.origin(params)
-    g = log_kernel_grad_wbar(params, p, o) - log_kernel_grad_wbar(params, o, o)
+    g = log_kernel_grad_wbar(params, p, Point.origin(params))
     return g / np.sqrt(_origin_metric_diagonal(params))
 
 

@@ -35,17 +35,19 @@ class DomainParams:
         return self.n + self.m
 
 
-def _readonly_vector(vec) -> np.ndarray:
+def _readonly_coords(vec) -> np.ndarray:
     arr = np.array(vec, dtype=complex)
-    if arr.ndim != 1:
-        raise DimensionMismatch("expected a 1-d coordinate vector")
+    if arr.ndim < 1:
+        raise DimensionMismatch("expected coordinate vectors along a last axis")
     arr.setflags(write=False)
     return arr
 
 
 @dataclass(frozen=True, eq=False)
 class Point:
-    """A point (z, zeta) with z in C^n and zeta in C^m.
+    """A point (z, zeta) with z in C^n and zeta in C^m, or a stack of them:
+    z of shape (..., n) and zeta of shape (..., m) with the same leading
+    shape, over which the geometric functions broadcast.
 
     Coordinate arrays are copied and frozen read-only at construction, so
     Points are safe to share between threads.
@@ -55,16 +57,20 @@ class Point:
     zeta: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "z", _readonly_vector(self.z))
-        object.__setattr__(self, "zeta", _readonly_vector(self.zeta))
+        z = _readonly_coords(self.z)
+        zeta = _readonly_coords(self.zeta)
+        if z.shape[:-1] != zeta.shape[:-1]:
+            raise DimensionMismatch(f"z {z.shape} and zeta {zeta.shape} differ in leading shape")
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "zeta", zeta)
 
     @staticmethod
     def origin(params: DomainParams) -> "Point":
         return Point(np.zeros(params.n), np.zeros(params.m))
 
     def coords(self) -> np.ndarray:
-        """Concatenated (z, zeta) as a single vector of length n + m."""
-        return np.concatenate([self.z, self.zeta])
+        """Concatenated (z, zeta): vectors of length n + m along the last axis."""
+        return np.concatenate([self.z, self.zeta], axis=-1)
 
     def to_json(self) -> dict:
         return {"z": vec_to_pairs(self.z), "zeta": vec_to_pairs(self.zeta)}
@@ -97,23 +103,22 @@ def mat_from_pairs(rows) -> np.ndarray:
 # ------------------------------- geometry ----------------------------------
 
 def check_point(params: DomainParams, p: Point) -> None:
-    """Raise DimensionMismatch unless p has shape (n,) x (m,)."""
-    if p.z.shape != (params.n,) or p.zeta.shape != (params.m,):
+    """Raise DimensionMismatch unless p has shape (..., n) x (..., m)."""
+    if p.z.shape[-1:] != (params.n,) or p.zeta.shape[-1:] != (params.m,):
         raise DimensionMismatch(
             f"point has shapes {p.z.shape} x {p.zeta.shape}, "
-            f"expected ({params.n},) x ({params.m},)"
+            f"expected (..., {params.n}) x (..., {params.m})"
         )
 
 
-def defect(params: DomainParams, p: Point) -> float:
-    """exp(-mu ||z||^2) - ||zeta||^2.
+def defect(params: DomainParams, p: Point):
+    """exp(-mu ||z||^2) - ||zeta||^2, one value per point of a stack.
 
     Positive iff p is interior, zero on the boundary, negative outside.
     """
     check_point(params, p)
-    z2 = float(np.vdot(p.z, p.z).real)
-    w2 = float(np.vdot(p.zeta, p.zeta).real)
-    return math.exp(-params.mu * z2) - w2
+    z2 = np.sum(np.abs(p.z) ** 2, axis=-1)
+    return np.exp(-params.mu * z2) - np.sum(np.abs(p.zeta) ** 2, axis=-1)
 
 
 def project_to_boundary(params: DomainParams, z, direction) -> Point:
@@ -187,10 +192,10 @@ def sample_density_arrays(params: DomainParams, Z: np.ndarray) -> np.ndarray:
     return gauss * ball
 
 
-def sample_density(params: DomainParams, p: Point) -> float:
-    """Scalar proposal density at a single Point."""
+def sample_density(params: DomainParams, p: Point):
+    """Proposal density at a Point, one value per point of a stack."""
     check_point(params, p)
-    return float(sample_density_arrays(params, p.z[None, :])[0])
+    return sample_density_arrays(params, p.z)
 
 
 def sample_boundary(params: DomainParams, seed: int, count: int) -> list:

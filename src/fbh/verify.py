@@ -32,7 +32,6 @@ from .domain import (
     sample_interior,
     sample_interior_arrays,
 )
-from .errors import KernelZero
 
 # One row per suite: (check, automorphism factory, its seed offset, sampler,
 # its seed offset, sample count, parts); part j uses sub-seeds seed + offset + j.
@@ -101,20 +100,23 @@ def _worst(residuals) -> float:
 
 
 def sample_pairs(params: DomainParams, seed: int, count: int) -> list:
-    """Interior point pairs with |1 - t| above the pole guard."""
+    """Interior point pairs with |1 - t| above the pole guard: consecutive
+    draws of the interior sampler, one chunk seed after another."""
     pairs = []
     chunk_seed = seed
     while len(pairs) < count:
-        pts = sample_interior(params, chunk_seed, 2 * (count - len(pairs)) + 8)
-        for i in range(0, len(pts) - 1, 2):
-            p, q = pts[i], pts[i + 1]
-            t = kernel(params, p, q).t_arg
-            if abs(1.0 - t) > PAIR_POLE_DISTANCE:
-                pairs.append((p, q))
-                if len(pairs) == count:
-                    break
+        Z, Zeta = sample_interior_arrays(params, chunk_seed, 2 * (count - len(pairs)) + 8)
+        P, Q = Point(Z[0::2], Zeta[0::2]), Point(Z[1::2], Zeta[1::2])
+        t = kernel(params, P, Q).t_arg
+        kept = np.flatnonzero(np.abs(1.0 - t) > PAIR_POLE_DISTANCE)[: count - len(pairs)]
+        pairs += [(Point(P.z[i], P.zeta[i]), Point(Q.z[i], Q.zeta[i])) for i in kept]
         chunk_seed += 1
     return pairs
+
+
+def _stack(points) -> Point:
+    """The listed Points as one Point with a leading sample axis."""
+    return Point(np.array([p.z for p in points]), np.array([p.zeta for p in points]))
 
 
 # ------------------------------ law checks ---------------------------------
@@ -123,37 +125,38 @@ def check_kernel_law(params, a: Automorphism, pairs, tolerance=None, seed=0) -> 
     """Residual of K(p,q) = conj(det J(a,q)) K(a p, a q) det J(a,p), relative
     to |K(p,q)| per pair."""
     tolerance = DEFAULT_TOLERANCES["kernel-law"] if tolerance is None else tolerance
-    residuals = []
-    for p, q in pairs:
-        kv = kernel(params, p, q).value
-        det_p = np.linalg.det(jacobian(params, a, p))
-        det_q = np.linalg.det(jacobian(params, a, q))
-        image = kernel(params, apply(params, a, p), apply(params, a, q)).value
-        rhs = np.conj(det_q) * image * det_p
-        residuals.append(abs(kv - rhs) / max(abs(kv), KERNEL_FLOOR))
+    P = _stack([p for p, _ in pairs])
+    Q = _stack([q for _, q in pairs])
+    kv = kernel(params, P, Q).value
+    det_p = np.linalg.det(jacobian(params, a, P))
+    det_q = np.linalg.det(jacobian(params, a, Q))
+    image = kernel(params, apply(params, a, P), apply(params, a, Q)).value
+    rhs = np.conj(det_q) * image * det_p
+    residuals = np.abs(kv - rhs) / np.maximum(np.abs(kv), KERNEL_FLOOR)
     return _report("kernel-law", _worst(residuals), tolerance, len(pairs), seed, "relative")
 
 
 def check_metric_law(params, a: Automorphism, pairs, tolerance=None, seed=0) -> CheckReport:
     """Max-norm residual of T(p,q) = conj(J(a,q)^T) T(a p, a q) J(a,p),
-    relative to the max-norm of T(p,q).  Pairs where the kernel vanishes are
-    skipped and counted."""
+    relative to the max-norm of T(p,q).  Pairs with |K| below KERNEL_FLOOR at
+    (p, q) or at (a p, a q), where metric() would raise KernelZero, are
+    skipped and counted, also when K is NaN at the other (hence fmin)."""
     tolerance = DEFAULT_TOLERANCES["metric-law"] if tolerance is None else tolerance
-    residuals = []
-    skipped = 0
-    for p, q in pairs:
-        try:
-            lhs = metric(params, p, q)
-            rhs = (
-                jacobian(params, a, q).conj().T
-                @ metric(params, apply(params, a, p), apply(params, a, q))
-                @ jacobian(params, a, p)
-            )
-        except KernelZero:
-            skipped += 1
-            continue
-        scale = np.max(np.abs(lhs))
-        residuals.append(np.max(np.abs(lhs - rhs)) / max(scale, KERNEL_FLOOR))
+    P = _stack([p for p, _ in pairs])
+    Q = _stack([q for _, q in pairs])
+    aP, aQ = apply(params, a, P), apply(params, a, Q)
+    smaller = np.fmin(np.abs(kernel(params, P, Q).value), np.abs(kernel(params, aP, aQ).value))
+    vanishing = smaller < KERNEL_FLOOR
+    P, Q, aP, aQ = (Point(x.z[~vanishing], x.zeta[~vanishing]) for x in (P, Q, aP, aQ))
+    lhs = metric(params, P, Q)
+    rhs = (
+        jacobian(params, a, Q).conj().swapaxes(-1, -2)
+        @ metric(params, aP, aQ)
+        @ jacobian(params, a, P)
+    )
+    scale = np.max(np.abs(lhs), axis=(-2, -1))
+    residuals = np.max(np.abs(lhs - rhs), axis=(-2, -1)) / np.maximum(scale, KERNEL_FLOOR)
+    skipped = np.count_nonzero(vanishing)
     return _report(
         "metric-law", _worst(residuals), tolerance, len(pairs), seed, "relative", skipped=skipped
     )
@@ -178,19 +181,16 @@ def check_cartan(params, a: Automorphism, points, tolerance=None, seed=0) -> Che
     block[: params.n, : params.n] = a.U
     block[params.n :, params.n :] = a.Uprime
     block_residual = float(np.max(np.abs(linear_map - block)))
-    comm = []
-    lin = []
-    for p in points:
-        image = apply(params, a, p)
-        sig_p = representative_map(params, p)
-        sig_image = representative_map(params, image)
-        denom_c = max(np.max(np.abs(sig_image)), KERNEL_FLOOR)
-        comm.append(np.max(np.abs(sig_image - L @ sig_p)) / denom_c)
-        denom_l = max(np.max(np.abs(image.coords())), KERNEL_FLOOR)
-        lin.append(np.max(np.abs(image.coords() - linear_map @ p.coords())) / denom_l)
+    X = _stack(points)
+    image = apply(params, a, X)
+    sig_image = representative_map(params, image)
+    denom_c = np.maximum(np.max(np.abs(sig_image), axis=-1), KERNEL_FLOOR)
+    comm = np.max(np.abs(sig_image - representative_map(params, X) @ L.T), axis=-1) / denom_c
+    denom_l = np.maximum(np.max(np.abs(image.coords()), axis=-1), KERNEL_FLOOR)
+    lin = np.max(np.abs(image.coords() - X.coords() @ linear_map.T), axis=-1) / denom_l
     return _report(
         "cartan",
-        _worst(comm + lin),
+        _worst(np.concatenate([comm, lin])),
         tolerance,
         len(points),
         seed,
@@ -217,10 +217,9 @@ def check_gram_psd(params, points, tol=None, seed=0) -> CheckReport:
     tol = DEFAULT_TOLERANCES["gram"] if tol is None else tol
     npts = len(points)
     kind = "absolute (diagonal-normalized Gram)"
-    Z = np.array([p.z for p in points])
-    Zeta = np.array([p.zeta for p in points])
+    X = _stack(points)
     with np.errstate(over="ignore", invalid="ignore"):
-        G = np.array([kernel_batch(params, p, Z, Zeta)[0] for p in points])
+        G = kernel(params, Point(X.z[:, None], X.zeta[:, None]), X).value
     non_finite = np.count_nonzero(~np.isfinite(G))
     if non_finite:
         return _report("gram", math.inf, tol, npts, seed, kind, non_finite=non_finite)
@@ -279,11 +278,10 @@ def check_boundary_invariance(params, a: Automorphism, boundary_points, toleranc
     there.  An image whose radius underflows to 0 gives an infinite
     residual."""
     tolerance = DEFAULT_TOLERANCES["boundary"] if tolerance is None else tolerance
-    residuals = []
-    for p in boundary_points:
-        image = apply(params, a, p)
-        radius2 = math.exp(-params.mu * float(np.vdot(image.z, image.z).real))
-        residuals.append(abs(defect(params, image)) / radius2 if radius2 else math.inf)
+    image = apply(params, a, _stack(boundary_points))
+    radius2 = np.exp(-params.mu * np.sum(np.abs(image.z) ** 2, axis=-1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        residuals = np.where(radius2 > 0, np.abs(defect(params, image)) / radius2, math.inf)
     return _report("boundary", _worst(residuals), tolerance, len(boundary_points), seed, "relative")
 
 

@@ -142,3 +142,19 @@ def fd_jacobian(params, a, p, h=FD_STEP):
         ) / (2 * h)
         J[:, k] = 0.5 * (fx - 1j * fy)
     return J
+
+
+def stack(points) -> Point:
+    """The listed Points as one stacked Point, list index first."""
+    return Point(np.array([p.z for p in points]), np.array([p.zeta for p in points]))
+
+
+def assert_rows_match(stacked, singles, rtol=1e-13):
+    """Row i of a stacked result equals the i-th one-point result to rtol,
+    relative to that result's max-norm."""
+    singles = np.array(singles)
+    assert np.shape(stacked) == singles.shape
+    count = len(singles)
+    err = np.max(np.abs(stacked - singles).reshape(count, -1), axis=1)
+    scale = np.max(np.abs(singles).reshape(count, -1), axis=1)
+    assert np.all(err <= rtol * scale), np.max(err / scale)

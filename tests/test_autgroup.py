@@ -15,11 +15,12 @@ from fbh.autgroup import (
     inverse,
     jacobian,
     random_automorphism,
+    scale_factor,
 )
 from fbh.domain import DomainParams, Point, defect, sample_boundary, sample_interior
 from fbh.errors import DimensionMismatch, NotUnitary
 
-from oracles import fd_jacobian
+from oracles import assert_rows_match, fd_jacobian, stack
 
 P11 = DomainParams(1, 1, 1.0)
 CONFIGS = [P11, DomainParams(2, 1, 1.0), DomainParams(1, 2, 0.5), DomainParams(2, 2, 2.0)]
@@ -34,12 +35,6 @@ def translation(params, v):
 def test_construction_rejects_non_unitary():
     with pytest.raises(NotUnitary):
         Automorphism(np.array([[1.1]]), np.eye(1), np.zeros(1))
-
-
-def test_construction_repair_reorthonormalizes():
-    drifted = np.array([[1.0 + 5e-7]])
-    a = Automorphism(drifted, np.eye(1), np.zeros(1), repair=True)
-    assert abs(abs(a.U[0, 0]) - 1.0) <= 1e-12
 
 
 def test_construction_dimension_checks():
@@ -101,6 +96,16 @@ def test_origin_fixing_action_is_linear():
             image = apply(params, a, p)
             assert np.array_equal(image.z, a.U @ p.z)
             assert np.array_equal(image.zeta, a.Uprime @ p.zeta)
+
+
+@pytest.mark.parametrize("params", [P11, DomainParams(3, 2, 1.0), DomainParams(32, 4, 1.0)])
+def test_action_broadcasts_over_stacks(params):
+    a = random_automorphism(params, 5)
+    pts = sample_interior(params, 7, 10)
+    X = stack(pts)
+    assert_rows_match(scale_factor(params, a, X.z), [scale_factor(params, a, p.z) for p in pts])
+    assert_rows_match(apply(params, a, X).coords(), [apply(params, a, p).coords() for p in pts])
+    assert_rows_match(jacobian(params, a, X), [jacobian(params, a, p) for p in pts])
 
 
 # -------------------------------- compose ----------------------------------

@@ -21,13 +21,14 @@ from fbh.domain import DomainParams, Point, sample_interior
 from fbh.errors import (
     DimensionMismatch,
     DoesNotFixOrigin,
+    KernelZero,
     NotHermitian,
     NotPositiveDefinite,
     PoleProximity,
 )
 from fbh.polylog import a_poly
 
-from oracles import fd_grad_wbar_log_kernel, fd_metric
+from oracles import assert_rows_match, fd_grad_wbar_log_kernel, fd_metric, stack
 
 P11 = DomainParams(1, 1, 1.0)
 CONFIGS = [P11, DomainParams(2, 1, 1.0), DomainParams(1, 2, 0.5), DomainParams(2, 2, 2.0)]
@@ -50,11 +51,18 @@ def test_inner_hermitian_symmetry():
     # fused multiply-adds leave a sub-epsilon imaginary residue
     assert abs(norm_sq.imag) <= 1e-14 * norm_sq.real
     assert norm_sq.real >= 0.0
+    # leading axes broadcast: rows against a column of rows give all pairs
+    rows = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    pairs = inner(rows[:, None], rows)
+    assert pairs.shape == (3, 3)
+    assert_rows_match(pairs, [[inner(x, y) for y in rows] for x in rows])
 
 
 def test_inner_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         inner([1.0], [1.0, 2.0])
+    with pytest.raises(DimensionMismatch):
+        inner(np.zeros((3, 2)), np.zeros((2, 2)))
 
 
 # -------------------------------- kernel -----------------------------------
@@ -123,6 +131,50 @@ def test_kernel_batch_matches_scalar():
         # Hermitian symmetry of the arguments
         assert values[i] == pytest.approx(kv.value)
         assert t_args[i] == pytest.approx(kv.t_arg)
+
+
+STACK_CONFIGS = [P11, DomainParams(3, 2, 1.0), DomainParams(32, 4, 1.0)]
+
+
+@pytest.mark.parametrize("params", STACK_CONFIGS)
+def test_kernel_functions_broadcast_over_stacks(params):
+    pts = sample_interior(params, 19, 20)
+    ps, qs = pts[:10], pts[10:]
+    P, Q = stack(ps), stack(qs)
+    kv = kernel(params, P, Q)
+    singles = [kernel(params, p, q) for p, q in zip(ps, qs)]
+    assert_rows_match(kv.value, [k.value for k in singles])
+    assert_rows_match(kv.t_arg, [k.t_arg for k in singles])
+    assert_rows_match(kernel(params, ps[0], Q).value, [kernel(params, ps[0], q).value for q in qs])
+    for fn in (log_kernel_grad_wbar, metric):
+        assert_rows_match(fn(params, P, Q), [fn(params, p, q) for p, q in zip(ps, qs)])
+        assert_rows_match(fn(params, P, qs[0]), [fn(params, p, qs[0]) for p in ps])
+    assert_rows_match(representative_map(params, P), [representative_map(params, p) for p in ps])
+
+
+@pytest.mark.parametrize("params", STACK_CONFIGS)
+def test_one_call_gram_matches_kernel_batch_rows(params):
+    pts = sample_interior(params, 29, 10)
+    X = stack(pts)
+    gram = kernel(params, Point(X.z[:, None], X.zeta[:, None]), X).value
+    assert_rows_match(gram, [[kernel(params, p, q).value for q in pts] for p in pts])
+    # kernel_batch sums <z, z'> in one BLAS matrix-vector product, the stacked
+    # call row by row; near the pole F_m amplifies that last-bit difference by
+    # (n+m+1)/|1-t|, to 2e-12 relative on the (32, 4) diagonal here
+    rows = [kernel_batch(params, p, X.z, X.zeta)[0] for p in pts]
+    assert_rows_match(gram, rows, rtol=1e-11)
+
+
+def test_log_derivatives_raise_kernel_zero_if_any_row_vanishes():
+    # at z = (40, 0), z' = (-40, 0) the factor exp(m mu <z, z'>) = exp(-1600)
+    # underflows, so the last pair of the stack has K = 0
+    params = DomainParams(2, 1, 1.0)
+    pts = sample_interior(params, 3, 6)
+    P = stack(pts[:3] + [Point([40.0, 0.0], [0.0])])
+    Q = stack(pts[3:] + [Point([-40.0, 0.0], [0.0])])
+    for fn in (log_kernel_grad_wbar, metric):
+        with pytest.raises(KernelZero):
+            fn(params, P, Q)
 
 
 # ------------------------------- gradient ----------------------------------

@@ -9,6 +9,7 @@ import pytest
 from fbh.domain import (
     DomainParams,
     Point,
+    check_point,
     defect,
     project_to_boundary,
     sample_boundary,
@@ -17,6 +18,8 @@ from fbh.domain import (
     sample_interior_arrays,
 )
 from fbh.errors import DimensionMismatch, NotUnit
+
+from oracles import assert_rows_match, stack
 
 P11 = DomainParams(1, 1, 1.0)
 
@@ -49,6 +52,25 @@ def test_defect_values():
 def test_defect_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         defect(P11, Point([1.0, 2.0], [0.0]))
+
+
+@pytest.mark.parametrize("params", [P11, DomainParams(3, 2, 1.0), DomainParams(32, 4, 1.0)])
+def test_defect_and_density_broadcast_over_stacks(params):
+    pts = sample_interior(params, 3, 10)
+    X = stack(pts)
+    check_point(params, X)
+    assert_rows_match(defect(params, X), [defect(params, p) for p in pts])
+    assert_rows_match(sample_density(params, X), [sample_density(params, p) for p in pts])
+    with pytest.raises(DimensionMismatch):
+        check_point(DomainParams(params.n + 1, params.m, 1.0), X)
+
+
+def test_point_stack_leading_shapes_must_match():
+    with pytest.raises(DimensionMismatch):
+        Point(np.zeros((3, 2)), np.zeros((2, 1)))
+    with pytest.raises(DimensionMismatch):
+        Point(np.zeros((3, 2)), np.zeros(1))
+    assert Point(np.zeros((4, 3, 2)), np.zeros((4, 3, 1))).coords().shape == (4, 3, 3)
 
 
 def test_defect_decreasing_in_zeta_norm():

@@ -87,6 +87,20 @@ def test_metric_law_random(params):
     assert report.details["skipped"] == 0
 
 
+def test_metric_law_skips_and_counts_vanishing_kernels():
+    # at (1, 1) K = exp(<z, z'>) / pi^2 at zeta = 0, below KERNEL_FLOOR once Re <z, z'> < -688:
+    # at (p, q) for the first pair, only at (a p, a q) for the second
+    vanishing = [
+        (Point([25.0], [0.0]), Point([-30.0], [0.0])),
+        (Point([-143.6], [0.0]), Point.origin(P11)),
+    ]
+    a = Automorphism(np.eye(1), np.eye(1), np.array([5.0]))
+    report = check_metric_law(P11, a, vanishing)
+    assert report.details["skipped"] == 2 and report.max_residual == 0.0
+    report = check_metric_law(P11, identity(P11), sample_pairs(P11, 3, 4) + vanishing[:1])
+    assert report.details["skipped"] == 1 and report.passed
+
+
 def test_metric_diagonal_pairs_hermitian():
     from fbh.bergman import metric
 
@@ -272,8 +286,7 @@ def test_merge_propagates_nan(order):
 
 
 def test_check_fed_nan_residual_fails(monkeypatch):
-    defects = iter([0.0, math.nan, 0.0])
-    monkeypatch.setattr(verify, "defect", lambda params, p: next(defects))
+    monkeypatch.setattr(verify, "defect", lambda params, p: np.array([0.0, math.nan, 0.0]))
     report = check_boundary_invariance(P11, identity(P11), sample_boundary(P11, 67, 3))
     assert math.isnan(report.max_residual)
     assert not report.passed
@@ -296,7 +309,7 @@ def test_mutation_jacobian_lower_left_sign(params, monkeypatch):
 
     def flipped(params, a, p):
         J = real(params, a, p)
-        J[params.n :, : params.n] *= -1.0
+        J[..., params.n :, : params.n] *= -1.0
         return J
 
     monkeypatch.setattr(verify, "jacobian", flipped)
@@ -306,7 +319,7 @@ def test_mutation_jacobian_lower_left_sign(params, monkeypatch):
 @pytest.mark.parametrize("params", MUTATION_CONFIGS)
 def test_mutation_scale_factor_without_norm_term(params, monkeypatch):
     def no_norm_term(params, a, z):
-        return complex(np.exp(-params.mu * np.vdot(a.v, a.U @ z)))
+        return np.exp(-params.mu * (z @ (a.v.conj() @ a.U)))
 
     monkeypatch.setattr(autgroup, "scale_factor", no_norm_term)
     suites = ("kernel-law", "metric-law", "boundary")
@@ -319,7 +332,7 @@ def test_mutation_metric_z_block_scaled(params, monkeypatch):
 
     def scaled(params, p, q):
         T = real(params, p, q)
-        T[: params.n, : params.n] *= 1.0 + 1e-4
+        T[..., : params.n, : params.n] *= 1.0 + 1e-4
         return T
 
     monkeypatch.setattr(verify, "metric", scaled)
