@@ -14,6 +14,7 @@ from .autgroup import (
     identity,
     inverse,
     jacobian,
+    jacobian_det,
     random_automorphism,
 )
 from .bergman import (
@@ -83,6 +84,7 @@ __all__ = [
     "inv_sqrt_pd",
     "inverse",
     "jacobian",
+    "jacobian_det",
     "kernel",
     "kernel_batch",
     "l_matrix",

@@ -17,23 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (
-    DomainParams,
-    Point,
-    check_point,
-    mat_from_pairs,
-    mat_to_pairs,
-    vec_from_pairs,
-    vec_to_pairs,
-)
+from .domain import DomainParams, Point, _frozen, check_point, from_pairs, to_pairs
 from .errors import DimensionMismatch, NotUnitary
 
 UNITARY_TOL = 1e-10
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,9 +36,7 @@ class Automorphism:
     v: np.ndarray
 
     def __post_init__(self):
-        U = np.array(self.U, dtype=complex)
-        Up = np.array(self.Uprime, dtype=complex)
-        v = np.array(self.v, dtype=complex)
+        U, Up, v = _frozen(self.U), _frozen(self.Uprime), _frozen(self.v)
         for name, M in (("U", U), ("Uprime", Up)):
             if M.ndim != 2 or M.shape[0] != M.shape[1]:
                 raise DimensionMismatch(f"{name} must be square, got {M.shape}")
@@ -61,24 +46,16 @@ class Automorphism:
             dev = np.max(np.abs(M.conj().T @ M - np.eye(M.shape[0])))
             if dev > UNITARY_TOL:
                 raise NotUnitary(f"{name} deviates from unitarity by {dev:.3e}")
-        object.__setattr__(self, "U", _readonly(U))
-        object.__setattr__(self, "Uprime", _readonly(Up))
-        object.__setattr__(self, "v", _readonly(v))
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "Uprime", Up)
+        object.__setattr__(self, "v", v)
 
     def to_json(self) -> dict:
-        return {
-            "U": mat_to_pairs(self.U),
-            "Uprime": mat_to_pairs(self.Uprime),
-            "v": vec_to_pairs(self.v),
-        }
+        return {"U": to_pairs(self.U), "Uprime": to_pairs(self.Uprime), "v": to_pairs(self.v)}
 
     @staticmethod
     def from_json(obj: dict) -> "Automorphism":
-        return Automorphism(
-            mat_from_pairs(obj["U"]),
-            mat_from_pairs(obj["Uprime"]),
-            vec_from_pairs(obj["v"]),
-        )
+        return Automorphism(from_pairs(obj["U"]), from_pairs(obj["Uprime"]), from_pairs(obj["v"]))
 
 
 def identity(params: DomainParams) -> Automorphism:
@@ -150,6 +127,15 @@ def jacobian(params: DomainParams, a: Automorphism, p: Point) -> np.ndarray:
     J[..., n:, :n] = -params.mu * s * ((p.zeta @ a.Uprime.T)[..., :, None] * row_vhU)
     J[..., n:, n:] = s * a.Uprime
     return J
+
+
+def jacobian_det(params: DomainParams, a: Automorphism, p: Point):
+    """det J(a, p) = det U * det U' * s(z)^m in closed form (J is block
+    lower-triangular), one value per point of a stack."""
+    _check_dims(params, a)
+    check_point(params, p)
+    s = scale_factor(params, a, p.z)
+    return np.linalg.det(a.U) * np.linalg.det(a.Uprime) * s**params.m
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

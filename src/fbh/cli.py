@@ -14,7 +14,7 @@ import sys
 from .autgroup import Automorphism, apply, compose, inverse
 from .bergman import kernel, metric
 from .domain import DomainParams, Point
-from .errors import FbhError
+from .errors import DimensionMismatch, FbhError
 from .polylog import a_poly
 from .verify import SUITE_NAMES, run_suite
 
@@ -44,7 +44,10 @@ def _parse_tolerances(items) -> dict:
 
 def _load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path} must hold a JSON object, not {type(obj).__name__}")
+    return obj
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,6 +115,8 @@ def _cmd_a_poly(args) -> int:
 def _cmd_kernel_eval(args) -> int:
     p = Point.from_json(_load_json(args.p))
     q = Point.from_json(_load_json(args.q))
+    if p.z.ndim > 1 or q.z.ndim > 1:
+        raise DimensionMismatch("kernel-eval takes single points, not stacks")
     kv = kernel(args.params, p, q)
     if args.format == "json":
         print(

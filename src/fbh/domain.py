@@ -35,10 +35,10 @@ class DomainParams:
         return self.n + self.m
 
 
-def _readonly_coords(vec) -> np.ndarray:
-    arr = np.array(vec, dtype=complex)
-    if arr.ndim < 1:
-        raise DimensionMismatch("expected coordinate vectors along a last axis")
+def _frozen(value) -> np.ndarray:
+    """A complex copy of value, frozen read-only: the immutability that makes
+    Points and Automorphisms safe to share between threads."""
+    arr = np.array(value, dtype=complex)
     arr.setflags(write=False)
     return arr
 
@@ -57,8 +57,9 @@ class Point:
     zeta: np.ndarray
 
     def __post_init__(self):
-        z = _readonly_coords(self.z)
-        zeta = _readonly_coords(self.zeta)
+        z, zeta = _frozen(self.z), _frozen(self.zeta)
+        if z.ndim < 1 or zeta.ndim < 1:
+            raise DimensionMismatch("expected coordinate vectors along a last axis")
         if z.shape[:-1] != zeta.shape[:-1]:
             raise DimensionMismatch(f"z {z.shape} and zeta {zeta.shape} differ in leading shape")
         object.__setattr__(self, "z", z)
@@ -73,31 +74,34 @@ class Point:
         return np.concatenate([self.z, self.zeta], axis=-1)
 
     def to_json(self) -> dict:
-        return {"z": vec_to_pairs(self.z), "zeta": vec_to_pairs(self.zeta)}
+        return {"z": to_pairs(self.z), "zeta": to_pairs(self.zeta)}
 
     @staticmethod
     def from_json(obj: dict) -> "Point":
-        return Point(vec_from_pairs(obj["z"]), vec_from_pairs(obj["zeta"]))
+        return Point(from_pairs(obj["z"]), from_pairs(obj["zeta"]))
 
 
 # ----------------------------- JSON encoding -------------------------------
-# Complex scalars travel as [re, im] pairs; vectors as lists of pairs and
-# matrices as lists of rows.  Shared by the Point and Automorphism codecs.
+# Complex scalars travel as [re, im] pairs, so an array of any shape becomes
+# nested lists with one more axis of length 2.  Shared by the Point and
+# Automorphism codecs, for single values and stacks alike.
 
-def vec_to_pairs(v: np.ndarray) -> list:
-    return [[float(c.real), float(c.imag)] for c in np.asarray(v, dtype=complex)]
-
-
-def vec_from_pairs(pairs) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
-
-
-def mat_to_pairs(M: np.ndarray) -> list:
-    return [vec_to_pairs(row) for row in np.asarray(M, dtype=complex)]
+def to_pairs(a) -> list:
+    """Nested lists of [re, im] pairs, one pair per entry of a."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def mat_from_pairs(rows) -> np.ndarray:
-    return np.array([vec_from_pairs(row) for row in rows], dtype=complex)
+def from_pairs(obj) -> np.ndarray:
+    """Complex array from nested lists of [re, im] pairs, the inverse of
+    to_pairs bit for bit; DimensionMismatch for anything else."""
+    try:
+        arr = np.array(obj)
+    except ValueError as exc:  # ragged nesting
+        raise DimensionMismatch(f"expected nested [re, im] pairs: {exc}") from None
+    if arr.dtype.kind not in "iuf" or arr.ndim < 2 or arr.shape[-1] != 2:
+        raise DimensionMismatch(f"expected nested numeric [re, im] pairs, got {obj!r:.80}")
+    return arr.astype(float).view(complex)[..., 0]
 
 
 # ------------------------------- geometry ----------------------------------
@@ -122,21 +126,20 @@ def defect(params: DomainParams, p: Point):
 
 
 def project_to_boundary(params: DomainParams, z, direction) -> Point:
-    """Boundary point above z in the given unit zeta-direction.
+    """Boundary point above z in the given unit zeta-direction, or a stack of
+    them: z of shape (..., n) and direction of shape (..., m).
 
     Returns (z, exp(-mu ||z||^2 / 2) * direction); its defect vanishes up to
-    rounding.  Raises NotUnit when ||direction|| deviates from 1 by more
-    than 1e-12.
+    rounding.  Raises NotUnit when any ||direction|| deviates from 1 by more
+    than 1e-12, and DimensionMismatch when the shapes do not fit.
     """
-    z = np.asarray(z, dtype=complex)
-    direction = np.asarray(direction, dtype=complex)
-    if z.shape != (params.n,) or direction.shape != (params.m,):
-        raise DimensionMismatch("z / direction shapes do not match (n, m)")
-    nrm = float(np.linalg.norm(direction))
-    if abs(nrm - 1.0) > 1e-12:
-        raise NotUnit(f"direction norm {nrm} is not 1 within 1e-12")
-    radius = math.exp(-params.mu * float(np.vdot(z, z).real) / 2.0)
-    return Point(z, radius * direction)
+    p = Point(z, direction)
+    check_point(params, p)
+    nrm = np.linalg.norm(p.zeta, axis=-1)
+    if not np.all(np.abs(nrm - 1.0) <= 1e-12):
+        raise NotUnit(f"direction norm off 1 by {np.max(np.abs(nrm - 1.0))}, not within 1e-12")
+    radius = np.exp(-params.mu * np.sum(np.abs(p.z) ** 2, axis=-1) / 2.0)
+    return Point(p.z, radius[..., None] * p.zeta)
 
 
 # ------------------------------- sampling ----------------------------------
@@ -199,15 +202,17 @@ def sample_density(params: DomainParams, p: Point):
 
 
 def sample_boundary(params: DomainParams, seed: int, count: int) -> list:
-    """Deterministic boundary points: sampled z, uniform zeta-direction."""
+    """Deterministic boundary points: sampled z, uniform zeta-direction.
+
+    Row i of the one draw holds Re z, Im z, Re d, Im d of point i, so the
+    first k points do not depend on count.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(seed)
-    sigma = math.sqrt(1.0 / (2.0 * params.mu))
-    out = []
-    for _ in range(count):
-        z = sigma * (rng.standard_normal(params.n) + 1j * rng.standard_normal(params.n))
-        d = rng.standard_normal(params.m) + 1j * rng.standard_normal(params.m)
-        d /= np.linalg.norm(d)
-        out.append(project_to_boundary(params, z, d))
-    return out
+    n, m = params.n, params.m
+    g = np.random.default_rng(seed).standard_normal((count, 2 * (n + m)))
+    z = math.sqrt(1.0 / (2.0 * params.mu)) * (g[:, :n] + 1j * g[:, n : 2 * n])
+    d = g[:, 2 * n : 2 * n + m] + 1j * g[:, 2 * n + m :]
+    d /= np.linalg.norm(d, axis=-1, keepdims=True)
+    B = project_to_boundary(params, z, d)
+    return [Point(B.z[i], B.zeta[i]) for i in range(count)]

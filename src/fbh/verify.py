@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autgroup import Automorphism, apply, jacobian, random_automorphism
+from .autgroup import Automorphism, apply, jacobian, jacobian_det, random_automorphism
 from .bergman import (
     KERNEL_FLOOR,
     inv_sqrt_pd,
@@ -80,8 +80,9 @@ class CheckReport:
 
 
 def _report(name, max_residual, tolerance, samples, seed, residual_kind, **details):
+    """A CheckReport; tolerance None means DEFAULT_TOLERANCES[name]."""
     max_residual = float(max_residual)
-    tolerance = float(tolerance)
+    tolerance = float(DEFAULT_TOLERANCES[name] if tolerance is None else tolerance)
     return CheckReport(
         name=name,
         max_residual=max_residual,
@@ -124,12 +125,11 @@ def _stack(points) -> Point:
 def check_kernel_law(params, a: Automorphism, pairs, tolerance=None, seed=0) -> CheckReport:
     """Residual of K(p,q) = conj(det J(a,q)) K(a p, a q) det J(a,p), relative
     to |K(p,q)| per pair."""
-    tolerance = DEFAULT_TOLERANCES["kernel-law"] if tolerance is None else tolerance
     P = _stack([p for p, _ in pairs])
     Q = _stack([q for _, q in pairs])
     kv = kernel(params, P, Q).value
-    det_p = np.linalg.det(jacobian(params, a, P))
-    det_q = np.linalg.det(jacobian(params, a, Q))
+    det_p = jacobian_det(params, a, P)
+    det_q = jacobian_det(params, a, Q)
     image = kernel(params, apply(params, a, P), apply(params, a, Q)).value
     rhs = np.conj(det_q) * image * det_p
     residuals = np.abs(kv - rhs) / np.maximum(np.abs(kv), KERNEL_FLOOR)
@@ -141,7 +141,6 @@ def check_metric_law(params, a: Automorphism, pairs, tolerance=None, seed=0) -> 
     relative to the max-norm of T(p,q).  Pairs with |K| below KERNEL_FLOOR at
     (p, q) or at (a p, a q), where metric() would raise KernelZero, are
     skipped and counted, also when K is NaN at the other (hence fmin)."""
-    tolerance = DEFAULT_TOLERANCES["metric-law"] if tolerance is None else tolerance
     P = _stack([p for p, _ in pairs])
     Q = _stack([q for _, q in pairs])
     aP, aQ = apply(params, a, P), apply(params, a, Q)
@@ -172,7 +171,6 @@ def check_cartan(params, a: Automorphism, points, tolerance=None, seed=0) -> Che
     deviation is reported in the details.  T^(+-1/2) come from metric(0, 0)
     here, so the closed-form diagonal in representative_map is checked too.
     """
-    tolerance = DEFAULT_TOLERANCES["cartan"] if tolerance is None else tolerance
     L = l_matrix(params, a)
     o = Point.origin(params)
     t0 = metric(params, o, o)
@@ -214,7 +212,6 @@ def check_gram_psd(params, points, tol=None, seed=0) -> CheckReport:
     A Gram matrix with non-finite entries (kernel values overflow at large
     orders) fails, with its count of them in the details, and no warning.
     """
-    tol = DEFAULT_TOLERANCES["gram"] if tol is None else tol
     npts = len(points)
     kind = "absolute (diagonal-normalized Gram)"
     X = _stack(points)
@@ -277,7 +274,6 @@ def check_boundary_invariance(params, a: Automorphism, boundary_points, toleranc
     to exp(-mu ||z||^2) at a p, the squared zeta-radius of the boundary
     there.  An image whose radius underflows to 0 gives an infinite
     residual."""
-    tolerance = DEFAULT_TOLERANCES["boundary"] if tolerance is None else tolerance
     image = apply(params, a, _stack(boundary_points))
     radius2 = np.exp(-params.mu * np.sum(np.abs(image.z) ** 2, axis=-1))
     with np.errstate(divide="ignore", invalid="ignore"):

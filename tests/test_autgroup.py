@@ -14,6 +14,7 @@ from fbh.autgroup import (
     identity,
     inverse,
     jacobian,
+    jacobian_det,
     random_automorphism,
     scale_factor,
 )
@@ -247,6 +248,14 @@ def test_parameter_count_identity():
 
 # ---------------------------------- JSON -----------------------------------
 
+def test_automorphism_json_rejects_non_pairs():
+    obj = identity(DomainParams(2, 1, 1.0)).to_json()
+    with pytest.raises(DimensionMismatch):
+        Automorphism.from_json(dict(obj, v=5))
+    with pytest.raises(DimensionMismatch):
+        Automorphism.from_json(dict(obj, U=obj["v"]))
+
+
 def test_automorphism_json_round_trip():
     a = random_automorphism(DomainParams(2, 2, 1.0), 67)
     encoded = json.dumps(a.to_json())
@@ -254,3 +263,28 @@ def test_automorphism_json_round_trip():
     assert np.allclose(a.U, b.U)
     assert np.allclose(a.Uprime, b.Uprime)
     assert np.allclose(a.v, b.v)
+
+
+def test_automorphism_arrays_are_frozen_copies():
+    U = np.eye(2)
+    a = Automorphism(U, np.eye(1), np.zeros(2))
+    U[0, 0] = 5.0
+    assert a.U[0, 0] == 1.0 and a.U.dtype == complex
+    for arr in (a.U, a.Uprime, a.v):
+        with pytest.raises(ValueError):
+            arr[0] = 2.0
+
+
+@pytest.mark.parametrize(
+    "params", CONFIGS + [DomainParams(3, 2, 1.0), DomainParams(32, 4, 1.0), DomainParams(2, 64, 1.0)]
+)
+def test_jacobian_det_closed_form_matches_lu(params):
+    a = random_automorphism(params, 5)
+    X = stack(sample_interior(params, 6, 10))
+    X = Point(X.z.reshape(2, 5, -1), X.zeta.reshape(2, 5, -1))
+    closed = jacobian_det(params, a, X)
+    lu = np.linalg.det(jacobian(params, a, X))
+    assert closed.shape == (2, 5)
+    assert np.all(np.abs(closed - lu) <= 1e-12 * np.abs(lu))
+    one = Point(X.z[1, 3], X.zeta[1, 3])
+    assert np.shape(jacobian_det(params, a, one)) == ()

@@ -187,3 +187,47 @@ def test_verify_gram_non_finite_fails_with_exit_1(capsys):
     (report,) = json.loads(capsys.readouterr().out)
     assert report["name"] == "gram" and not report["passed"]
     assert report["details"]["non_finite"] > 0
+
+
+POINT_11 = {"z": [[0.3, 0.1]], "zeta": [[0.2, 0.0]]}
+# case -> (subcommand, payload, a fragment of the expected error line)
+BAD_INPUTS = {
+    "z-not-pairs": ("kernel-eval", dict(POINT_11, z=[1.0, 2.0]), "pairs"),
+    "z-null": ("kernel-eval", dict(POINT_11, z=None), "pairs"),
+    "top-level-list": ("kernel-eval", [POINT_11], "JSON object"),
+    "v-scalar": (
+        "apply",
+        dict(Automorphism(np.eye(1), np.eye(1), np.zeros(1)).to_json(), v=5),
+        "pairs",
+    ),
+    "stacked-point": (
+        "kernel-eval",
+        {"z": [[[0.3, 0.1]], [[0.0, 0.0]]], "zeta": [[[0.2, 0.0]]] * 2},
+        "single points",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_malformed_input_exits_2(case, capsys, tmp_path, files):
+    command, payload, fragment = BAD_INPUTS[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    if command == "kernel-eval":
+        argv = ["kernel-eval", "--params", "1,1,1.0", "--p", str(path), "--q", files["origin"]]
+    else:
+        argv = ["apply", "--params", "1,1,1.0", "--aut", str(path), "--p", files["p"]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+
+
+def test_apply_stacked_point_matches_library(capsys, tmp_path, files):
+    X = Point([[0.3 + 0.1j], [-0.2j], [0.5]], [[0.2], [0.1j], [-0.3]])
+    path = tmp_path / "stack.json"
+    path.write_text(json.dumps(X.to_json()))
+    assert main(["apply", "--params", "1,1,1.0", "--aut", files["aut"], "--p", str(path)]) == 0
+    out = Point.from_json(json.loads(capsys.readouterr().out))
+    a = Automorphism.from_json(json.loads(open(files["aut"]).read()))
+    expected = apply(P11, a, X)
+    assert np.array_equal(out.z, expected.z) and np.array_equal(out.zeta, expected.zeta)

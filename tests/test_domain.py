@@ -11,6 +11,7 @@ from fbh.domain import (
     Point,
     check_point,
     defect,
+    from_pairs,
     project_to_boundary,
     sample_boundary,
     sample_density,
@@ -96,6 +97,35 @@ def test_project_to_boundary_rejects_non_unit():
         project_to_boundary(P11, np.array([0.0]), np.array([0.9]))
 
 
+@pytest.mark.parametrize("params", [P11, DomainParams(3, 2, 1.0), DomainParams(32, 4, 1.0)])
+def test_project_to_boundary_broadcasts_over_stacks(params):
+    rng = np.random.default_rng(1)
+    z = rng.standard_normal((6, params.n)) + 1j * rng.standard_normal((6, params.n))
+    d = rng.standard_normal((6, params.m)) + 1j * rng.standard_normal((6, params.m))
+    d /= np.linalg.norm(d, axis=-1, keepdims=True)
+    B = project_to_boundary(params, z, d)
+    singles = [project_to_boundary(params, z[i], d[i]) for i in range(6)]
+    assert_rows_match(B.z, [p.z for p in singles])
+    assert_rows_match(B.zeta, [p.zeta for p in singles])
+
+
+@pytest.mark.parametrize("bad", [0.9, math.nan])
+def test_project_to_boundary_rejects_one_bad_row(bad):
+    d = np.ones((4, 1), dtype=complex)
+    d[2] = bad
+    with pytest.raises(NotUnit):
+        project_to_boundary(P11, np.zeros((4, 1)), d)
+
+
+def test_project_to_boundary_leading_shapes_must_match():
+    with pytest.raises(DimensionMismatch):
+        project_to_boundary(P11, np.zeros((3, 1)), np.ones((2, 1)))
+    with pytest.raises(DimensionMismatch):
+        project_to_boundary(P11, np.zeros((3, 1)), np.ones(1))
+    with pytest.raises(DimensionMismatch):
+        project_to_boundary(P11, np.zeros((3, 2)), np.ones((3, 1)))
+
+
 def test_project_then_shrink_is_interior():
     params = DomainParams(2, 2, 0.7)
     rng = np.random.default_rng(0)
@@ -152,9 +182,57 @@ def test_sample_boundary_points_lie_on_boundary():
         assert abs(defect(params, p)) <= 1e-14
 
 
+@pytest.mark.parametrize("params", [P11, DomainParams(3, 2, 1.0), DomainParams(32, 4, 1.0)])
+def test_sample_boundary_shorter_draw_is_prefix(params):
+    longer = sample_boundary(params, 5, 20)
+    for k in (1, 7):
+        shorter = sample_boundary(params, 5, k)
+        for p, q in zip(shorter, longer[:k], strict=True):
+            assert np.array_equal(p.z, q.z) and np.array_equal(p.zeta, q.zeta)
+
+
 def test_point_json_round_trip():
     p = Point([0.5 + 0.25j, -1.0], [0.1j])
     encoded = json.dumps(p.to_json())
     q = Point.from_json(json.loads(encoded))
     assert np.array_equal(p.z, q.z)
     assert np.array_equal(p.zeta, q.zeta)
+
+
+def test_point_json_format_is_re_im_pairs():
+    p = Point([complex(-0.0, 1.0), 2.5], [complex(0.5, -0.0)])
+    expected = '{"z": [[-0.0, 1.0], [2.5, 0.0]], "zeta": [[0.5, -0.0]]}'
+    assert json.dumps(p.to_json()) == expected
+
+
+def test_stacked_point_json_round_trip_bit_for_bit():
+    X = stack(sample_interior(DomainParams(3, 2, 1.0), 2, 4))
+    z = np.stack([X.z, -X.z])
+    z[1, 0, 0] = complex(-0.0, -0.0)
+    X = Point(z, np.stack([X.zeta, X.zeta]))
+    Y = Point.from_json(json.loads(json.dumps(X.to_json())))
+    assert Y.z.shape == (2, 4, 3) and Y.zeta.shape == (2, 4, 2)
+    assert Y.z.tobytes() == X.z.tobytes() and Y.zeta.tobytes() == X.zeta.tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [1.0, 2.0],
+        None,
+        5,
+        "1",
+        {"re": 1.0},
+        [],
+        [[1.0, None]],
+        [["1", "2"]],
+        [[True, False]],
+        [[1.0, 2.0], [3.0]],
+        [[1.0, 2.0, 3.0]],
+    ],
+)
+def test_from_pairs_rejects_anything_but_numeric_pairs(bad):
+    with pytest.raises(DimensionMismatch):
+        from_pairs(bad)
+    with pytest.raises(DimensionMismatch):
+        Point.from_json({"z": bad, "zeta": [[0.0, 0.0]]})

@@ -317,6 +317,15 @@ def test_mutation_jacobian_lower_left_sign(params, monkeypatch):
 
 
 @pytest.mark.parametrize("params", MUTATION_CONFIGS)
+def test_mutation_jacobian_det_without_scale_power(params, monkeypatch):
+    def no_scale_power(params, a, p):
+        return np.linalg.det(a.U) * np.linalg.det(a.Uprime) * np.ones(p.z.shape[:-1])
+
+    monkeypatch.setattr(verify, "jacobian_det", no_scale_power)
+    assert _failed_suites(params, ("kernel-law",)) == {"kernel-law"}
+
+
+@pytest.mark.parametrize("params", MUTATION_CONFIGS)
 def test_mutation_scale_factor_without_norm_term(params, monkeypatch):
     def no_norm_term(params, a, z):
         return np.exp(-params.mu * (z @ (a.v.conj() @ a.U)))
