@@ -75,11 +75,11 @@ def _kernel_rows(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray
     """
     check_point(params, p)
     s = inner(p.z, Z)
-    t = np.exp(params.mu * s) * inner(p.zeta, Zeta)
-    prefactor = params.mu ** params.n / math.pi ** params.dim
-    values = prefactor * np.exp(params.m * params.mu * s) * polylog_deriv(
-        params.n, params.m, t
-    )
+    t = np.exp(params.mu * s)
+    t *= inner(p.zeta, Zeta)
+    values = np.exp(params.m * params.mu * s)
+    values *= params.mu ** params.n / math.pi ** params.dim
+    values *= polylog_deriv(params.n, params.m, t)
     return s, t, values
 
 

@@ -13,8 +13,8 @@ import sys
 
 from .autgroup import Automorphism, apply, compose, inverse
 from .bergman import kernel, metric
-from .domain import DomainParams, Point
-from .errors import DimensionMismatch, FbhError
+from .domain import DomainParams, Point, defect
+from .errors import DimensionMismatch, FbhError, OutsideDomain
 from .polylog import a_poly
 from .verify import SUITE_NAMES, run_suite
 
@@ -117,6 +117,8 @@ def _cmd_kernel_eval(args) -> int:
     q = Point.from_json(_load_json(args.q))
     if p.z.ndim > 1 or q.z.ndim > 1:
         raise DimensionMismatch("kernel-eval takes single points, not stacks")
+    if not min(defect(args.params, p), defect(args.params, q)) > 0:
+        raise OutsideDomain("kernel-eval takes points strictly inside the domain")
     kv = kernel(args.params, p, q)
     if args.format == "json":
         print(

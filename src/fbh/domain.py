@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotUnit
+from .errors import DimensionMismatch, NotFinite, NotUnit
 
 
 @dataclass(frozen=True)
@@ -93,18 +93,24 @@ def to_pairs(a) -> list:
 
 
 def from_pairs(obj) -> np.ndarray:
-    """Complex array from nested lists of [re, im] pairs, the inverse of
-    to_pairs bit for bit; DimensionMismatch for anything else."""
+    """Complex array from nested [re, im] pairs, the inverse of to_pairs bit
+    for bit; NotFinite for NaN or inf entries, DimensionMismatch otherwise."""
     try:
         arr = np.array(obj)
     except ValueError as exc:  # ragged nesting
         raise DimensionMismatch(f"expected nested [re, im] pairs: {exc}") from None
     if arr.dtype.kind not in "iuf" or arr.ndim < 2 or arr.shape[-1] != 2:
         raise DimensionMismatch(f"expected nested numeric [re, im] pairs, got {obj!r:.80}")
+    if not np.all(np.isfinite(arr)):
+        raise NotFinite(f"coordinates must be finite, got {obj!r:.80}")
     return arr.astype(float).view(complex)[..., 0]
 
 
 # ------------------------------- geometry ----------------------------------
+
+def _norm2(x):  # squared Euclidean norm over the last axis
+    return np.sum(np.abs(x) ** 2, axis=-1)
+
 
 def check_point(params: DomainParams, p: Point) -> None:
     """Raise DimensionMismatch unless p has shape (..., n) x (..., m)."""
@@ -121,8 +127,7 @@ def defect(params: DomainParams, p: Point):
     Positive iff p is interior, zero on the boundary, negative outside.
     """
     check_point(params, p)
-    z2 = np.sum(np.abs(p.z) ** 2, axis=-1)
-    return np.exp(-params.mu * z2) - np.sum(np.abs(p.zeta) ** 2, axis=-1)
+    return np.exp(-params.mu * _norm2(p.z)) - _norm2(p.zeta)
 
 
 def project_to_boundary(params: DomainParams, z, direction) -> Point:
@@ -138,7 +143,7 @@ def project_to_boundary(params: DomainParams, z, direction) -> Point:
     nrm = np.linalg.norm(p.zeta, axis=-1)
     if not np.all(np.abs(nrm - 1.0) <= 1e-12):
         raise NotUnit(f"direction norm off 1 by {np.max(np.abs(nrm - 1.0))}, not within 1e-12")
-    radius = np.exp(-params.mu * np.sum(np.abs(p.z) ** 2, axis=-1) / 2.0)
+    radius = np.exp(-params.mu * _norm2(p.z) / 2.0)
     return Point(p.z, radius[..., None] * p.zeta)
 
 
@@ -158,18 +163,17 @@ def sample_interior_arrays(params: DomainParams, seed: int, count: int):
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
-    sigma = math.sqrt(1.0 / (2.0 * params.mu))
-    Z = sigma * (
-        rng.standard_normal((count, params.n))
-        + 1j * rng.standard_normal((count, params.n))
-    )
-    direction = rng.standard_normal((count, params.m)) + 1j * rng.standard_normal(
-        (count, params.m)
-    )
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    z2 = np.sum(np.abs(Z) ** 2, axis=1)
-    radius = np.exp(-params.mu * z2 / 2.0) * rng.random(count) ** (1.0 / (2 * params.m))
-    return Z, radius[:, None] * direction
+    Z = np.empty((count, params.n), dtype=complex)
+    Z.real = rng.standard_normal((count, params.n))
+    Z.imag = rng.standard_normal((count, params.n))
+    Z *= math.sqrt(1.0 / (2.0 * params.mu))
+    Zeta = np.empty((count, params.m), dtype=complex)
+    Zeta.real = rng.standard_normal((count, params.m))
+    Zeta.imag = rng.standard_normal((count, params.m))
+    Zeta /= np.linalg.norm(Zeta, axis=1, keepdims=True)
+    radius = np.exp(-params.mu * _norm2(Z) / 2.0) * rng.random(count) ** (1.0 / (2 * params.m))
+    Zeta *= radius[:, None]
+    return Z, Zeta
 
 
 def sample_interior(params: DomainParams, seed: int, count: int) -> list:
@@ -187,12 +191,11 @@ def sample_density_arrays(params: DomainParams, Z: np.ndarray) -> np.ndarray:
 
     constant on each fiber ball.  Z has shape (count, n).
     """
-    z2 = np.sum(np.abs(np.asarray(Z, dtype=complex)) ** 2, axis=-1)
-    gauss = (params.mu / math.pi) ** params.n * np.exp(-params.mu * z2)
-    ball = math.factorial(params.m) / (
-        math.pi ** params.m * np.exp(-params.m * params.mu * z2)
-    )
-    return gauss * ball
+    z2 = _norm2(np.asarray(Z, dtype=complex))
+    gauss = np.exp(-params.mu * z2)
+    gauss *= (params.mu / math.pi) ** params.n
+    gauss *= math.factorial(params.m) / (math.pi ** params.m * np.exp(-params.m * params.mu * z2))
+    return gauss
 
 
 def sample_density(params: DomainParams, p: Point):

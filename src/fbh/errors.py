@@ -13,6 +13,14 @@ class PoleProximity(FbhError):
     """Evaluation requested inside the guard band around the pole at t = 1."""
 
 
+class NotFinite(FbhError):
+    """Input holds a NaN or infinite entry."""
+
+
+class OutsideDomain(FbhError):
+    """Point is not strictly inside the domain."""
+
+
 class NotUnit(FbhError):
     """Direction vector is not unit length."""
 

@@ -129,10 +129,11 @@ class PolyExact:
         return tuple(float(c) for c in self.coeffs)
 
     def eval(self, t):
-        """Horner evaluation in complex floating point; t may be an array."""
-        acc = np.asarray(t, dtype=complex) * 0.0
+        """Horner in complex floating point on a fresh array; never writes to t."""
+        acc = np.asarray(t, dtype=complex) * 0.0  # not zeros: NaN and inf in t propagate
         for c in reversed(self.float_coeffs):
-            acc = acc * t + c
+            acc *= t
+            acc += c
         return acc
 
 
@@ -177,25 +178,24 @@ def li_neg_rational(n: int) -> RationalForm:
     return RationalForm(numerator=a_poly(n, 0), pole_order=n + 1)
 
 
-def _guarded(n: int, t) -> np.ndarray:
+def _guarded(n: int, t):
     tt = np.asarray(t, dtype=complex)
-    if np.any(np.abs(1.0 - tt) < EPS_POLE):
+    u = 1.0 - tt
+    if np.any(np.abs(u) < EPS_POLE):
         raise PoleProximity(f"|1 - t| < {EPS_POLE} at the pole of the order -{n} polylogarithm")
-    return tt
+    return tt, u  # t as complex and a fresh 1 - t, which the callers may overwrite
 
 
 def polylog_deriv(n: int, m: int, t):
-    """m-th derivative of the order -n polylogarithm at t.
-
-    Accepts a complex scalar or a numpy array of evaluation points.  Raises
-    PoleProximity when any point lies within EPS_POLE of the pole at t = 1.
-    """
+    """m-th derivative of the order -n polylogarithm at t, a complex scalar or
+    a numpy array; returns a Python complex or a fresh array and never writes
+    to t.  Raises PoleProximity when any point lies within EPS_POLE of t = 1."""
     _check_orders(n, m)
-    tt = _guarded(n, t)
-    val = a_poly(n, m).eval(tt) / (1.0 - tt) ** (n + m + 1)
-    if np.ndim(t) == 0:
-        return complex(val)
-    return val
+    tt, u = _guarded(n, t)
+    u **= n + m + 1
+    val = a_poly(n, m).eval(tt)
+    val /= u
+    return complex(val) if np.ndim(t) == 0 else val
 
 
 def log_derivatives(n: int, m: int, t):
@@ -207,8 +207,8 @@ def log_derivatives(n: int, m: int, t):
     """
     A = a_poly(n, m)
     dA = A.derivative()
-    tt = _guarded(n, t)
+    tt, u = _guarded(n, t)
     a = A.eval(tt)
     r = dA.eval(tt) / a
-    pole = (n + m + 1) / (1.0 - tt)
-    return r + pole, dA.derivative().eval(tt) / a - r * r + pole / (1.0 - tt)
+    pole = (n + m + 1) / u
+    return r + pole, dA.derivative().eval(tt) / a - r * r + pole / u

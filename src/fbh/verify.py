@@ -26,6 +26,7 @@ from .bergman import (
 from .domain import (
     DomainParams,
     Point,
+    _norm2,
     defect,
     sample_boundary,
     sample_density_arrays,
@@ -275,7 +276,7 @@ def check_boundary_invariance(params, a: Automorphism, boundary_points, toleranc
     there.  An image whose radius underflows to 0 gives an infinite
     residual."""
     image = apply(params, a, _stack(boundary_points))
-    radius2 = np.exp(-params.mu * np.sum(np.abs(image.z) ** 2, axis=-1))
+    radius2 = np.exp(-params.mu * _norm2(image.z))
     with np.errstate(divide="ignore", invalid="ignore"):
         residuals = np.where(radius2 > 0, np.abs(defect(params, image)) / radius2, math.inf)
     return _report("boundary", _worst(residuals), tolerance, len(boundary_points), seed, "relative")

@@ -7,7 +7,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from fbh import bergman, verify
+from fbh.domain import DomainParams, Point, sample_interior_arrays
 
 SHIMS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "shims.py"
 
@@ -22,3 +26,33 @@ def _targets():
 @pytest.mark.parametrize("module, attr", _targets())
 def test_benchmark_shim_target_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+def _spy(calls, name, fn):
+    def spy(*args, **kwargs):
+        calls.append((name, args))
+        return fn(*args, **kwargs)
+
+    return spy
+
+
+def test_kernel_entry_points_call_polylog_deriv_once_on_all_of_t(monkeypatch):
+    # the traced polylog_deriv.points and horner_flops count the t it is given
+    calls = []
+    monkeypatch.setattr(bergman, "polylog_deriv", _spy(calls, "F", bergman.polylog_deriv))
+    params = DomainParams(3, 2, 1.0)
+    Z, Zeta = sample_interior_arrays(params, 0, 40)
+    _, t = bergman.kernel_batch(params, Point(Z[0], Zeta[0]), Z, Zeta)
+    assert len(calls) == 1 and np.array_equal(calls[0][1][2], t) and t.shape == (40,)
+    calls.clear()
+    kv = bergman.kernel(params, Point(Z[:30], Zeta[:30]), Point(Z[10:], Zeta[10:]))
+    assert len(calls) == 1 and np.array_equal(calls[0][1][2], kv.t_arg) and kv.t_arg.shape == (30,)
+
+
+def test_mc_looks_up_its_helpers_at_verify_attributes(monkeypatch):
+    calls = []
+    names = ("sample_interior_arrays", "kernel_batch", "sample_density_arrays")
+    for name in names:
+        monkeypatch.setattr(verify, name, _spy(calls, name, getattr(verify, name)))
+    verify.mc_reproduce_constant(DomainParams(1, 1, 1.0), 0, samples=100_000)
+    assert [name for name, _ in calls] == list(names)

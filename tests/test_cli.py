@@ -205,6 +205,16 @@ BAD_INPUTS = {
         {"z": [[[0.3, 0.1]], [[0.0, 0.0]]], "zeta": [[[0.2, 0.0]]] * 2},
         "single points",
     ),
+    # json writes NaN and Infinity literals, and reads them back as floats
+    "z-nan": ("kernel-eval", dict(POINT_11, z=[[math.nan, 0.0]]), "finite"),
+    "v-infinite": (
+        "apply",
+        dict(Automorphism(np.eye(1), np.eye(1), np.zeros(1)).to_json(), v=[[math.inf, 0.0]]),
+        "finite",
+    ),
+    # t = 25 lies outside the disk where the kernel series converges
+    "outside-domain": ("kernel-eval", {"z": [[0.0, 0.0]], "zeta": [[5.0, 0.0]]}, "inside"),
+    "on-boundary": ("kernel-eval", {"z": [[0.0, 0.0]], "zeta": [[1.0, 0.0]]}, "inside"),
 }
 
 
@@ -217,6 +227,20 @@ def test_malformed_input_exits_2(case, capsys, tmp_path, files):
         argv = ["kernel-eval", "--params", "1,1,1.0", "--p", str(path), "--q", files["origin"]]
     else:
         argv = ["apply", "--params", "1,1,1.0", "--aut", str(path), "--p", files["p"]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+
+
+@pytest.mark.parametrize(
+    "case", sorted(c for c, (command, _, _) in BAD_INPUTS.items() if command == "kernel-eval")
+)
+def test_malformed_q_exits_2(case, capsys, tmp_path, files):
+    # the same payloads as --q with a good --p, so each side's checks are tested on their own
+    _, payload, fragment = BAD_INPUTS[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    argv = ["kernel-eval", "--params", "1,1,1.0", "--p", files["origin"], "--q", str(path)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err

@@ -18,7 +18,7 @@ from fbh.domain import (
     sample_interior,
     sample_interior_arrays,
 )
-from fbh.errors import DimensionMismatch, NotUnit
+from fbh.errors import DimensionMismatch, NotFinite, NotUnit
 
 from oracles import assert_rows_match, stack
 
@@ -236,3 +236,9 @@ def test_from_pairs_rejects_anything_but_numeric_pairs(bad):
         from_pairs(bad)
     with pytest.raises(DimensionMismatch):
         Point.from_json({"z": bad, "zeta": [[0.0, 0.0]]})
+
+
+@pytest.mark.parametrize("bad", ["[[NaN, 0.0]]", "[[0.0, -Infinity]]", "[[[1.0, 0.0]], [[0.0, NaN]]]"])
+def test_from_pairs_rejects_non_finite_entries(bad):
+    with pytest.raises(NotFinite):
+        from_pairs(json.loads(bad))
