@@ -151,7 +151,7 @@ def project_to_boundary(params: DomainParams, z, direction) -> Point:
 # The generator is numpy's seeded PCG64; draws are reproducible per seed on
 # one implementation and reproducible in distribution across platforms.
 
-def sample_interior_arrays(params: DomainParams, seed: int, count: int):
+def sample_interior_arrays(params: DomainParams, seed: int | np.random.Generator, count: int):
     """Vectorized interior sampler: arrays Z (count, n) and Zeta (count, m).
 
     z has independent complex-Gaussian coordinates with variance 1/(2 mu)
@@ -159,6 +159,7 @@ def sample_interior_arrays(params: DomainParams, seed: int, count: int):
     exp(-mu ||z||^2).  Given z, zeta is uniform in the ball of radius
     exp(-mu ||z||^2 / 2): a normalized complex Gaussian direction scaled by
     R u^(1/(2m)) with u uniform on [0, 1).  Every row is strictly interior.
+    `seed` may be a numpy.random.Generator, whose stream the call continues.
     """
     if count < 1:
         raise ValueError("count must be >= 1")

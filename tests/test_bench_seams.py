@@ -56,3 +56,30 @@ def test_mc_looks_up_its_helpers_at_verify_attributes(monkeypatch):
         monkeypatch.setattr(verify, name, _spy(calls, name, getattr(verify, name)))
     verify.mc_reproduce_constant(DomainParams(1, 1, 1.0), 0, samples=100_000)
     assert [name for name, _ in calls] == list(names)
+
+
+def test_mc_streams_blocks_through_verify_attributes(monkeypatch):
+    # 2^17 + 1 samples: two blocks of 2^17 and 1 rows, one generator stream
+    calls, results = [], []
+    names = ("sample_interior_arrays", "kernel_batch", "sample_density_arrays")
+    for name in names:
+        def spy(*args, _name=name, _fn=getattr(verify, name)):
+            calls.append((_name, args))
+            results.append(_fn(*args))
+            return results[-1]
+
+        monkeypatch.setattr(verify, name, spy)
+    params = DomainParams(1, 1, 1.0)
+    report = verify.mc_reproduce_constant(params, 3, samples=131_073)
+    assert [name for name, _ in calls] == list(names) * 2
+    assert [args[2] for _, args in calls[0::3]] == [131_072, 1]
+    assert [len(args[-1]) for _, args in calls[1::3] + calls[2::3]] == [131_072, 1] * 2
+    rng = np.random.default_rng(3)
+    for Z, Zeta in results[0::3]:
+        expected = sample_interior_arrays(params, rng, len(Z))
+        assert np.array_equal(Z, expected[0]) and np.array_equal(Zeta, expected[1])
+    weights = np.concatenate(
+        [values.real / density for (values, _), density in zip(results[1::3], results[2::3])]
+    )
+    assert report.samples == 131_073 and report.details["estimate"] == float(weights.mean())
+    assert report.details["stderr"] == float(weights.std(ddof=1) / np.sqrt(131_073))

@@ -158,6 +158,13 @@ def test_verify_mc_on_wrong_dimensions_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_mc_zero_samples_exits_2(capsys):
+    # 0 is a sample count below the minimum, not "use the default"
+    assert main(["verify", "--suite", "mc", "--params", "1,1,1.0", "--samples", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "samples=" not in captured.out
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["a-poly", "--n", "2", "--m", "0", "--frobnicate"])

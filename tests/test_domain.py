@@ -176,6 +176,17 @@ def test_sample_interior_arrays_shapes():
         sample_interior_arrays(P11, 0, 0)
 
 
+@pytest.mark.parametrize("params", [P11, DomainParams(3, 2, 0.7)])
+def test_sample_interior_arrays_int_seed_equals_generator(params):
+    # a Generator is drawn from as given: an int seed is default_rng(seed)
+    for a, b in zip(
+        sample_interior_arrays(params, 11, 33),
+        sample_interior_arrays(params, np.random.default_rng(11), 33),
+        strict=True,
+    ):
+        assert np.array_equal(a, b)
+
+
 def test_sample_boundary_points_lie_on_boundary():
     params = DomainParams(2, 2, 2.0)
     for p in sample_boundary(params, 9, 50):

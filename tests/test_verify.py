@@ -1,13 +1,22 @@
 """Tests for the verification harness itself."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fbh import autgroup, polylog, verify
 from fbh.autgroup import Automorphism, identity, random_automorphism
-from fbh.domain import DomainParams, Point, sample_boundary, sample_interior
+from fbh.bergman import kernel_batch
+from fbh.domain import (
+    DomainParams,
+    Point,
+    sample_boundary,
+    sample_density_arrays,
+    sample_interior,
+    sample_interior_arrays,
+)
 from fbh.verify import (
     SUITE_NAMES,
     CheckReport,
@@ -177,6 +186,35 @@ def test_mc_stderr_scaling():
     large = mc_reproduce_constant(P11, 61, samples=200_000)
     s1, s2 = small.details["stderr"], large.details["stderr"]
     assert s2 <= s1 / np.sqrt(2) * 1.2 + 1e-12
+
+
+@pytest.mark.parametrize("samples", [100_000, 131_072])
+def test_mc_matches_one_draw_oracle_up_to_one_block(samples):
+    # the whole run fits one block, so it is the one-call estimator bit for bit
+    Z, Zeta = sample_interior_arrays(P11, 67, samples)
+    values, _ = kernel_batch(P11, Point.origin(P11), Z, Zeta)
+    weights = values.real / sample_density_arrays(P11, Z)
+    report = mc_reproduce_constant(P11, 67, samples)
+    assert report.details["estimate"] == float(weights.mean())
+    assert report.details["stderr"] == float(weights.std(ddof=1) / math.sqrt(samples))
+
+
+def test_mc_memory_is_bounded_by_blocks():
+    # one full-size draw of 1e6 samples peaks at about 112 MB
+    mc_reproduce_constant(P11, 71)
+    tracemalloc.start()
+    try:
+        report = mc_reproduce_constant(P11, 71)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and abs(report.details["estimate"] - 1.0) <= 1e-15
+    assert peak < 40e6
+
+
+def test_run_suite_mc_zero_samples_rejected():
+    with pytest.raises(ValueError):
+        run_suite(P11, 0, ("mc",), samples=0)
 
 
 # ------------------------------- boundary ----------------------------------
