@@ -27,8 +27,12 @@ UNITARY_TOL = 1e-10
 class Automorphism:
     """Canonical triple (U, Uprime, v); U and Uprime validated unitary.
 
-    Construction rejects non-unitary blocks (max-norm of U^H U - I above
-    1e-10), so caller bugs stay visible.
+    A stack of automorphisms holds U of shape (..., n, n), Uprime
+    (..., m, m) and v (..., n) with one leading shape; the group functions
+    broadcast it against the leading shape of the points or automorphisms
+    they meet, by numpy's rules.  Construction rejects non-unitary blocks
+    (max-norm of U^H U - I above 1e-10 anywhere in the stack), so caller
+    bugs stay visible.
     """
 
     U: np.ndarray
@@ -38,12 +42,14 @@ class Automorphism:
     def __post_init__(self):
         U, Up, v = _frozen(self.U), _frozen(self.Uprime), _frozen(self.v)
         for name, M in (("U", U), ("Uprime", Up)):
-            if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
                 raise DimensionMismatch(f"{name} must be square, got {M.shape}")
-        if v.ndim != 1 or v.shape[0] != U.shape[0]:
+        if v.ndim < 1 or v.shape[-1] != U.shape[-1]:
             raise DimensionMismatch("v must be a vector of length matching U")
+        if not U.shape[:-2] == Up.shape[:-2] == v.shape[:-1]:
+            raise DimensionMismatch(f"U {U.shape}, Uprime {Up.shape}, v {v.shape}: leads differ")
         for name, M in (("U", U), ("Uprime", Up)):
-            dev = np.max(np.abs(M.conj().T @ M - np.eye(M.shape[0])))
+            dev = np.max(np.abs(M.conj().swapaxes(-1, -2) @ M - np.eye(M.shape[-1])))
             if dev > UNITARY_TOL:
                 raise NotUnitary(f"{name} deviates from unitarity by {dev:.3e}")
         object.__setattr__(self, "U", U)
@@ -62,28 +68,42 @@ def identity(params: DomainParams) -> Automorphism:
     return Automorphism(np.eye(params.n), np.eye(params.m), np.zeros(params.n))
 
 
-def _check_dims(params: DomainParams, a: Automorphism) -> None:
-    if a.U.shape != (params.n, params.n) or a.Uprime.shape != (params.m, params.m):
+def _matvec(M, x):
+    """M x over the last axes, leading axes broadcast: (..., k, l) by (..., l)."""
+    return (M @ x[..., None])[..., 0]
+
+
+def _check_dims(params: DomainParams, a: Automorphism, lead=()) -> None:
+    """DimensionMismatch unless a's blocks fit (n, m) and its leading shape
+    broadcasts against the leading shape `lead` of what it meets."""
+    if a.U.shape[-2:] != (params.n, params.n) or a.Uprime.shape[-2:] != (params.m, params.m):
         raise DimensionMismatch(
             f"automorphism blocks {a.U.shape} / {a.Uprime.shape} do not match "
             f"(n, m) = ({params.n}, {params.m})"
         )
+    try:
+        np.broadcast_shapes(a.v.shape[:-1], lead)
+    except ValueError:
+        raise DimensionMismatch(f"leading shapes {a.v.shape[:-1]}, {lead} mismatch") from None
 
 
 def scale_factor(params: DomainParams, a: Automorphism, z: np.ndarray):
     """The zeta multiplier exp(-mu v*(U z) - mu ||v||^2 / 2), one per row of
     z, which has shape (..., n)."""
     v_star = a.v.conj()
-    return np.exp(-params.mu * (z @ (v_star @ a.U)) - 0.5 * params.mu * (v_star @ a.v))
+    return np.exp(
+        -params.mu * np.sum(z * _matvec(a.U.swapaxes(-1, -2), v_star), axis=-1)
+        - 0.5 * params.mu * np.sum(v_star * a.v, axis=-1)
+    )
 
 
 def apply(params: DomainParams, a: Automorphism, p: Point) -> Point:
     """Action of the automorphism on a point or a stack of points; preserves
     the defect sign."""
-    _check_dims(params, a)
     check_point(params, p)
-    z_new = p.z @ a.U.T + a.v
-    zeta_new = scale_factor(params, a, p.z)[..., None] * (p.zeta @ a.Uprime.T)
+    _check_dims(params, a, p.z.shape[:-1])
+    z_new = _matvec(a.U, p.z) + a.v
+    zeta_new = scale_factor(params, a, p.z)[..., None] * _matvec(a.Uprime, p.zeta)
     return Point(z_new, zeta_new)
 
 
@@ -93,19 +113,19 @@ def compose(params: DomainParams, a: Automorphism, b: Automorphism) -> Automorph
     U = U_a U_b and v = v_a + U_a v_b are immediate; matching the scalar
     factors forces the phase exp(-i mu Im(v_a*(U_a v_b))) on U'_a U'_b.
     """
-    _check_dims(params, a)
     _check_dims(params, b)
-    Ua_vb = a.U @ b.v
-    phase = np.exp(-1j * params.mu * np.vdot(a.v, Ua_vb).imag)
-    return Automorphism(a.U @ b.U, phase * (a.Uprime @ b.Uprime), a.v + Ua_vb)
+    _check_dims(params, a, b.v.shape[:-1])
+    Ua_vb = _matvec(a.U, b.v)
+    phase = np.exp(-1j * params.mu * np.sum(a.v.conj() * Ua_vb, axis=-1).imag)
+    return Automorphism(a.U @ b.U, phase[..., None, None] * (a.Uprime @ b.Uprime), a.v + Ua_vb)
 
 
 def inverse(params: DomainParams, a: Automorphism) -> Automorphism:
     """Group inverse: (U^H, U'^H, -U^H v); the composition phase cancels here
     because Im(v*(-v)) = 0."""
     _check_dims(params, a)
-    Uh = a.U.conj().T
-    return Automorphism(Uh, a.Uprime.conj().T, -(Uh @ a.v))
+    Uh = a.U.conj().swapaxes(-1, -2)
+    return Automorphism(Uh, a.Uprime.conj().swapaxes(-1, -2), -_matvec(Uh, a.v))
 
 
 def jacobian(params: DomainParams, a: Automorphism, p: Point) -> np.ndarray:
@@ -117,14 +137,14 @@ def jacobian(params: DomainParams, a: Automorphism, p: Point) -> np.ndarray:
         [ U                                0      ]
         [ -mu s(z) (U' zeta) (v* U)_row    s(z) U' ]
     """
-    _check_dims(params, a)
     check_point(params, p)
+    _check_dims(params, a, p.z.shape[:-1])
     n = params.n
     s = scale_factor(params, a, p.z)[..., None, None]
-    row_vhU = a.v.conj() @ a.U
-    J = np.zeros(p.z.shape[:-1] + (params.dim, params.dim), dtype=complex)
+    row_vhU = _matvec(a.U.swapaxes(-1, -2), a.v.conj())[..., None, :]
+    J = np.zeros(s.shape[:-2] + (params.dim, params.dim), dtype=complex)
     J[..., :n, :n] = a.U
-    J[..., n:, :n] = -params.mu * s * ((p.zeta @ a.Uprime.T)[..., :, None] * row_vhU)
+    J[..., n:, :n] = -params.mu * s * (_matvec(a.Uprime, p.zeta)[..., :, None] * row_vhU)
     J[..., n:, n:] = s * a.Uprime
     return J
 
@@ -132,8 +152,8 @@ def jacobian(params: DomainParams, a: Automorphism, p: Point) -> np.ndarray:
 def jacobian_det(params: DomainParams, a: Automorphism, p: Point):
     """det J(a, p) = det U * det U' * s(z)^m in closed form (J is block
     lower-triangular), one value per point of a stack."""
-    _check_dims(params, a)
     check_point(params, p)
+    _check_dims(params, a, p.z.shape[:-1])
     s = scale_factor(params, a, p.z)
     return np.linalg.det(a.U) * np.linalg.det(a.Uprime) * s**params.m
 

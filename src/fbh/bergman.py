@@ -21,13 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autgroup import Automorphism, jacobian
-from .domain import DomainParams, Point, check_point
+from .domain import DomainParams, Point, _norm2, check_point
 from .errors import (
     DimensionMismatch,
     DoesNotFixOrigin,
     KernelZero,
+    NotFinite,
     NotHermitian,
     NotPositiveDefinite,
+    OutsideDomain,
 )
 from .polylog import log_derivatives, polylog_deriv
 
@@ -86,9 +88,18 @@ def _kernel_rows(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray
 def kernel(params: DomainParams, p: Point, q: Point) -> KernelValue:
     """Evaluate K(p, q), broadcast over stacked points; Hermitian in its arguments.
 
-    Raises PoleProximity when t falls inside the guard band around 1, which
-    on the diagonal only happens in the boundary limit.
+    Raises NotFinite for non-finite coordinates and OutsideDomain unless
+    every point lies strictly inside the domain, ||zeta||^2 < exp(-mu ||z||^2),
+    compared in logs so that the slice zeta = 0 passes even where
+    exp(-mu ||z||^2) underflows.  Raises PoleProximity when t falls inside
+    the guard band around 1.
     """
+    for x in (p, q):
+        if not (np.isfinite(x.z).all() and np.isfinite(x.zeta).all()):
+            raise NotFinite("kernel takes finite coordinates")
+        with np.errstate(divide="ignore"):
+            if not np.all(np.log(_norm2(x.zeta)) < -params.mu * _norm2(x.z)):
+                raise OutsideDomain("kernel takes points strictly inside the domain")
     _, t, values = _kernel_rows(params, p, q.z, q.zeta)
     return KernelValue(value=values, t_arg=t)
 
@@ -98,7 +109,8 @@ def kernel_batch(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray
 
     Z has shape (count, n) and Zeta (count, m); returns (values, t_args) as
     complex arrays of length count.  Same formula as kernel() on a stacked
-    Point, without copying the rows into one.
+    Point, without copying the rows into one and without kernel()'s checks
+    that the rows are finite and inside the domain.
     """
     if np.ndim(Z) != 2 or np.shape(Z)[1] != params.n or np.shape(Zeta) != (len(Z), params.m):
         raise DimensionMismatch("batch shapes must be (count, n) and (count, m)")
@@ -214,14 +226,16 @@ def representative_map(params: DomainParams, p: Point) -> np.ndarray:
 
 
 def l_matrix(params: DomainParams, phi: Automorphism) -> np.ndarray:
-    """The unitary T(0,0)^(-1/2) (J(phi, 0)^H)^(-1) T(0,0)^(1/2).
+    """The unitary T(0,0)^(-1/2) (J(phi, 0)^H)^(-1) T(0,0)^(1/2), one per
+    automorphism of a stack.
 
     Requires phi to fix the origin (||v|| <= 1e-12); this matrix conjugates
     the representative map of phi into a linear action; T(0,0) enters
     through its closed-form diagonal.
     """
-    if float(np.linalg.norm(phi.v)) > 1e-12:
-        raise DoesNotFixOrigin(f"translation part has norm {np.linalg.norm(phi.v):.3e}")
+    norm = np.max(np.linalg.norm(phi.v, axis=-1))
+    if norm > 1e-12:
+        raise DoesNotFixOrigin(f"translation part has norm {norm:.3e}")
     J0 = jacobian(params, phi, Point.origin(params))
     root = np.sqrt(_origin_metric_diagonal(params))
-    return np.linalg.inv(J0.conj().T) * root / root[:, None]
+    return np.linalg.inv(J0.conj().swapaxes(-1, -2)) * root / root[:, None]

@@ -13,8 +13,8 @@ import sys
 
 from .autgroup import Automorphism, apply, compose, inverse
 from .bergman import kernel, metric
-from .domain import DomainParams, Point, defect
-from .errors import DimensionMismatch, FbhError, OutsideDomain
+from .domain import DomainParams, Point
+from .errors import DimensionMismatch, FbhError
 from .polylog import a_poly
 from .verify import SUITE_NAMES, run_suite
 
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
     p.add_argument("--params", required=True, metavar="N,M,MU")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=None, help="Monte-Carlo sample count")
+    p.add_argument("--samples", type=int, default=None, help="mc sample count")
     p.add_argument("--json", action="store_true", help="emit a JSON report array")
     p.add_argument(
         "--tol",
@@ -112,33 +112,26 @@ def _cmd_a_poly(args) -> int:
     return 0
 
 
+def _emit(fmt: str, fields: dict, json_obj: dict) -> None:
+    """Print json_obj as JSON, or the named float fields as one CSV row or
+    as one text line per name."""
+    if fmt == "json":
+        print(json.dumps(json_obj))
+    elif fmt == "csv":
+        print(",".join(_fmt(x) for values in fields.values() for x in values))
+    else:
+        for name, values in fields.items():
+            print(name, *(_fmt(x) for x in values))
+
+
 def _cmd_kernel_eval(args) -> int:
     p = Point.from_json(_load_json(args.p))
     q = Point.from_json(_load_json(args.q))
     if p.z.ndim > 1 or q.z.ndim > 1:
         raise DimensionMismatch("kernel-eval takes single points, not stacks")
-    if not min(defect(args.params, p), defect(args.params, q)) > 0:
-        raise OutsideDomain("kernel-eval takes points strictly inside the domain")
     kv = kernel(args.params, p, q)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "value": [kv.value.real, kv.value.imag],
-                    "t_arg": [kv.t_arg.real, kv.t_arg.imag],
-                }
-            )
-        )
-    elif args.format == "csv":
-        print(
-            ",".join(
-                _fmt(x)
-                for x in (kv.value.real, kv.value.imag, kv.t_arg.real, kv.t_arg.imag)
-            )
-        )
-    else:
-        print(f"value {_fmt(kv.value.real)} {_fmt(kv.value.imag)}")
-        print(f"t_arg {_fmt(kv.t_arg.real)} {_fmt(kv.t_arg.imag)}")
+    fields = {"value": [kv.value.real, kv.value.imag], "t_arg": [kv.t_arg.real, kv.t_arg.imag]}
+    _emit(args.format, fields, fields)
     return 0
 
 
@@ -148,17 +141,8 @@ def _cmd_metric_origin(args) -> int:
     T = metric(params, o, o)
     z_block = float(T[0, 0].real)
     zeta_block = float(T[params.n, params.n].real)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {"n": params.n, "m": params.m, "z_block": z_block, "zeta_block": zeta_block}
-            )
-        )
-    elif args.format == "csv":
-        print(f"{_fmt(z_block)},{_fmt(zeta_block)}")
-    else:
-        print(f"z_block {_fmt(z_block)}")
-        print(f"zeta_block {_fmt(zeta_block)}")
+    json_obj = {"n": params.n, "m": params.m, "z_block": z_block, "zeta_block": zeta_block}
+    _emit(args.format, {"z_block": [z_block], "zeta_block": [zeta_block]}, json_obj)
     return 0
 
 
@@ -179,7 +163,7 @@ def _cmd_compose(args) -> int:
 def _cmd_inverse(args) -> int:
     a = Automorphism.from_json(_load_json(args.a))
     # mu never enters the inverse, so any valid params with matching sizes do
-    params = DomainParams(n=a.U.shape[0], m=a.Uprime.shape[0], mu=1.0)
+    params = DomainParams(n=a.U.shape[-1], m=a.Uprime.shape[-1], mu=1.0)
     print(json.dumps(inverse(params, a).to_json()))
     return 0
 

@@ -177,10 +177,9 @@ def sample_interior_arrays(params: DomainParams, seed: int | np.random.Generator
     return Z, Zeta
 
 
-def sample_interior(params: DomainParams, seed: int, count: int) -> list:
-    """Deterministic list of `count` interior Points for the given seed."""
-    Z, Zeta = sample_interior_arrays(params, seed, count)
-    return [Point(Z[i], Zeta[i]) for i in range(count)]
+def sample_interior(params: DomainParams, seed: int, count: int) -> Point:
+    """Deterministic stack of `count` interior points for the given seed."""
+    return Point(*sample_interior_arrays(params, seed, count))
 
 
 def sample_density_arrays(params: DomainParams, Z: np.ndarray) -> np.ndarray:
@@ -205,8 +204,9 @@ def sample_density(params: DomainParams, p: Point):
     return sample_density_arrays(params, p.z)
 
 
-def sample_boundary(params: DomainParams, seed: int, count: int) -> list:
-    """Deterministic boundary points: sampled z, uniform zeta-direction.
+def sample_boundary(params: DomainParams, seed: int, count: int) -> Point:
+    """Deterministic stack of `count` boundary points: sampled z, uniform
+    zeta-direction.
 
     Row i of the one draw holds Re z, Im z, Re d, Im d of point i, so the
     first k points do not depend on count.
@@ -218,5 +218,4 @@ def sample_boundary(params: DomainParams, seed: int, count: int) -> list:
     z = math.sqrt(1.0 / (2.0 * params.mu)) * (g[:, :n] + 1j * g[:, n : 2 * n])
     d = g[:, 2 * n : 2 * n + m] + 1j * g[:, 2 * n + m :]
     d /= np.linalg.norm(d, axis=-1, keepdims=True)
-    B = project_to_boundary(params, z, d)
-    return [Point(B.z[i], B.zeta[i]) for i in range(count)]
+    return project_to_boundary(params, z, d)

@@ -8,13 +8,14 @@ precision error accumulation across determinants and matrix products.
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .autgroup import Automorphism, apply, jacobian, jacobian_det, random_automorphism
+from .autgroup import Automorphism, _matvec, apply, jacobian, jacobian_det, random_automorphism
 from .bergman import (
     KERNEL_FLOOR,
+    _kernel_rows,
     inv_sqrt_pd,
     kernel,
     kernel_batch,
@@ -36,8 +37,10 @@ from .domain import (
 
 # One row per suite: (check, automorphism factory, its seed offset, sampler,
 # its seed offset, sample count, parts); part j uses sub-seeds seed + offset + j.
-# Without a sampler the check gets the sub-seed and count.  Names resolve when
-# the suite runs, so whatever the module attribute holds then gets called.
+# The parts' draws are stacked, automorphisms with leading shape (parts, 1)
+# and samples (parts, count), and the check runs once on the stacks.  Without
+# a sampler the check gets the sub-seed and count.  Names resolve when the
+# suite runs, so whatever the module attribute holds then gets called.
 _SUITE_TABLE = {
     "kernel-law": ("check_kernel_law", "random_automorphism", 101, "sample_pairs", 301, 10, 10),
     "metric-law": ("check_metric_law", "random_automorphism", 501, "sample_pairs", 701, 5, 10),
@@ -104,64 +107,67 @@ def _worst(residuals) -> float:
     return float(np.max(residuals, initial=0.0))
 
 
-def sample_pairs(params: DomainParams, seed: int, count: int) -> list:
-    """Interior point pairs with |1 - t| above the pole guard: consecutive
-    draws of the interior sampler, one chunk seed after another."""
-    pairs = []
-    chunk_seed = seed
-    while len(pairs) < count:
-        Z, Zeta = sample_interior_arrays(params, chunk_seed, 2 * (count - len(pairs)) + 8)
+def sample_pairs(params: DomainParams, seed: int, count: int):
+    """Stacks (P, Q) of `count` interior point pairs with |1 - t| above the
+    pole guard: consecutive draws of the interior sampler, one chunk seed
+    after another."""
+    rows, need, chunk_seed = [], count, seed
+    while need > 0:
+        Z, Zeta = sample_interior_arrays(params, chunk_seed, 2 * need + 8)
         P, Q = Point(Z[0::2], Zeta[0::2]), Point(Z[1::2], Zeta[1::2])
         t = kernel(params, P, Q).t_arg
-        kept = np.flatnonzero(np.abs(1.0 - t) > PAIR_POLE_DISTANCE)[: count - len(pairs)]
-        pairs += [(Point(P.z[i], P.zeta[i]), Point(Q.z[i], Q.zeta[i])) for i in kept]
+        kept = np.flatnonzero(np.abs(1.0 - t) > PAIR_POLE_DISTANCE)[:need]
+        rows.append([x[kept] for x in (P.z, P.zeta, Q.z, Q.zeta)])
+        need -= len(kept)
         chunk_seed += 1
-    return pairs
-
-
-def _stack(points) -> Point:
-    """The listed Points as one Point with a leading sample axis."""
-    return Point(np.array([p.z for p in points]), np.array([p.zeta for p in points]))
+    z, zeta, w, omega = (np.concatenate(side) for side in zip(*rows))
+    return Point(z, zeta), Point(w, omega)
 
 
 # ------------------------------ law checks ---------------------------------
 
 def check_kernel_law(params, a: Automorphism, pairs, tolerance=None, seed=0) -> CheckReport:
     """Residual of K(p,q) = conj(det J(a,q)) K(a p, a q) det J(a,p), relative
-    to |K(p,q)| per pair."""
-    P = _stack([p for p, _ in pairs])
-    Q = _stack([q for _, q in pairs])
+    to |K(p,q)| per pair.  `pairs` is a tuple (P, Q) of stacked Points, whose
+    leading shape broadcasts against that of a stacked `a`.  K at the images
+    comes from the unchecked kernel core, so an action that leaves the
+    domain fails the law instead of raising OutsideDomain."""
+    P, Q = pairs
     kv = kernel(params, P, Q).value
-    det_p = jacobian_det(params, a, P)
-    det_q = jacobian_det(params, a, Q)
-    image = kernel(params, apply(params, a, P), apply(params, a, Q)).value
+    det_p, det_q = jacobian_det(params, a, P), jacobian_det(params, a, Q)
+    aP, aQ = apply(params, a, P), apply(params, a, Q)
+    image = _kernel_rows(params, aP, aQ.z, aQ.zeta)[2]
     rhs = np.conj(det_q) * image * det_p
     residuals = np.abs(kv - rhs) / np.maximum(np.abs(kv), KERNEL_FLOOR)
-    return _report("kernel-law", _worst(residuals), tolerance, len(pairs), seed, "relative")
+    return _report("kernel-law", _worst(residuals), tolerance, residuals.size, seed, "relative")
 
 
 def check_metric_law(params, a: Automorphism, pairs, tolerance=None, seed=0) -> CheckReport:
     """Max-norm residual of T(p,q) = conj(J(a,q)^T) T(a p, a q) J(a,p),
-    relative to the max-norm of T(p,q).  Pairs with |K| below KERNEL_FLOOR at
-    (p, q) or at (a p, a q), where metric() would raise KernelZero, are
-    skipped and counted, also when K is NaN at the other (hence fmin)."""
-    P = _stack([p for p, _ in pairs])
-    Q = _stack([q for _, q in pairs])
+    relative to the max-norm of T(p,q), over stacked pairs (P, Q) as in
+    check_kernel_law.  Pairs with |K| below KERNEL_FLOOR at (p, q) or at
+    (a p, a q), where metric() would raise KernelZero, are skipped and
+    counted, also when K is NaN at the other (hence fmin): they are
+    evaluated at the origin pair instead, which keeps every row aligned with
+    its automorphism, and their residual is zeroed.  Images are unchecked,
+    as in check_kernel_law."""
+    P, Q = pairs
     aP, aQ = apply(params, a, P), apply(params, a, Q)
-    smaller = np.fmin(np.abs(kernel(params, P, Q).value), np.abs(kernel(params, aP, aQ).value))
+    image = _kernel_rows(params, aP, aQ.z, aQ.zeta)[2]
+    smaller = np.fmin(np.abs(kernel(params, P, Q).value), np.abs(image))
     vanishing = smaller < KERNEL_FLOOR
-    P, Q, aP, aQ = (Point(x.z[~vanishing], x.zeta[~vanishing]) for x in (P, Q, aP, aQ))
+    at_origin = vanishing[..., None]
+    P, Q, aP, aQ = (Point(np.where(at_origin, 0.0, x.z), np.where(at_origin, 0.0, x.zeta))
+                    for x in (P, Q, aP, aQ))
     lhs = metric(params, P, Q)
-    rhs = (
-        jacobian(params, a, Q).conj().swapaxes(-1, -2)
-        @ metric(params, aP, aQ)
-        @ jacobian(params, a, P)
-    )
+    J_q, J_p = jacobian(params, a, Q), jacobian(params, a, P)
+    rhs = J_q.conj().swapaxes(-1, -2) @ metric(params, aP, aQ) @ J_p
     scale = np.max(np.abs(lhs), axis=(-2, -1))
     residuals = np.max(np.abs(lhs - rhs), axis=(-2, -1)) / np.maximum(scale, KERNEL_FLOOR)
-    skipped = np.count_nonzero(vanishing)
+    residuals = np.where(vanishing, 0.0, residuals)
     return _report(
-        "metric-law", _worst(residuals), tolerance, len(pairs), seed, "relative", skipped=skipped
+        "metric-law", _worst(residuals), tolerance, residuals.size, seed, "relative",
+        skipped=np.count_nonzero(vanishing),
     )
 
 
@@ -172,39 +178,37 @@ def check_cartan(params, a: Automorphism, points, tolerance=None, seed=0) -> Che
     intertwines the action with the unitary L = l_matrix(a), that the
     reconstructed linear map T^(-1/2) L T^(1/2) reproduces the action, and
     that this matrix is exactly the block-diagonal (U, U'); the block
-    deviation is reported in the details.  T^(+-1/2) come from metric(0, 0)
-    here, so the closed-form diagonal in representative_map is checked too.
+    deviation is reported in the details.  T^(+-1/2) come from metric(0, 0),
+    once per call, so the closed-form diagonal in representative_map is
+    checked too.  `points` is a stacked Point whose leading shape broadcasts
+    against that of a stacked `a`.
     """
     L = l_matrix(params, a)
     o = Point.origin(params)
     t0 = metric(params, o, o)
     linear_map = inv_sqrt_pd(t0) @ L @ sqrt_pd(t0)
-    block = np.zeros((params.dim, params.dim), dtype=complex)
-    block[: params.n, : params.n] = a.U
-    block[params.n :, params.n :] = a.Uprime
+    block = np.zeros(L.shape, dtype=complex)
+    block[..., : params.n, : params.n] = a.U
+    block[..., params.n :, params.n :] = a.Uprime
     block_residual = float(np.max(np.abs(linear_map - block)))
-    X = _stack(points)
-    image = apply(params, a, X)
+    image = apply(params, a, points)
     sig_image = representative_map(params, image)
     denom_c = np.maximum(np.max(np.abs(sig_image), axis=-1), KERNEL_FLOOR)
-    comm = np.max(np.abs(sig_image - representative_map(params, X) @ L.T), axis=-1) / denom_c
+    sig_linear = _matvec(L, representative_map(params, points))
+    comm = np.max(np.abs(sig_image - sig_linear), axis=-1) / denom_c
     denom_l = np.maximum(np.max(np.abs(image.coords()), axis=-1), KERNEL_FLOOR)
-    lin = np.max(np.abs(image.coords() - X.coords() @ linear_map.T), axis=-1) / denom_l
+    lin = np.max(np.abs(image.coords() - _matvec(linear_map, points.coords())), axis=-1) / denom_l
     return _report(
-        "cartan",
-        _worst(np.concatenate([comm, lin])),
-        tolerance,
-        len(points),
-        seed,
-        "relative",
-        commutation_residual=_worst(comm),
-        linearity_residual=_worst(lin),
+        "cartan", _worst([_worst(comm), _worst(lin)]), tolerance, comm.size, seed, "relative",
+        commutation_residual=_worst(comm), linearity_residual=_worst(lin),
         block_residual=block_residual,
     )
 
 
 def check_gram_psd(params, points, tol=None, seed=0) -> CheckReport:
-    """The kernel Gram matrix [K(p_i, p_j)] must be positive semidefinite.
+    """The kernel Gram matrix [K(p_i, p_j)] must be positive semidefinite,
+    over the last axis of the stacked `points`; leading axes give one Gram
+    matrix each.
 
     The eigenvalue floor is applied to the diagonally normalized Gram
     D^(-1/2) G D^(-1/2), which shares positivity with G but keeps the
@@ -216,28 +220,24 @@ def check_gram_psd(params, points, tol=None, seed=0) -> CheckReport:
     A Gram matrix with non-finite entries (kernel values overflow at large
     orders) fails, with its count of them in the details, and no warning.
     """
-    npts = len(points)
     kind = "absolute (diagonal-normalized Gram)"
-    X = _stack(points)
+    X = points
+    rows = Point(X.z[..., None, :], X.zeta[..., None, :])
+    columns = Point(X.z[..., None, :, :], X.zeta[..., None, :, :])
     with np.errstate(over="ignore", invalid="ignore"):
-        G = kernel(params, Point(X.z[:, None], X.zeta[:, None]), X).value
+        G = kernel(params, rows, columns).value
+    npts = X.z[..., 0].size
     non_finite = np.count_nonzero(~np.isfinite(G))
     if non_finite:
         return _report("gram", math.inf, tol, npts, seed, kind, non_finite=non_finite)
-    G = (G + G.conj().T) / 2.0
-    d = np.sqrt(np.abs(np.diagonal(G).real))
-    normalized = G / np.outer(d, d)
+    G = (G + G.conj().swapaxes(-1, -2)) / 2.0
+    d = np.sqrt(np.abs(np.diagonal(G, axis1=-2, axis2=-1).real))
+    normalized = G / (d[..., :, None] * d[..., None, :])
     min_norm = float(np.linalg.eigvalsh(normalized).min())
     min_raw = float(np.linalg.eigvalsh(G).min())
     return _report(
-        "gram",
-        max(0.0, -min_norm),
-        tol,
-        npts,
-        seed,
-        kind,
-        min_eigenvalue_normalized=min_norm,
-        min_eigenvalue_raw=min_raw,
+        "gram", max(0.0, -min_norm), tol, npts, seed, kind,
+        min_eigenvalue_normalized=min_norm, min_eigenvalue_raw=min_raw,
     )
 
 
@@ -284,37 +284,14 @@ def check_boundary_invariance(params, a: Automorphism, boundary_points, toleranc
     to exp(-mu ||z||^2) at a p, the squared zeta-radius of the boundary
     there.  An image whose radius underflows to 0 gives an infinite
     residual."""
-    image = apply(params, a, _stack(boundary_points))
+    image = apply(params, a, boundary_points)
     radius2 = np.exp(-params.mu * _norm2(image.z))
     with np.errstate(divide="ignore", invalid="ignore"):
         residuals = np.where(radius2 > 0, np.abs(defect(params, image)) / radius2, math.inf)
-    return _report("boundary", _worst(residuals), tolerance, len(boundary_points), seed, "relative")
+    return _report("boundary", _worst(residuals), tolerance, residuals.size, seed, "relative")
 
 
 # ------------------------------ suite runner --------------------------------
-
-def _merge(reports) -> CheckReport:
-    """Merge same-named reports by max residual (checks are seed-split);
-    sample and skip counts accumulate.  A NaN residual or detail survives
-    the merge, so the merged report fails."""
-    first = reports[0]
-    details = {}
-    for r in reports:
-        for k, v in r.details.items():
-            if k == "skipped":
-                details[k] = details.get(k, 0.0) + v
-            else:
-                details[k] = float(np.maximum(details.get(k, v), v))
-    return _report(
-        first.name,
-        _worst([r.max_residual for r in reports]),
-        first.tolerance,
-        sum(r.samples for r in reports),
-        first.seed,
-        first.residual_kind,
-        **details,
-    )
-
 
 def _rotation(params: DomainParams, seed: int) -> Automorphism:
     """Origin-fixing automorphism: the rotation part of a random one."""
@@ -322,16 +299,15 @@ def _rotation(params: DomainParams, seed: int) -> Automorphism:
     return Automorphism(rot.U, rot.Uprime, np.zeros(params.n))
 
 
-def _run_part(params, seed, row, j, samples, tol) -> CheckReport:
-    check, factory, factory_offset, sampler, sample_offset, count, _ = row
-    names = globals()
-    if sampler is None:
-        return names[check](params, seed + sample_offset + j, count if samples is None else samples)
-    args = [params]
-    if factory is not None:
-        args.append(names[factory](params, seed + factory_offset + j))
-    args.append(names[sampler](params, seed + sample_offset + j, count))
-    return names[check](*args, tol, seed)
+def _stack_parts(draws, unit_axis=False):
+    """The parts' draws, Points, (P, Q) pairs of them or Automorphisms, as
+    one stack with the parts axis first; unit_axis adds a length-1 axis after
+    it, so that one automorphism per part broadcasts over the part's samples."""
+    if isinstance(draws[0], tuple):
+        return tuple(_stack_parts(side) for side in zip(*draws))
+    cls = type(draws[0])
+    stacks = (np.stack([getattr(d, f.name) for d in draws]) for f in fields(cls))
+    return cls(*(x[:, None] if unit_axis else x for x in stacks))
 
 
 def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, tolerances=None):
@@ -339,9 +315,11 @@ def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, to
 
     `suites` is an iterable of names from SUITE_NAMES, or ("all",), in which
     case the Monte-Carlo check is included only where it is defined
-    (n = m = 1).  `samples` overrides the Monte-Carlo sample count and
-    `tolerances` maps suite names to tolerance overrides.  Each suite runs
-    as its _SUITE_TABLE row says, and every report carries the root seed.
+    (n = m = 1).  `samples` overrides the Monte-Carlo sample count, and a
+    run without that check rejects it; `tolerances` maps suite names to
+    tolerance overrides.  Each suite runs as its _SUITE_TABLE row says: its
+    parts are drawn one by one and checked in one call, so the report holds
+    the largest residual over all parts.  Every report carries the root seed.
     """
     tolerances = tolerances or {}
     wanted = list(SUITE_NAMES) if "all" in suites else list(suites)
@@ -350,15 +328,20 @@ def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, to
     unknown = set(wanted) - set(SUITE_NAMES)
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
+    if samples is not None and "mc" not in wanted:
+        raise ValueError("samples sizes the Monte-Carlo check, which this run does not include")
 
-    reports = []
+    names, reports = globals(), []
     for name in wanted:
-        row = _SUITE_TABLE[name]
-        parts = [
-            _run_part(params, seed, row, j, samples, tolerances.get(name))
-            for j in range(row[-1])
-        ]
-        report = _merge(parts)
-        report.seed = seed
-        reports.append(report)
+        check, factory, factory_offset, sampler, sample_offset, count, parts = _SUITE_TABLE[name]
+        if sampler is None:
+            args = [seed + sample_offset, count if samples is None else samples]
+        else:
+            draws = [names[sampler](params, seed + sample_offset + j, count) for j in range(parts)]
+            args = [_stack_parts(draws), tolerances.get(name), seed]
+        if factory is not None:
+            auts = [names[factory](params, seed + factory_offset + j) for j in range(parts)]
+            args.insert(0, _stack_parts(auts, unit_axis=True))
+        reports.append(names[check](params, *args))
+        reports[-1].seed = seed
     return reports

@@ -3,15 +3,18 @@
 Nothing here shares code paths with the production derivatives: the series
 oracle sums the defining power series directly, and the finite-difference
 oracles only ever call the functions they are checking at perturbed points.
+The per-part suite runner is the reference for run_suite's one call per
+suite: it shares the checks and draws, not the stacking.
 """
 
 from math import comb
 
 import numpy as np
 
+from fbh import verify
 from fbh.autgroup import apply
 from fbh.bergman import kernel, log_kernel_grad_wbar
-from fbh.domain import Point
+from fbh.domain import Point, sample_interior_arrays
 
 # Central-difference step balancing truncation against rounding for first
 # derivatives in double precision.
@@ -149,6 +152,11 @@ def stack(points) -> Point:
     return Point(np.array([p.z for p in points]), np.array([p.zeta for p in points]))
 
 
+def singles(X: Point) -> list:
+    """The points of a stack along its first axis, as a list of single Points."""
+    return [Point(z, zeta) for z, zeta in zip(X.z, X.zeta)]
+
+
 def assert_rows_match(stacked, singles, rtol=1e-13):
     """Row i of a stacked result equals the i-th one-point result to rtol,
     relative to that result's max-norm."""
@@ -158,3 +166,64 @@ def assert_rows_match(stacked, singles, rtol=1e-13):
     err = np.max(np.abs(stacked - singles).reshape(count, -1), axis=1)
     scale = np.max(np.abs(singles).reshape(count, -1), axis=1)
     assert np.all(err <= rtol * scale), np.max(err / scale)
+
+
+def sample_pairs_per_pair(params, seed, count):
+    """Reference for verify.sample_pairs: the same chunked draws, kept pair
+    by pair as a list of single-Point pairs."""
+    pairs, chunk_seed = [], seed
+    while len(pairs) < count:
+        Z, Zeta = sample_interior_arrays(params, chunk_seed, 2 * (count - len(pairs)) + 8)
+        for i in range(0, len(Z), 2):
+            p, q = Point(Z[i], Zeta[i]), Point(Z[i + 1], Zeta[i + 1])
+            guarded = abs(1.0 - kernel(params, p, q).t_arg) > verify.PAIR_POLE_DISTANCE
+            if guarded and len(pairs) < count:
+                pairs.append((p, q))
+        chunk_seed += 1
+    return pairs
+
+
+def _merge_parts(reports, seed):
+    """One report from per-part reports: the largest residual and detail
+    (NaN-propagating), the summed sample and skip counts."""
+    first = reports[0]
+    details = {}
+    for r in reports:
+        for k, v in r.details.items():
+            if k == "skipped":
+                details[k] = details.get(k, 0.0) + v
+            else:
+                details[k] = float(np.maximum(details.get(k, v), v))
+    residual = float(np.max([r.max_residual for r in reports], initial=0.0))
+    return verify.CheckReport(
+        name=first.name,
+        max_residual=residual,
+        tolerance=first.tolerance,
+        samples=sum(r.samples for r in reports),
+        passed=bool(residual <= first.tolerance),
+        seed=seed,
+        residual_kind=first.residual_kind,
+        details=details,
+    )
+
+
+def run_suite_per_part(params, seed, suites):
+    """Reference for verify.run_suite: every part of a suite is drawn as
+    _SUITE_TABLE says and checked in a call of its own, with one automorphism
+    and one part's samples, and the part reports are merged."""
+    reports = []
+    for name in suites:
+        check, factory, f_offset, sampler, s_offset, count, parts = verify._SUITE_TABLE[name]
+        fn = getattr(verify, check)
+        part_reports = []
+        for j in range(parts):
+            if sampler is None:
+                part_reports.append(fn(params, seed + s_offset + j, count))
+                continue
+            args = [params]
+            if factory is not None:
+                args.append(getattr(verify, factory)(params, seed + f_offset + j))
+            args.append(getattr(verify, sampler)(params, seed + s_offset + j, count))
+            part_reports.append(fn(*args, None, seed))
+        reports.append(_merge_parts(part_reports, seed))
+    return reports

@@ -21,7 +21,7 @@ from fbh.autgroup import (
 from fbh.domain import DomainParams, Point, defect, sample_boundary, sample_interior
 from fbh.errors import DimensionMismatch, NotUnitary
 
-from oracles import assert_rows_match, fd_jacobian, stack
+from oracles import assert_rows_match, fd_jacobian, singles
 
 P11 = DomainParams(1, 1, 1.0)
 CONFIGS = [P11, DomainParams(2, 1, 1.0), DomainParams(1, 2, 0.5), DomainParams(2, 2, 2.0)]
@@ -65,7 +65,7 @@ def test_apply_translation_at_zero():
 @pytest.mark.parametrize("params", CONFIGS)
 def test_apply_preserves_interior(params):
     a = random_automorphism(params, 3)
-    for p in sample_interior(params, 5, 250):
+    for p in singles(sample_interior(params, 5, 250)):
         assert defect(params, apply(params, a, p)) > 0.0
 
 
@@ -83,7 +83,7 @@ def test_invariant_slice_stays_exactly_flat(params):
 @pytest.mark.parametrize("params", CONFIGS)
 def test_boundary_maps_to_boundary(params):
     a = random_automorphism(params, 13)
-    for p in sample_boundary(params, 17, 50):
+    for p in singles(sample_boundary(params, 17, 50)):
         assert abs(defect(params, apply(params, a, p))) <= 1e-12
 
 
@@ -93,7 +93,7 @@ def test_origin_fixing_action_is_linear():
     for params in CONFIGS:
         rot = random_automorphism(params, 19)
         a = Automorphism(rot.U, rot.Uprime, np.zeros(params.n))
-        for p in sample_interior(params, 23, 10):
+        for p in singles(sample_interior(params, 23, 10)):
             image = apply(params, a, p)
             assert np.array_equal(image.z, a.U @ p.z)
             assert np.array_equal(image.zeta, a.Uprime @ p.zeta)
@@ -102,11 +102,73 @@ def test_origin_fixing_action_is_linear():
 @pytest.mark.parametrize("params", [P11, DomainParams(3, 2, 1.0), DomainParams(32, 4, 1.0)])
 def test_action_broadcasts_over_stacks(params):
     a = random_automorphism(params, 5)
-    pts = sample_interior(params, 7, 10)
-    X = stack(pts)
+    X = sample_interior(params, 7, 10)
+    pts = singles(X)
     assert_rows_match(scale_factor(params, a, X.z), [scale_factor(params, a, p.z) for p in pts])
     assert_rows_match(apply(params, a, X).coords(), [apply(params, a, p).coords() for p in pts])
     assert_rows_match(jacobian(params, a, X), [jacobian(params, a, p) for p in pts])
+
+
+def stack_auts(auts) -> Automorphism:
+    """The listed automorphisms as one stack, list index first."""
+    blocks = zip(*((a.U, a.Uprime, a.v) for a in auts))
+    return Automorphism(*(np.stack(b) for b in blocks))
+
+
+@pytest.mark.parametrize("params", [P11, DomainParams(3, 2, 1.0), DomainParams(32, 4, 1.0)])
+def test_automorphism_stacks_broadcast_against_point_stacks(params):
+    # 3 automorphisms stacked (3, 1) against points stacked (3, 4): row i of
+    # every result is automorphism i at the points of row i
+    auts = [random_automorphism(params, 40 + i) for i in range(3)]
+    A = stack_auts(auts)
+    A = Automorphism(A.U[:, None], A.Uprime[:, None], A.v[:, None])
+    X = sample_interior(params, 8, 12)
+    X = Point(X.z.reshape(3, 4, -1), X.zeta.reshape(3, 4, -1))
+    rows = [Point(X.z[i], X.zeta[i]) for i in range(3)]
+    ar = list(zip(auts, rows))
+    assert_rows_match(apply(params, A, X).coords(), [apply(params, a, r).coords() for a, r in ar])
+    for fn in (jacobian, jacobian_det):
+        assert_rows_match(fn(params, A, X), [fn(params, a, r) for a, r in ar])
+    assert_rows_match(scale_factor(params, A, X.z), [scale_factor(params, a, r.z) for a, r in ar])
+    # one point against the whole stack, and the stack against one automorphism
+    p = rows[0]
+    assert apply(params, A, Point(p.z[0], p.zeta[0])).z.shape == (3, 1, params.n)
+    assert jacobian_det(params, auts[0], X).shape == (3, 4)
+
+
+def test_automorphism_stack_group_operations_match_one_by_one():
+    params = DomainParams(3, 2, 0.7)
+    auts = [random_automorphism(params, 60 + i) for i in range(4)]
+    others = [random_automorphism(params, 70 + i) for i in range(4)]
+    A, B = stack_auts(auts), stack_auts(others)
+    for got, expected in (
+        (compose(params, A, B), [compose(params, a, b) for a, b in zip(auts, others)]),
+        (compose(params, A, others[0]), [compose(params, a, others[0]) for a in auts]),
+        (inverse(params, A), [inverse(params, a) for a in auts]),
+    ):
+        for name in ("U", "Uprime", "v"):
+            assert_rows_match(getattr(got, name), [getattr(e, name) for e in expected])
+    # a stack round-trips through the JSON codec with its leading axis
+    back = Automorphism.from_json(json.loads(json.dumps(A.to_json())))
+    assert back.U.shape == (4, 3, 3) and back.U.tobytes() == A.U.tobytes()
+
+
+def test_automorphism_stack_validation():
+    a = random_automorphism(P11, 1)
+    A = stack_auts([a, a])
+    with pytest.raises(NotUnitary):  # one bad member fails the whole stack
+        Automorphism(np.stack([a.U, 1.1 * a.U]), A.Uprime, A.v)
+    with pytest.raises(DimensionMismatch):  # leading shapes (2,), (2,), (3,)
+        Automorphism(A.U, A.Uprime, np.zeros((3, 1)))
+    X = sample_interior(P11, 2, 3)
+    for call in (
+        lambda: apply(P11, A, X),
+        lambda: jacobian(P11, A, X),
+        lambda: jacobian_det(P11, A, X),
+        lambda: compose(P11, A, stack_auts([a, a, a])),
+    ):
+        with pytest.raises(DimensionMismatch):
+            call()
 
 
 # -------------------------------- compose ----------------------------------
@@ -151,7 +213,7 @@ def test_compose_matches_pointwise_application(params):
         a = random_automorphism(params, 100 + trial)
         b = random_automorphism(params, 200 + trial)
         c = compose(params, a, b)
-        for p in sample_interior(params, 300 + trial, 10):
+        for p in singles(sample_interior(params, 300 + trial, 10)):
             direct = apply(params, c, p)
             nested = apply(params, a, apply(params, b, p))
             assert np.max(np.abs(direct.coords() - nested.coords())) <= 1e-12
@@ -162,7 +224,7 @@ def test_compose_associative_pointwise():
     a, b, c = (random_automorphism(params, s) for s in (1, 2, 3))
     left = compose(params, compose(params, a, b), c)
     right = compose(params, a, compose(params, b, c))
-    for p in sample_interior(params, 4, 20):
+    for p in singles(sample_interior(params, 4, 20)):
         assert np.max(
             np.abs(apply(params, left, p).coords() - apply(params, right, p).coords())
         ) <= 1e-10
@@ -185,7 +247,7 @@ def test_inverse_round_trip(params):
     assert np.max(np.abs(both.U - np.eye(params.n))) <= 1e-12
     assert np.max(np.abs(both.Uprime - np.eye(params.m))) <= 1e-12
     assert np.max(np.abs(both.v)) <= 1e-12
-    for p in sample_interior(params, 41, 100):
+    for p in singles(sample_interior(params, 41, 100)):
         back = apply(params, inv, apply(params, a, p))
         assert np.max(np.abs(back.coords() - p.coords())) <= 1e-10
 
@@ -200,7 +262,7 @@ def test_jacobian_identity():
 @pytest.mark.parametrize("params", CONFIGS)
 def test_jacobian_matches_finite_differences(params):
     a = random_automorphism(params, 43)
-    for p in sample_interior(params, 47, 5):
+    for p in singles(sample_interior(params, 47, 5)):
         J = jacobian(params, a, p)
         J_fd = fd_jacobian(params, a, p)
         assert np.max(np.abs(J - J_fd)) <= 1e-6 * max(np.max(np.abs(J)), 1.0)
@@ -280,7 +342,7 @@ def test_automorphism_arrays_are_frozen_copies():
 )
 def test_jacobian_det_closed_form_matches_lu(params):
     a = random_automorphism(params, 5)
-    X = stack(sample_interior(params, 6, 10))
+    X = sample_interior(params, 6, 10)
     X = Point(X.z.reshape(2, 5, -1), X.zeta.reshape(2, 5, -1))
     closed = jacobian_det(params, a, X)
     lu = np.linalg.det(jacobian(params, a, X))

@@ -22,13 +22,15 @@ from fbh.errors import (
     DimensionMismatch,
     DoesNotFixOrigin,
     KernelZero,
+    NotFinite,
     NotHermitian,
     NotPositiveDefinite,
+    OutsideDomain,
     PoleProximity,
 )
 from fbh.polylog import a_poly
 
-from oracles import assert_rows_match, fd_grad_wbar_log_kernel, fd_metric, stack
+from oracles import assert_rows_match, fd_grad_wbar_log_kernel, fd_metric, singles, stack
 
 P11 = DomainParams(1, 1, 1.0)
 CONFIGS = [P11, DomainParams(2, 1, 1.0), DomainParams(1, 2, 0.5), DomainParams(2, 2, 2.0)]
@@ -83,7 +85,7 @@ def test_kernel_against_origin_is_constant(params):
         / math.pi**params.dim
     )
     origin = Point.origin(params)
-    for p in sample_interior(params, 3, 20):
+    for p in singles(sample_interior(params, 3, 20)):
         kv = kernel(params, p, origin)
         assert kv.value == pytest.approx(expected, rel=1e-14)
     assert kernel(params, origin, origin).value.real > 0.0
@@ -91,7 +93,7 @@ def test_kernel_against_origin_is_constant(params):
 
 @pytest.mark.parametrize("params", CONFIGS)
 def test_kernel_hermitian_symmetry(params):
-    pts = sample_interior(params, 5, 20)
+    pts = singles(sample_interior(params, 5, 20))
     for p, q in zip(pts[::2], pts[1::2]):
         forward = kernel(params, p, q).value
         backward = kernel(params, q, p).value
@@ -100,7 +102,7 @@ def test_kernel_hermitian_symmetry(params):
 
 @pytest.mark.parametrize("params", CONFIGS)
 def test_kernel_diagonal_real_positive(params):
-    for p in sample_interior(params, 8, 25):
+    for p in singles(sample_interior(params, 8, 25)):
         kv = kernel(params, p, p)
         # the sub-epsilon imaginary residue on t is amplified by the
         # logarithmic derivative of (1-t)^-(n+m+1) as t nears the pole
@@ -112,19 +114,42 @@ def test_kernel_diagonal_real_positive(params):
 
 
 def test_kernel_pole_guard_propagates():
-    # a boundary-diagonal pair has t -> 1; force it with an exact boundary point
+    # a boundary-diagonal pair has t -> 1; force it with an exact boundary
+    # point through kernel_batch, which leaves membership unchecked
     p = Point([0.0], [1.0])
     with pytest.raises(PoleProximity):
-        kernel(P11, p, p)
+        kernel_batch(P11, p, p.z[None], p.zeta[None])
+
+
+@pytest.mark.parametrize(
+    "z, zeta, error",
+    [
+        ([0.0], [1.0], OutsideDomain),  # on the boundary
+        ([0.0], [5.0], OutsideDomain),
+        ([5.0], [1e-3], OutsideDomain),  # exp(-25) < 1e-6
+        ([np.nan], [0.0], NotFinite),
+        ([0.0], [np.inf], NotFinite),
+    ],
+)
+def test_kernel_rejects_points_not_strictly_inside(z, zeta, error):
+    X = stack([Point.origin(P11), Point(z, zeta)])
+    for p, q in ((X, Point.origin(P11)), (Point.origin(P11), X)):
+        with pytest.raises(error):
+            kernel(P11, p, q)
+
+
+def test_kernel_accepts_the_zeta_zero_slice_where_the_radius_underflows():
+    # exp(-mu ||z||^2) = exp(-20621) is 0 in floating point, yet zeta = 0 is inside
+    p = Point([-143.6], [0.0])
+    assert kernel(P11, p, Point.origin(P11)).value == pytest.approx(1.0 / math.pi**2)
 
 
 def test_kernel_batch_matches_scalar():
     params = DomainParams(2, 2, 1.3)
-    pts = sample_interior(params, 21, 8)
+    X = sample_interior(params, 21, 8)
+    pts = singles(X)
     p = pts[0]
-    Z = np.stack([q.z for q in pts])
-    Zeta = np.stack([q.zeta for q in pts])
-    values, t_args = kernel_batch(params, p, Z, Zeta)
+    values, t_args = kernel_batch(params, p, X.z, X.zeta)
     for i, q in enumerate(pts):
         kv = kernel(params, p, q)
         # batch computes K(p, q_i): scalar kernel with p first matches after
@@ -138,13 +163,13 @@ STACK_CONFIGS = [P11, DomainParams(3, 2, 1.0), DomainParams(32, 4, 1.0)]
 
 @pytest.mark.parametrize("params", STACK_CONFIGS)
 def test_kernel_functions_broadcast_over_stacks(params):
-    pts = sample_interior(params, 19, 20)
+    pts = singles(sample_interior(params, 19, 20))
     ps, qs = pts[:10], pts[10:]
     P, Q = stack(ps), stack(qs)
     kv = kernel(params, P, Q)
-    singles = [kernel(params, p, q) for p, q in zip(ps, qs)]
-    assert_rows_match(kv.value, [k.value for k in singles])
-    assert_rows_match(kv.t_arg, [k.t_arg for k in singles])
+    one_by_one = [kernel(params, p, q) for p, q in zip(ps, qs)]
+    assert_rows_match(kv.value, [k.value for k in one_by_one])
+    assert_rows_match(kv.t_arg, [k.t_arg for k in one_by_one])
     assert_rows_match(kernel(params, ps[0], Q).value, [kernel(params, ps[0], q).value for q in qs])
     for fn in (log_kernel_grad_wbar, metric):
         assert_rows_match(fn(params, P, Q), [fn(params, p, q) for p, q in zip(ps, qs)])
@@ -154,8 +179,8 @@ def test_kernel_functions_broadcast_over_stacks(params):
 
 @pytest.mark.parametrize("params", STACK_CONFIGS)
 def test_one_call_gram_matches_kernel_batch_rows(params):
-    pts = sample_interior(params, 29, 10)
-    X = stack(pts)
+    X = sample_interior(params, 29, 10)
+    pts = singles(X)
     gram = kernel(params, Point(X.z[:, None], X.zeta[:, None]), X).value
     assert_rows_match(gram, [[kernel(params, p, q).value for q in pts] for p in pts])
     # kernel_batch sums <z, z'> in one BLAS matrix-vector product, the stacked
@@ -169,7 +194,7 @@ def test_log_derivatives_raise_kernel_zero_if_any_row_vanishes():
     # at z = (40, 0), z' = (-40, 0) the factor exp(m mu <z, z'>) = exp(-1600)
     # underflows, so the last pair of the stack has K = 0
     params = DomainParams(2, 1, 1.0)
-    pts = sample_interior(params, 3, 6)
+    pts = singles(sample_interior(params, 3, 6))
     P = stack(pts[:3] + [Point([40.0, 0.0], [0.0])])
     Q = stack(pts[3:] + [Point([-40.0, 0.0], [0.0])])
     for fn in (log_kernel_grad_wbar, metric):
@@ -186,14 +211,14 @@ def test_grad_zero_at_origin():
 
 @pytest.mark.parametrize("params", CONFIGS)
 def test_grad_z_components_at_origin_second_argument(params):
-    p = sample_interior(params, 13, 1)[0]
+    p = singles(sample_interior(params, 13, 1))[0]
     g = log_kernel_grad_wbar(params, p, Point.origin(params))
     assert np.allclose(g[: params.n], params.m * params.mu * p.z, rtol=1e-14)
 
 
 @pytest.mark.parametrize("params", CONFIGS)
 def test_grad_matches_finite_differences(params):
-    pts = sample_interior(params, 17, 50)
+    pts = singles(sample_interior(params, 17, 50))
     for p, q in zip(pts[::2], pts[1::2]):
         analytic = log_kernel_grad_wbar(params, p, q)
         numeric = fd_grad_wbar_log_kernel(params, p, q)
@@ -224,20 +249,20 @@ def test_metric_origin_block_structure(params):
 def test_metric_against_origin_is_constant(params):
     o = Point.origin(params)
     base = metric(params, o, o)
-    for p in sample_interior(params, 23, 50):
+    for p in singles(sample_interior(params, 23, 50)):
         assert np.max(np.abs(metric(params, p, o) - base)) <= 1e-10
 
 
 @pytest.mark.parametrize("params", CONFIGS)
 def test_metric_hermitian_on_diagonal(params):
-    for p in sample_interior(params, 29, 10):
+    for p in singles(sample_interior(params, 29, 10)):
         T = metric(params, p, p)
         assert np.max(np.abs(T - T.conj().T)) <= 1e-12 * max(np.max(np.abs(T)), 1.0)
 
 
 @pytest.mark.parametrize("params", CONFIGS)
 def test_metric_matches_finite_differences(params):
-    pts = sample_interior(params, 31, 20)
+    pts = singles(sample_interior(params, 31, 20))
     for p, q in zip(pts[::2], pts[1::2]):
         analytic = metric(params, p, q)
         numeric = fd_metric(params, p, q)
@@ -285,7 +310,7 @@ def test_representative_map_origin_and_example():
 def test_representative_map_is_linear(params):
     o = Point.origin(params)
     half = sqrt_pd(metric(params, o, o))
-    for p in sample_interior(params, 37, 100):
+    for p in singles(sample_interior(params, 37, 100)):
         sigma = representative_map(params, p)
         expected = half @ p.coords()
         assert np.max(np.abs(sigma - expected)) <= 1e-8 * max(np.max(np.abs(expected)), 1.0)
@@ -305,7 +330,7 @@ def test_l_matrix_unitary_and_commutes(params):
     assert np.max(np.abs(L.conj().T @ L - np.eye(params.dim))) <= 1e-10
     from fbh.autgroup import apply
 
-    for p in sample_interior(params, 43, 20):
+    for p in singles(sample_interior(params, 43, 20)):
         lhs = representative_map(params, apply(params, fixing, p))
         rhs = L @ representative_map(params, p)
         assert np.max(np.abs(lhs - rhs)) <= 1e-7 * max(np.max(np.abs(lhs)), 1.0)
@@ -316,3 +341,16 @@ def test_l_matrix_requires_origin_fixing():
     assert np.linalg.norm(a.v) > 1e-6
     with pytest.raises(DoesNotFixOrigin):
         l_matrix(P11, a)
+
+
+def test_l_matrix_broadcasts_over_automorphism_stacks():
+    params = DomainParams(3, 2, 1.0)
+    rots = [random_automorphism(params, 50 + i) for i in range(3)]
+    U, Up = np.stack([r.U for r in rots]), np.stack([r.Uprime for r in rots])
+    stacked = l_matrix(params, Automorphism(U, Up, np.zeros((3, params.n))))
+    one_by_one = [l_matrix(params, Automorphism(r.U, r.Uprime, np.zeros(params.n))) for r in rots]
+    assert_rows_match(stacked, one_by_one)
+    v = np.zeros((3, params.n))
+    v[2, 0] = 1e-3  # one member that moves the origin fails the whole stack
+    with pytest.raises(DoesNotFixOrigin):
+        l_matrix(params, Automorphism(U, Up, v))

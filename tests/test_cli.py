@@ -165,6 +165,20 @@ def test_verify_mc_zero_samples_exits_2(capsys):
     assert "error:" in captured.err and "samples=" not in captured.out
 
 
+@pytest.mark.parametrize(
+    "suite, params, samples, code",
+    [
+        ("gram", "1,1,1.0", "0", 2),
+        ("all", "3,2,1.0", "100000", 2),  # all drops mc where n, m != 1
+        ("all", "1,1,1.0", "100000", 0),
+    ],
+)
+def test_verify_samples_needs_the_mc_suite(suite, params, samples, code, capsys):
+    argv = ["verify", "--suite", suite, "--params", params, "--samples", samples]
+    assert main(argv) == code
+    assert ("error:" in capsys.readouterr().err) == (code == 2)
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["a-poly", "--n", "2", "--m", "0", "--frobnicate"])

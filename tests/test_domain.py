@@ -20,7 +20,7 @@ from fbh.domain import (
 )
 from fbh.errors import DimensionMismatch, NotFinite, NotUnit
 
-from oracles import assert_rows_match, stack
+from oracles import assert_rows_match, singles, stack
 
 P11 = DomainParams(1, 1, 1.0)
 
@@ -57,8 +57,8 @@ def test_defect_dimension_mismatch():
 
 @pytest.mark.parametrize("params", [P11, DomainParams(3, 2, 1.0), DomainParams(32, 4, 1.0)])
 def test_defect_and_density_broadcast_over_stacks(params):
-    pts = sample_interior(params, 3, 10)
-    X = stack(pts)
+    X = sample_interior(params, 3, 10)
+    pts = singles(X)
     check_point(params, X)
     assert_rows_match(defect(params, X), [defect(params, p) for p in pts])
     assert_rows_match(sample_density(params, X), [sample_density(params, p) for p in pts])
@@ -139,17 +139,17 @@ def test_project_then_shrink_is_interior():
 
 @pytest.mark.parametrize("params", [P11, DomainParams(2, 2, 0.5), DomainParams(1, 3, 2.0)])
 def test_sample_interior_membership_and_determinism(params):
-    pts = sample_interior(params, 42, 200)
+    pts = singles(sample_interior(params, 42, 200))
     assert len(pts) == 200
     assert all(defect(params, p) > 0.0 for p in pts)
-    again = sample_interior(params, 42, 200)
+    again = singles(sample_interior(params, 42, 200))
     for p, q in zip(pts, again):
         assert np.array_equal(p.z, q.z) and np.array_equal(p.zeta, q.zeta)
 
 
 def test_sample_interior_fiber_moment():
     # uniform in the fiber ball means E(||zeta||^2 e^(mu ||z||^2)) = 1/2
-    pts = sample_interior(P11, 11, 1000)
+    pts = singles(sample_interior(P11, 11, 1000))
     vals = [
         float(np.vdot(p.zeta, p.zeta).real) * math.exp(float(np.vdot(p.z, p.z).real))
         for p in pts
@@ -159,7 +159,7 @@ def test_sample_interior_fiber_moment():
 
 def test_sample_density_matches_closed_form():
     params = DomainParams(2, 1, 1.5)
-    p = sample_interior(params, 1, 1)[0]
+    p = singles(sample_interior(params, 1, 1))[0]
     z2 = float(np.vdot(p.z, p.z).real)
     expected = (
         (params.mu / math.pi) ** 2
@@ -189,15 +189,15 @@ def test_sample_interior_arrays_int_seed_equals_generator(params):
 
 def test_sample_boundary_points_lie_on_boundary():
     params = DomainParams(2, 2, 2.0)
-    for p in sample_boundary(params, 9, 50):
+    for p in singles(sample_boundary(params, 9, 50)):
         assert abs(defect(params, p)) <= 1e-14
 
 
 @pytest.mark.parametrize("params", [P11, DomainParams(3, 2, 1.0), DomainParams(32, 4, 1.0)])
 def test_sample_boundary_shorter_draw_is_prefix(params):
-    longer = sample_boundary(params, 5, 20)
+    longer = singles(sample_boundary(params, 5, 20))
     for k in (1, 7):
-        shorter = sample_boundary(params, 5, k)
+        shorter = singles(sample_boundary(params, 5, k))
         for p, q in zip(shorter, longer[:k], strict=True):
             assert np.array_equal(p.z, q.z) and np.array_equal(p.zeta, q.zeta)
 
@@ -217,7 +217,7 @@ def test_point_json_format_is_re_im_pairs():
 
 
 def test_stacked_point_json_round_trip_bit_for_bit():
-    X = stack(sample_interior(DomainParams(3, 2, 1.0), 2, 4))
+    X = sample_interior(DomainParams(3, 2, 1.0), 2, 4)
     z = np.stack([X.z, -X.z])
     z[1, 0, 0] = complex(-0.0, -0.0)
     X = Point(z, np.stack([X.zeta, X.zeta]))

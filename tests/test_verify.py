@@ -2,13 +2,14 @@
 
 import math
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from fbh import autgroup, polylog, verify
 from fbh.autgroup import Automorphism, identity, random_automorphism
-from fbh.bergman import kernel_batch
+from fbh.bergman import kernel, kernel_batch
 from fbh.domain import (
     DomainParams,
     Point,
@@ -19,8 +20,6 @@ from fbh.domain import (
 )
 from fbh.verify import (
     SUITE_NAMES,
-    CheckReport,
-    _merge,
     check_boundary_invariance,
     check_cartan,
     check_gram_psd,
@@ -30,6 +29,8 @@ from fbh.verify import (
     run_suite,
     sample_pairs,
 )
+
+from oracles import run_suite_per_part, sample_pairs_per_pair, singles, stack
 
 P11 = DomainParams(1, 1, 1.0)
 CONFIGS = [P11, DomainParams(2, 1, 1.0), DomainParams(1, 2, 0.5), DomainParams(2, 2, 2.0)]
@@ -49,10 +50,19 @@ def test_report_invariant_passed_iff_within_tolerance():
 
 
 def test_sample_pairs_respects_pole_guard():
-    from fbh.bergman import kernel
+    params = DomainParams(2, 2, 1.0)
+    P, Q = sample_pairs(params, 3, 20)
+    assert P.z.shape == Q.z.shape == P.zeta.shape == Q.zeta.shape == (20, 2)
+    assert np.all(np.abs(1.0 - kernel(params, P, Q).t_arg) > 1e-6)
 
-    for p, q in sample_pairs(DomainParams(2, 2, 1.0), 3, 20):
-        assert abs(1.0 - kernel(DomainParams(2, 2, 1.0), p, q).t_arg) > 1e-6
+
+@pytest.mark.parametrize("params", [P11, DomainParams(32, 4, 1.0)])
+def test_sample_pairs_draws_the_pairs_of_the_per_pair_loop(params):
+    P, Q = sample_pairs(params, 7, 10)
+    pairs = sample_pairs_per_pair(params, 7, 10)
+    for X, ref in ((P, [p for p, _ in pairs]), (Q, [q for _, q in pairs])):
+        assert X.z.tobytes() == stack(ref).z.tobytes()
+        assert X.zeta.tobytes() == stack(ref).zeta.tobytes()
 
 
 # ------------------------------ kernel law ---------------------------------
@@ -66,7 +76,7 @@ def test_kernel_law_translation_at_origin():
     # both sides reduce to K(0,0) because |det J|^2 cancels the z-exponent
     o = Point.origin(P11)
     a = Automorphism(np.eye(1), np.eye(1), np.array([0.8 - 0.3j]))
-    report = check_kernel_law(P11, a, [(o, o)])
+    report = check_kernel_law(P11, a, (o, o))
     assert report.max_residual <= 1e-12
 
 
@@ -99,21 +109,37 @@ def test_metric_law_random(params):
 def test_metric_law_skips_and_counts_vanishing_kernels():
     # at (1, 1) K = exp(<z, z'>) / pi^2 at zeta = 0, below KERNEL_FLOOR once Re <z, z'> < -688:
     # at (p, q) for the first pair, only at (a p, a q) for the second
-    vanishing = [
-        (Point([25.0], [0.0]), Point([-30.0], [0.0])),
-        (Point([-143.6], [0.0]), Point.origin(P11)),
-    ]
+    ps = [Point([25.0], [0.0]), Point([-143.6], [0.0])]
+    qs = [Point([-30.0], [0.0]), Point.origin(P11)]
     a = Automorphism(np.eye(1), np.eye(1), np.array([5.0]))
-    report = check_metric_law(P11, a, vanishing)
+    report = check_metric_law(P11, a, (stack(ps), stack(qs)))
     assert report.details["skipped"] == 2 and report.max_residual == 0.0
-    report = check_metric_law(P11, identity(P11), sample_pairs(P11, 3, 4) + vanishing[:1])
-    assert report.details["skipped"] == 1 and report.passed
+    P, Q = sample_pairs(P11, 3, 4)
+    P, Q = (stack(singles(x) + [y]) for x, y in ((P, ps[0]), (Q, qs[0])))
+    report = check_metric_law(P11, identity(P11), (P, Q))
+    assert report.details["skipped"] == 1 and report.passed and report.samples == 5
+
+
+def test_metric_law_skipped_pairs_keep_their_rows():
+    # two automorphisms stacked (2, 1) against two rows of three pairs: the
+    # second row vanishes only at (b p, b q) and is zeroed, the first row is
+    # still checked against a, its own automorphism
+    a = random_automorphism(P11, 3)
+    b = Automorphism(np.eye(1), np.eye(1), np.array([5.0]))
+    ab = Automorphism(*(np.stack([x, y])[:, None] for x, y in zip(astuple(a), astuple(b))))
+    P, Q = sample_pairs(P11, 5, 3)
+    far = Point(np.full((3, 1), -143.6), np.zeros((3, 1)))
+    o = Point(np.zeros((3, 1)), np.zeros((3, 1)))
+    report = check_metric_law(P11, ab, (stack([P, far]), stack([Q, o])))
+    alone = check_metric_law(P11, a, (P, Q))
+    assert report.details["skipped"] == 3 and report.samples == 6
+    assert report.max_residual == alone.max_residual > 0.0
 
 
 def test_metric_diagonal_pairs_hermitian():
     from fbh.bergman import metric
 
-    for p in sample_interior(DomainParams(2, 2, 1.0), 23, 10):
+    for p in singles(sample_interior(DomainParams(2, 2, 1.0), 23, 10)):
         T = metric(DomainParams(2, 2, 1.0), p, p)
         assert np.max(np.abs(T - T.conj().T)) <= 1e-10 * max(np.max(np.abs(T)), 1.0)
 
@@ -150,8 +176,9 @@ def test_gram_forty_points():
 
 
 def test_gram_duplicated_rows_still_psd():
-    pts = sample_interior(P11, 47, 10)
-    report = check_gram_psd(P11, pts + pts[:3])
+    rows = [*range(10), 0, 1, 2]
+    X = sample_interior(P11, 47, 10)
+    report = check_gram_psd(P11, Point(X.z[rows], X.zeta[rows]))
     assert report.passed
 
 
@@ -217,6 +244,15 @@ def test_run_suite_mc_zero_samples_rejected():
         run_suite(P11, 0, ("mc",), samples=0)
 
 
+@pytest.mark.parametrize(
+    "params, suites",
+    [(P11, ("gram", "boundary")), (DomainParams(3, 2, 1.0), ("all",)), (P11, ("kernel-law",))],
+)
+def test_run_suite_rejects_samples_without_mc(params, suites):
+    with pytest.raises(ValueError, match="Monte-Carlo"):
+        run_suite(params, 0, suites, samples=100_000)
+
+
 # ------------------------------- boundary ----------------------------------
 
 def test_boundary_identity_zero():
@@ -278,6 +314,61 @@ def test_run_suite_tolerance_override_forces_failure():
     assert not reports[0].passed
 
 
+ORACLE_PARAMS = [P11, DomainParams(3, 2, 1.0), DomainParams(32, 4, 1.0), DomainParams(2, 64, 1.0)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("params", ORACLE_PARAMS)
+def test_run_suite_matches_the_per_part_oracle(params, seed):
+    # kernel-law overflows at (2, 64) (ROADMAP open item 2): the comparison
+    # wants the inf and NaN it produces, not a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        reports = run_suite(params, seed, ("all",))
+        expected = run_suite_per_part(params, seed, [r.name for r in reports])
+    assert [r.name for r in reports] == [r.name for r in expected]
+    for got, ref in zip(reports, expected):
+        same = ("name", "samples", "tolerance", "passed", "seed", "residual_kind")
+        assert [getattr(got, k) for k in same] == [getattr(ref, k) for k in same]
+        assert got.details.keys() == ref.details.keys()
+        assert got.details.get("skipped") == ref.details.get("skipped")
+        pairs = [(got.max_residual, ref.max_residual)]
+        pairs += [(got.details[k], ref.details[k]) for k in ref.details]
+        for x, y in pairs:
+            if math.isfinite(y):
+                assert abs(x - y) <= 2e-13, (got.name, x, y)
+            else:  # NaN or inf exactly where the oracle has them
+                assert x == y or math.isnan(x) and math.isnan(y), (got.name, x, y)
+    mc = [r for r in reports if r.name == "mc"]
+    assert [r.to_dict() for r in mc] == [r.to_dict() for r in expected if r.name == "mc"]
+
+
+def test_run_suite_makes_one_check_call_per_suite(monkeypatch):
+    # the call budget of one (32, 4) op: a per-part loop would call each check
+    # 10 (boundary: 4) times and polylog_deriv 111 times
+    from fbh import bergman
+
+    calls = {}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.setdefault(name, []).append(args)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    checks = [n for n in dir(verify) if n.startswith("check_")]
+    for name in checks + ["random_automorphism"]:
+        monkeypatch.setattr(verify, name, spy(name, getattr(verify, name)))
+    monkeypatch.setattr(bergman, "polylog_deriv", spy("polylog_deriv", bergman.polylog_deriv))
+    run_suite(DomainParams(32, 4, 1.0), 5, ("all",))
+    assert {name: len(calls.get(name, ())) for name in checks} == dict.fromkeys(checks, 1)
+    assert len(calls["polylog_deriv"]) <= 30
+    offsets = [101, 501, 901, 1701]  # kernel-law, metric-law, cartan, boundary factories
+    parts = [10, 10, 10, 4]
+    expected = sorted(5 + off + j for off, k in zip(offsets, parts) for j in range(k))
+    assert sorted(args[1] for args in calls["random_automorphism"]) == expected
+
+
 def test_run_suite_rejects_unknown_suite():
     with pytest.raises(ValueError):
         run_suite(P11, 0, suites=("nonsense",))
@@ -312,15 +403,21 @@ def test_run_suite_metric_law_and_cartan_at_max_order(nm):
 
 # ------------------------- NaN fails closed --------------------------------
 
-def _plain_report(residual):
-    return CheckReport("x", residual, 1.0, 1, residual <= 1.0, 0)
+@pytest.mark.parametrize("part", [0, 3])
+def test_nan_in_one_part_fails_the_whole_suite(part, monkeypatch):
+    # boundary runs 4 parts of 50 points in one call: one NaN defect, in the
+    # first or the last part, makes the suite's report NaN
+    real = verify.defect
 
+    def one_nan(params, p):
+        d = real(params, p).copy()
+        d[part, 7] = math.nan
+        return d
 
-@pytest.mark.parametrize("order", [(0.0, math.nan), (math.nan, 0.0)])
-def test_merge_propagates_nan(order):
-    merged = _merge([_plain_report(r) for r in order])
-    assert math.isnan(merged.max_residual)
-    assert not merged.passed
+    monkeypatch.setattr(verify, "defect", one_nan)
+    [report] = run_suite(P11, 0, suites=("boundary",))
+    assert math.isnan(report.max_residual) and report.samples == 200
+    assert not report.passed
 
 
 def test_check_fed_nan_residual_fails(monkeypatch):
@@ -366,7 +463,7 @@ def test_mutation_jacobian_det_without_scale_power(params, monkeypatch):
 @pytest.mark.parametrize("params", MUTATION_CONFIGS)
 def test_mutation_scale_factor_without_norm_term(params, monkeypatch):
     def no_norm_term(params, a, z):
-        return np.exp(-params.mu * (z @ (a.v.conj() @ a.U)))
+        return np.exp(-params.mu * np.einsum("...i,...ij,...j->...", a.v.conj(), a.U, z))
 
     monkeypatch.setattr(autgroup, "scale_factor", no_norm_term)
     suites = ("kernel-law", "metric-law", "boundary")
