@@ -64,6 +64,13 @@ class Automorphism:
         return Automorphism(from_pairs(obj["U"]), from_pairs(obj["Uprime"]), from_pairs(obj["v"]))
 
 
+def _from_unitary(U, Uprime, v) -> Automorphism:
+    """An Automorphism from blocks of validated ones, frozen but not checked again."""
+    a = object.__new__(Automorphism)
+    a.__dict__.update(U=_frozen(U), Uprime=_frozen(Uprime), v=_frozen(v))
+    return a
+
+
 def identity(params: DomainParams) -> Automorphism:
     return Automorphism(np.eye(params.n), np.eye(params.m), np.zeros(params.n))
 

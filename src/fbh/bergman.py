@@ -70,15 +70,19 @@ class KernelValue:
     t_arg: complex | np.ndarray
 
 
-def _kernel_rows(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray):
-    """(s, t, K) against q = (Z, Zeta), broadcast over leading axes: s = <p.z, Z>,
-    t = exp(mu s) <p.zeta, Zeta> and K(p, q).  The one place the kernel
-    formula is written down; every evaluation below goes through it.
-    """
+def _kernel_args(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray):
+    """s = <p.z, Z> and t = exp(mu s) <p.zeta, Zeta>, broadcast over leading axes."""
     check_point(params, p)
     s = inner(p.z, Z)
     t = np.exp(params.mu * s)
     t *= inner(p.zeta, Zeta)
+    return s, t
+
+
+def _kernel_rows(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray):
+    """(s, t, K(p, q)) against q = (Z, Zeta).  The kernel formula is written
+    down here, and only in logs elsewhere (verify.check_gram_psd)."""
+    s, t = _kernel_args(params, p, Z, Zeta)
     values = np.exp(params.m * params.mu * s)
     values *= params.mu ** params.n / math.pi ** params.dim
     values *= polylog_deriv(params.n, params.m, t)
@@ -94,14 +98,18 @@ def kernel(params: DomainParams, p: Point, q: Point) -> KernelValue:
     exp(-mu ||z||^2) underflows.  Raises PoleProximity when t falls inside
     the guard band around 1.
     """
-    for x in (p, q):
+    _check_interior(params, p, q)
+    _, t, values = _kernel_rows(params, p, q.z, q.zeta)
+    return KernelValue(value=values, t_arg=t)
+
+
+def _check_interior(params: DomainParams, *points: Point) -> None:
+    for x in points:
         if not (np.isfinite(x.z).all() and np.isfinite(x.zeta).all()):
             raise NotFinite("kernel takes finite coordinates")
         with np.errstate(divide="ignore"):
             if not np.all(np.log(_norm2(x.zeta)) < -params.mu * _norm2(x.z)):
                 raise OutsideDomain("kernel takes points strictly inside the domain")
-    _, t, values = _kernel_rows(params, p, q.z, q.zeta)
-    return KernelValue(value=values, t_arg=t)
 
 
 def kernel_batch(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray):
@@ -159,14 +167,18 @@ def metric(params: DomainParams, p: Point, q: Point) -> np.ndarray:
     s, t, G, H = (x[..., None, None] for x in (s, t, G, H))
     E = np.exp(params.mu * s)
     W = G + t * H
-    mu = params.mu
+    mu, n = params.mu, params.n
     z, zeta = p.z[..., :, None], p.zeta[..., :, None]
     zbar, zetabar = q.z.conj()[..., None, :], q.zeta.conj()[..., None, :]
-    zz = mu * (params.m + t * G) * np.eye(params.n) + mu * mu * t * W * (z * zbar)
-    z_zeta = mu * E * W * (z * zetabar)
-    zeta_z = mu * E * W * (zeta * zbar)
-    zeta_zeta = E * G * np.eye(params.m) + E * E * H * (zeta * zetabar)
-    return np.block([[zz, z_zeta], [zeta_z, zeta_zeta]])
+    # One output array, each block written into it bit for bit as above
+    T = np.empty(s.shape[:-2] + (params.dim, params.dim), dtype=complex)
+    np.multiply(mu * mu * t * W, z * zbar, out=T[..., :n, :n])
+    np.multiply(mu * E * W, z * zetabar, out=T[..., :n, n:])
+    np.multiply(mu * E * W, zeta * zbar, out=T[..., n:, :n])
+    np.multiply(E * E * H, zeta * zetabar, out=T[..., n:, n:])
+    T[..., :n, :n] += mu * (params.m + t * G) * np.eye(n)
+    T[..., n:, n:] += E * G * np.eye(params.m)
+    return T
 
 
 def _origin_metric_diagonal(params: DomainParams) -> np.ndarray:

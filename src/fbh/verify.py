@@ -12,9 +12,11 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .autgroup import Automorphism, _matvec, apply, jacobian, jacobian_det, random_automorphism
+from .autgroup import Automorphism, _from_unitary, _matvec, apply, jacobian, jacobian_det, random_automorphism
 from .bergman import (
     KERNEL_FLOOR,
+    _check_interior,
+    _kernel_args,
     _kernel_rows,
     inv_sqrt_pd,
     kernel,
@@ -34,6 +36,7 @@ from .domain import (
     sample_interior,
     sample_interior_arrays,
 )
+from .polylog import _guarded, a_poly
 
 # One row per suite: (check, automorphism factory, its seed offset, sampler,
 # its seed offset, sample count, parts); part j uses sub-seeds seed + offset + j.
@@ -110,12 +113,12 @@ def _worst(residuals) -> float:
 def sample_pairs(params: DomainParams, seed: int, count: int):
     """Stacks (P, Q) of `count` interior point pairs with |1 - t| above the
     pole guard: consecutive draws of the interior sampler, one chunk seed
-    after another."""
+    after another.  Only t is computed, not the kernel value."""
     rows, need, chunk_seed = [], count, seed
     while need > 0:
         Z, Zeta = sample_interior_arrays(params, chunk_seed, 2 * need + 8)
         P, Q = Point(Z[0::2], Zeta[0::2]), Point(Z[1::2], Zeta[1::2])
-        t = kernel(params, P, Q).t_arg
+        t = _kernel_args(params, P, Q.z, Q.zeta)[1]
         kept = np.flatnonzero(np.abs(1.0 - t) > PAIR_POLE_DISTANCE)[:need]
         rows.append([x[kept] for x in (P.z, P.zeta, Q.z, Q.zeta)])
         need -= len(kept)
@@ -150,7 +153,7 @@ def check_metric_law(params, a: Automorphism, pairs, tolerance=None, seed=0) -> 
     counted, also when K is NaN at the other (hence fmin): they are
     evaluated at the origin pair instead, which keeps every row aligned with
     its automorphism, and their residual is zeroed.  Images are unchecked,
-    as in check_kernel_law."""
+    as in check_kernel_law.  At most three metric-sized stacks are live."""
     P, Q = pairs
     aP, aQ = apply(params, a, P), apply(params, a, Q)
     image = _kernel_rows(params, aP, aQ.z, aQ.zeta)[2]
@@ -159,11 +162,12 @@ def check_metric_law(params, a: Automorphism, pairs, tolerance=None, seed=0) -> 
     at_origin = vanishing[..., None]
     P, Q, aP, aQ = (Point(np.where(at_origin, 0.0, x.z), np.where(at_origin, 0.0, x.zeta))
                     for x in (P, Q, aP, aQ))
+    rhs = np.conj(jacobian(params, a, Q)).swapaxes(-1, -2) @ metric(params, aP, aQ)
+    rhs = rhs @ jacobian(params, a, P)
     lhs = metric(params, P, Q)
-    J_q, J_p = jacobian(params, a, Q), jacobian(params, a, P)
-    rhs = J_q.conj().swapaxes(-1, -2) @ metric(params, aP, aQ) @ J_p
     scale = np.max(np.abs(lhs), axis=(-2, -1))
-    residuals = np.max(np.abs(lhs - rhs), axis=(-2, -1)) / np.maximum(scale, KERNEL_FLOOR)
+    diff = np.subtract(lhs, rhs, out=rhs)
+    residuals = np.max(np.abs(diff), axis=(-2, -1)) / np.maximum(scale, KERNEL_FLOOR)
     residuals = np.where(vanishing, 0.0, residuals)
     return _report(
         "metric-law", _worst(residuals), tolerance, residuals.size, seed, "relative",
@@ -214,30 +218,33 @@ def check_gram_psd(params, points, tol=None, seed=0) -> CheckReport:
     D^(-1/2) G D^(-1/2), which shares positivity with G but keeps the
     eigensolver's backward error scale-free; near-boundary points can push
     raw diagonal entries to 1e10, where an absolute floor on the raw
-    spectrum would only measure rounding.  The raw minimum eigenvalue is
-    reported in the details.
-
-    A Gram matrix with non-finite entries (kernel values overflow at large
-    orders) fails, with its count of them in the details, and no warning.
+    spectrum would only measure rounding.  It is exp(L_ij - (L_ii + L_jj)/2)
+    with L = log G from log A(t), so it stays finite where G overflows.  The
+    details give the raw minimum eigenvalue, or G's count of overflowing
+    entries.  The points get kernel()'s checks.  A normalized Gram with
+    non-finite entries fails, with their count in the details, and no warning.
     """
     kind = "absolute (diagonal-normalized Gram)"
-    X = points
-    rows = Point(X.z[..., None, :], X.zeta[..., None, :])
-    columns = Point(X.z[..., None, :, :], X.zeta[..., None, :, :])
-    with np.errstate(over="ignore", invalid="ignore"):
-        G = kernel(params, rows, columns).value
-    npts = X.z[..., 0].size
-    non_finite = np.count_nonzero(~np.isfinite(G))
+    _check_interior(params, points)
+    z, zeta = points.z[..., None, :], points.zeta[..., None, :]  # rows; columns swap axes
+    s, t = _kernel_args(params, Point(z, zeta), z.swapaxes(-2, -3), zeta.swapaxes(-2, -3))
+    npts = points.z[..., 0].size
+    t, u = _guarded(params.n, t)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        L = params.m * params.mu * s + np.log(a_poly(params.n, params.m).eval(t))
+        L -= (params.dim + 1) * np.log(u)
+        half = np.diagonal(L, axis1=-2, axis2=-1).real / 2.0
+        normalized = np.exp(L - half[..., :, None] - half[..., None, :])
+        G = np.exp(L + params.n * math.log(params.mu) - params.dim * math.log(math.pi))
+    non_finite = np.count_nonzero(~np.isfinite(normalized))
     if non_finite:
         return _report("gram", math.inf, tol, npts, seed, kind, non_finite=non_finite)
-    G = (G + G.conj().swapaxes(-1, -2)) / 2.0
-    d = np.sqrt(np.abs(np.diagonal(G, axis1=-2, axis2=-1).real))
-    normalized = G / (d[..., :, None] * d[..., None, :])
     min_norm = float(np.linalg.eigvalsh(normalized).min())
-    min_raw = float(np.linalg.eigvalsh(G).min())
+    raw = {"raw_non_finite": np.count_nonzero(~np.isfinite(G))}
+    if not raw["raw_non_finite"]:
+        raw = {"min_eigenvalue_raw": np.linalg.eigvalsh(G).min()}
     return _report(
-        "gram", max(0.0, -min_norm), tol, npts, seed, kind,
-        min_eigenvalue_normalized=min_norm, min_eigenvalue_raw=min_raw,
+        "gram", max(0.0, -min_norm), tol, npts, seed, kind, min_eigenvalue_normalized=min_norm, **raw
     )
 
 
@@ -296,18 +303,20 @@ def check_boundary_invariance(params, a: Automorphism, boundary_points, toleranc
 def _rotation(params: DomainParams, seed: int) -> Automorphism:
     """Origin-fixing automorphism: the rotation part of a random one."""
     rot = random_automorphism(params, seed)
-    return Automorphism(rot.U, rot.Uprime, np.zeros(params.n))
+    return _from_unitary(rot.U, rot.Uprime, np.zeros(params.n))
 
 
-def _stack_parts(draws, unit_axis=False):
+def _stack_parts(draws):
     """The parts' draws, Points, (P, Q) pairs of them or Automorphisms, as
-    one stack with the parts axis first; unit_axis adds a length-1 axis after
-    it, so that one automorphism per part broadcasts over the part's samples."""
+    one stack with the parts axis first.  Automorphisms get a length-1 axis
+    after it, so that one per part broadcasts over the part's samples, and
+    are not checked for unitarity again: each draw was."""
     if isinstance(draws[0], tuple):
         return tuple(_stack_parts(side) for side in zip(*draws))
-    cls = type(draws[0])
-    stacks = (np.stack([getattr(d, f.name) for d in draws]) for f in fields(cls))
-    return cls(*(x[:, None] if unit_axis else x for x in stacks))
+    stacks = [np.stack([getattr(d, f.name) for d in draws]) for f in fields(draws[0])]
+    if isinstance(draws[0], Automorphism):
+        return _from_unitary(*(x[:, None] for x in stacks))
+    return Point(*stacks)
 
 
 def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, tolerances=None):
@@ -341,7 +350,7 @@ def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, to
             args = [_stack_parts(draws), tolerances.get(name), seed]
         if factory is not None:
             auts = [names[factory](params, seed + factory_offset + j) for j in range(parts)]
-            args.insert(0, _stack_parts(auts, unit_axis=True))
+            args.insert(0, _stack_parts(auts))
         reports.append(names[check](params, *args))
         reports[-1].seed = seed
     return reports

@@ -4,7 +4,9 @@ Nothing here shares code paths with the production derivatives: the series
 oracle sums the defining power series directly, and the finite-difference
 oracles only ever call the functions they are checking at perturbed points.
 The per-part suite runner is the reference for run_suite's one call per
-suite: it shares the checks and draws, not the stacking.
+suite: it shares the checks and draws, not the stacking.  The block metric
+is the reference for metric's one output array: it shares the log-derivative
+pieces, not the assembly.
 """
 
 from math import comb
@@ -13,7 +15,7 @@ import numpy as np
 
 from fbh import verify
 from fbh.autgroup import apply
-from fbh.bergman import kernel, log_kernel_grad_wbar
+from fbh.bergman import _log_kernel_pieces, kernel, log_kernel_grad_wbar
 from fbh.domain import Point, sample_interior_arrays
 
 # Central-difference step balancing truncation against rounding for first
@@ -128,6 +130,23 @@ def fd_metric(params, p, q, h=FD_STEP):
         ) / (2 * h)
         T[:, k] = 0.5 * (gx - 1j * gy)
     return T
+
+
+def metric_block(params, p, q):
+    """Reference for bergman.metric: the four blocks written as formulas and
+    joined with np.block."""
+    s, t, G, H = _log_kernel_pieces(params, p, q)
+    s, t, G, H = (x[..., None, None] for x in (s, t, G, H))
+    E = np.exp(params.mu * s)
+    W = G + t * H
+    mu = params.mu
+    z, zeta = p.z[..., :, None], p.zeta[..., :, None]
+    zbar, zetabar = q.z.conj()[..., None, :], q.zeta.conj()[..., None, :]
+    zz = mu * (params.m + t * G) * np.eye(params.n) + mu * mu * t * W * (z * zbar)
+    z_zeta = mu * E * W * (z * zetabar)
+    zeta_z = mu * E * W * (zeta * zbar)
+    zeta_zeta = E * G * np.eye(params.m) + E * E * H * (zeta * zetabar)
+    return np.block([[zz, z_zeta], [zeta_z, zeta_zeta]])
 
 
 def fd_jacobian(params, a, p, h=FD_STEP):

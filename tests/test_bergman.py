@@ -30,7 +30,14 @@ from fbh.errors import (
 )
 from fbh.polylog import a_poly
 
-from oracles import assert_rows_match, fd_grad_wbar_log_kernel, fd_metric, singles, stack
+from oracles import (
+    assert_rows_match,
+    fd_grad_wbar_log_kernel,
+    fd_metric,
+    metric_block,
+    singles,
+    stack,
+)
 
 P11 = DomainParams(1, 1, 1.0)
 CONFIGS = [P11, DomainParams(2, 1, 1.0), DomainParams(1, 2, 0.5), DomainParams(2, 2, 2.0)]
@@ -271,6 +278,22 @@ def test_metric_matches_finite_differences(params):
 
 
 # ------------------------- matrix square roots -----------------------------
+
+@pytest.mark.parametrize("nm", [(1, 1), (3, 2), (32, 4), (2, 64)])
+def test_metric_equals_the_block_oracle_bit_for_bit(nm):
+    # single points, stacks, stacks broadcast against one point, a (5, 1)
+    # stack against a (5,) one, and origins, where the signs of zeros must
+    # agree as well
+    params = DomainParams(*nm, 1.0)
+    X = sample_interior(params, 11, 40)
+    P = Point(X.z[:20].reshape(4, 5, -1), X.zeta[:20].reshape(4, 5, -1))
+    Q = Point(X.z[20:].reshape(4, 5, -1), X.zeta[20:].reshape(4, 5, -1))
+    p, o = singles(X)[0], Point.origin(params)
+    column, row = Point(Q.z[0, :, None], Q.zeta[0, :, None]), Point(P.z[0], P.zeta[0])
+    for a, b in [(p, singles(X)[1]), (P, Q), (p, Q), (P, p), (column, row), (o, o), (P, o), (o, p)]:
+        T, expected = metric(params, a, b), metric_block(params, a, b)
+        assert T.shape == expected.shape and T.tobytes() == expected.tobytes()
+
 
 def test_sqrt_pd_identity_and_diagonal():
     assert np.allclose(sqrt_pd(np.eye(3)), np.eye(3))

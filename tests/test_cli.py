@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fbh import verify
 from fbh.autgroup import Automorphism, apply, compose, random_automorphism
 from fbh.cli import build_parser, main
 from fbh.domain import DomainParams, Point
@@ -201,13 +202,29 @@ def test_bad_tol_flag_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_verify_gram_non_finite_fails_with_exit_1(capsys):
-    # kernel values overflow at (32, 16): a failed report, not a crash
-    argv = ["verify", "--suite", "gram", "--params", "32,16,1.0", "--json"]
+def test_verify_gram_non_finite_fails_with_exit_1(capsys, monkeypatch):
+    # one NaN planted in the Gram's t values: a failed report, not a crash
+    real = verify._kernel_args
+
+    def one_nan(params, p, Z, Zeta):
+        s, t = real(params, p, Z, Zeta)
+        t[..., 3, 5] = math.nan
+        return s, t
+
+    monkeypatch.setattr(verify, "_kernel_args", one_nan)
+    argv = ["verify", "--suite", "gram", "--params", "1,1,1.0", "--json"]
     assert main(argv) == 1
     (report,) = json.loads(capsys.readouterr().out)
     assert report["name"] == "gram" and not report["passed"]
-    assert report["details"]["non_finite"] > 0
+    assert report["details"] == {"non_finite": 1.0}
+
+
+@pytest.mark.parametrize("params", ["32,16,1.0", "64,8,1.0", "2,64,1.0", "64,64,1.0"])
+def test_verify_gram_passes_where_kernel_values_overflow(params, capsys):
+    argv = ["verify", "--suite", "gram", "--params", params, "--json"]
+    assert main(argv) == 0
+    (report,) = json.loads(capsys.readouterr().out)
+    assert report["passed"] and report["details"]["raw_non_finite"] > 0
 
 
 POINT_11 = {"z": [[0.3, 0.1]], "zeta": [[0.2, 0.0]]}

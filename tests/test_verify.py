@@ -18,6 +18,7 @@ from fbh.domain import (
     sample_interior,
     sample_interior_arrays,
 )
+from fbh.errors import NotFinite, OutsideDomain, PoleProximity
 from fbh.verify import (
     SUITE_NAMES,
     check_boundary_invariance,
@@ -54,6 +55,20 @@ def test_sample_pairs_respects_pole_guard():
     P, Q = sample_pairs(params, 3, 20)
     assert P.z.shape == Q.z.shape == P.zeta.shape == Q.zeta.shape == (20, 2)
     assert np.all(np.abs(1.0 - kernel(params, P, Q).t_arg) > 1e-6)
+
+
+def test_sample_pairs_computes_t_alone(monkeypatch):
+    from fbh import bergman
+
+    calls = []
+    for module, name in ((verify, "kernel"), (bergman, "polylog_deriv")):
+        def spy(*args, _name=name, _fn=getattr(module, name)):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    sample_pairs(DomainParams(32, 4, 1.0), 7, 10)
+    assert calls == []
 
 
 @pytest.mark.parametrize("params", [P11, DomainParams(32, 4, 1.0)])
@@ -136,6 +151,23 @@ def test_metric_law_skipped_pairs_keep_their_rows():
     assert report.max_residual == alone.max_residual > 0.0
 
 
+def test_metric_law_peak_memory_at_large_order():
+    # 50 pairs at (32, 4): each (50, 36, 36) stack is 1.04 MB, and the check
+    # keeps at most three of them live (seven before the in-place metric)
+    params = DomainParams(32, 4, 1.0)
+    a = verify._stack_parts([random_automorphism(params, 501 + j) for j in range(10)])
+    pairs = verify._stack_parts([sample_pairs(params, 701 + j, 5) for j in range(10)])
+    check_metric_law(params, a, pairs)
+    tracemalloc.start()
+    try:
+        report = check_metric_law(params, a, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.samples == 50
+    assert peak <= 4e6, peak
+
+
 def test_metric_diagonal_pairs_hermitian():
     from fbh.bergman import metric
 
@@ -173,6 +205,42 @@ def test_gram_forty_points():
     report = check_gram_psd(P11, sample_interior(P11, 43, 40))
     assert report.passed
     assert report.details["min_eigenvalue_normalized"] >= -1e-10
+
+
+@pytest.mark.parametrize("params", [P11, DomainParams(3, 2, 1.0), DomainParams(32, 4, 1.0)])
+def test_gram_matches_the_normalized_kernel_gram_where_finite(params):
+    X = sample_interior(params, 1301, 40)
+    G = kernel(params, Point(X.z[:, None], X.zeta[:, None]), X).value
+    G = (G + G.conj().T) / 2.0
+    d = np.sqrt(np.diagonal(G).real)
+    expected = np.linalg.eigvalsh(G / np.outer(d, d)).min()
+    report = check_gram_psd(params, X)
+    assert abs(report.details["min_eigenvalue_normalized"] - expected) <= 1e-13
+    scale = np.max(np.abs(G))
+    assert abs(report.details["min_eigenvalue_raw"] - np.linalg.eigvalsh(G).min()) <= 1e-14 * scale
+
+
+def test_gram_reports_raw_overflow_and_stays_finite():
+    # (32, 16): kernel values pass 1e308, the normalized Gram does not
+    params = DomainParams(32, 16, 1.0)
+    report = check_gram_psd(params, sample_interior(params, 0, 40))
+    assert report.passed and report.details["raw_non_finite"] > 0
+    assert "min_eigenvalue_raw" not in report.details
+
+
+GRAM_BAD_POINTS = [
+    ([0.0], [1.0], OutsideDomain),  # on the boundary
+    ([math.nan], [0.0], NotFinite),
+    ([0.0], [math.sqrt(1 - 1e-13)], PoleProximity),  # inside, but t = |zeta|^2 is near 1
+]
+
+
+@pytest.mark.parametrize("z, zeta, error", GRAM_BAD_POINTS)
+def test_gram_keeps_the_kernel_checks(z, zeta, error):
+    X = sample_interior(P11, 5, 4)
+    points = Point(np.concatenate([X.z, [z]]), np.concatenate([X.zeta, [zeta]]))
+    with pytest.raises(error):
+        check_gram_psd(P11, points)
 
 
 def test_gram_duplicated_rows_still_psd():
@@ -360,13 +428,24 @@ def test_run_suite_makes_one_check_call_per_suite(monkeypatch):
     for name in checks + ["random_automorphism"]:
         monkeypatch.setattr(verify, name, spy(name, getattr(verify, name)))
     monkeypatch.setattr(bergman, "polylog_deriv", spy("polylog_deriv", bergman.polylog_deriv))
+    monkeypatch.setattr(Automorphism, "__post_init__", spy("validate", Automorphism.__post_init__))
     run_suite(DomainParams(32, 4, 1.0), 5, ("all",))
     assert {name: len(calls.get(name, ())) for name in checks} == dict.fromkeys(checks, 1)
-    assert len(calls["polylog_deriv"]) <= 30
+    assert len(calls["polylog_deriv"]) <= 10
+    assert len(calls["validate"]) == 34  # once per draw, not again when stacked
     offsets = [101, 501, 901, 1701]  # kernel-law, metric-law, cartan, boundary factories
     parts = [10, 10, 10, 4]
     expected = sorted(5 + off + j for off, k in zip(offsets, parts) for j in range(k))
     assert sorted(args[1] for args in calls["random_automorphism"]) == expected
+
+
+@pytest.mark.parametrize("seed", [80831641, 219631995, 892792457, 37202962])
+def test_run_suite_passes_where_the_gram_overflowed(seed):
+    # at these op seeds the (32, 4) Gram had kernel values past 1e308
+    reports = run_suite(DomainParams(32, 4, 1.0), seed, ("all",))
+    assert all(r.passed for r in reports), [r.to_dict() for r in reports if not r.passed]
+    [gram] = [r for r in reports if r.name == "gram"]
+    assert gram.details["raw_non_finite"] > 0
 
 
 def test_run_suite_rejects_unknown_suite():
