@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainParams, Point, _frozen, check_point, from_pairs, to_pairs
+from .domain import DomainParams, Point, _draw, _frozen, _generators, check_point, from_pairs, to_pairs
 from .errors import DimensionMismatch, NotUnitary
 
 UNITARY_TOL = 1e-10
@@ -31,8 +31,8 @@ class Automorphism:
     (..., m, m) and v (..., n) with one leading shape; the group functions
     broadcast it against the leading shape of the points or automorphisms
     they meet, by numpy's rules.  Construction rejects non-unitary blocks
-    (max-norm of U^H U - I above 1e-10 anywhere in the stack), so caller
-    bugs stay visible.
+    (max-norm of U^H U - I above 1e-10, or NaN, anywhere in the stack), so
+    caller bugs stay visible.
     """
 
     U: np.ndarray
@@ -50,7 +50,7 @@ class Automorphism:
             raise DimensionMismatch(f"U {U.shape}, Uprime {Up.shape}, v {v.shape}: leads differ")
         for name, M in (("U", U), ("Uprime", Up)):
             dev = np.max(np.abs(M.conj().swapaxes(-1, -2) @ M - np.eye(M.shape[-1])))
-            if dev > UNITARY_TOL:
+            if not dev <= UNITARY_TOL:
                 raise NotUnitary(f"{name} deviates from unitarity by {dev:.3e}")
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "Uprime", Up)
@@ -165,19 +165,22 @@ def jacobian_det(params: DomainParams, a: Automorphism, p: Point):
     return np.linalg.det(a.U) * np.linalg.det(a.Uprime) * s**params.m
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary: complex Ginibre, QR, R-diagonal phases absorbed."""
-    g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
+def haar_unitary(dim: int, rng) -> np.ndarray:
+    """Haar-distributed unitary: complex Ginibre, QR, R-diagonal phases absorbed.
+    `rng` is a seed or Generator as for the samplers; a sequence gives a stack."""
+    rngs = _generators(rng)
+    g = (_draw(rngs, (dim, dim)) + 1j * _draw(rngs, (dim, dim))) / math.sqrt(2)
     q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
-def random_automorphism(params: DomainParams, seed: int) -> Automorphism:
+def random_automorphism(params: DomainParams, seed) -> Automorphism:
     """Haar-random U and U', complex Gaussian v with unit per-coordinate
-    variance; deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    U = haar_unitary(params.n, rng)
-    Up = haar_unitary(params.m, rng)
-    v = (rng.standard_normal(params.n) + 1j * rng.standard_normal(params.n)) / math.sqrt(2)
+    variance; deterministic per seed, and a sequence of seeds gives their
+    stack.  A stack is checked for unitarity once, as a whole."""
+    rngs = _generators(seed)
+    U = haar_unitary(params.n, rngs)
+    Up = haar_unitary(params.m, rngs)
+    v = (_draw(rngs, (params.n,)) + 1j * _draw(rngs, (params.n,))) / math.sqrt(2)
     return Automorphism(U, Up, v)

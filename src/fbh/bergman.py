@@ -197,7 +197,7 @@ def _checked_hermitian(M) -> np.ndarray:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {M.shape}")
     dev = np.max(np.abs(M - M.conj().T))
-    if dev > HERMITIAN_TOL:
+    if not dev <= HERMITIAN_TOL:
         raise NotHermitian(f"Hermitian deviation {dev:.3e} exceeds {HERMITIAN_TOL}")
     return (M + M.conj().T) / 2.0
 
@@ -205,7 +205,7 @@ def _checked_hermitian(M) -> np.ndarray:
 def _eig_power(M, power: float) -> np.ndarray:
     Mh = _checked_hermitian(M)
     w, V = np.linalg.eigh(Mh)
-    if w.min() <= EIGEN_FLOOR:
+    if not w.min() > EIGEN_FLOOR:
         raise NotPositiveDefinite(
             f"minimum eigenvalue {w.min():.3e} at or below floor {EIGEN_FLOOR}"
         )
@@ -246,7 +246,7 @@ def l_matrix(params: DomainParams, phi: Automorphism) -> np.ndarray:
     through its closed-form diagonal.
     """
     norm = np.max(np.linalg.norm(phi.v, axis=-1))
-    if norm > 1e-12:
+    if not norm <= 1e-12:
         raise DoesNotFixOrigin(f"translation part has norm {norm:.3e}")
     J0 = jacobian(params, phi, Point.origin(params))
     root = np.sqrt(_origin_metric_diagonal(params))

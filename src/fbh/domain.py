@@ -149,36 +149,57 @@ def project_to_boundary(params: DomainParams, z, direction) -> Point:
 
 # ------------------------------- sampling ----------------------------------
 # The generator is numpy's seeded PCG64; draws are reproducible per seed on
-# one implementation and reproducible in distribution across platforms.
+# one implementation and reproducible in distribution across platforms.  A
+# seed is an int, a sequence of ints or a Generator: an int gives one draw,
+# a sequence a stack of the draws its seeds give one by one (seed axis
+# first, equal bit for bit), and a Generator continues its own stream.
 
-def sample_interior_arrays(params: DomainParams, seed: int | np.random.Generator, count: int):
-    """Vectorized interior sampler: arrays Z (count, n) and Zeta (count, m).
+def _generators(seed):
+    """default_rng(seed), or a list of one per seed of a sequence; a
+    Generator (or a list of them) is used as it is."""
+    return [np.random.default_rng(s) for s in seed] if np.ndim(seed) else np.random.default_rng(seed)
+
+
+def _draw(rngs, shape, method="standard_normal"):
+    """rngs.<method>(shape) from a Generator; from a list of them, each
+    fills its own slice of one array, in turn, along a new first axis."""
+    if not isinstance(rngs, list):
+        return getattr(rngs, method)(shape)
+    out = np.empty((len(rngs),) + shape)
+    for rng, row in zip(rngs, out):
+        getattr(rng, method)(out=row)
+    return out
+
+
+def sample_interior_arrays(params: DomainParams, seed, count: int):
+    """Vectorized interior sampler: arrays Z (..., count, n) and Zeta
+    (..., count, m), with a leading axis for a sequence of seeds.
 
     z has independent complex-Gaussian coordinates with variance 1/(2 mu)
     per real coordinate, so the z-marginal density is (mu/pi)^n
     exp(-mu ||z||^2).  Given z, zeta is uniform in the ball of radius
     exp(-mu ||z||^2 / 2): a normalized complex Gaussian direction scaled by
     R u^(1/(2m)) with u uniform on [0, 1).  Every row is strictly interior.
-    `seed` may be a numpy.random.Generator, whose stream the call continues.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(seed)
-    Z = np.empty((count, params.n), dtype=complex)
-    Z.real = rng.standard_normal((count, params.n))
-    Z.imag = rng.standard_normal((count, params.n))
+    rngs, lead = _generators(seed), np.shape(seed)
+    Z = np.empty(lead + (count, params.n), dtype=complex)
+    Z.real = _draw(rngs, (count, params.n))
+    Z.imag = _draw(rngs, (count, params.n))
     Z *= math.sqrt(1.0 / (2.0 * params.mu))
-    Zeta = np.empty((count, params.m), dtype=complex)
-    Zeta.real = rng.standard_normal((count, params.m))
-    Zeta.imag = rng.standard_normal((count, params.m))
-    Zeta /= np.linalg.norm(Zeta, axis=1, keepdims=True)
-    radius = np.exp(-params.mu * _norm2(Z) / 2.0) * rng.random(count) ** (1.0 / (2 * params.m))
-    Zeta *= radius[:, None]
+    Zeta = np.empty(lead + (count, params.m), dtype=complex)
+    Zeta.real = _draw(rngs, (count, params.m))
+    Zeta.imag = _draw(rngs, (count, params.m))
+    Zeta /= np.linalg.norm(Zeta, axis=-1, keepdims=True)
+    u = _draw(rngs, (count,), "random")
+    radius = np.exp(-params.mu * _norm2(Z) / 2.0) * u ** (1.0 / (2 * params.m))
+    Zeta *= radius[..., None]
     return Z, Zeta
 
 
-def sample_interior(params: DomainParams, seed: int, count: int) -> Point:
-    """Deterministic stack of `count` interior points for the given seed."""
+def sample_interior(params: DomainParams, seed, count: int) -> Point:
+    """Deterministic stack of `count` interior points per seed."""
     return Point(*sample_interior_arrays(params, seed, count))
 
 
@@ -204,18 +225,18 @@ def sample_density(params: DomainParams, p: Point):
     return sample_density_arrays(params, p.z)
 
 
-def sample_boundary(params: DomainParams, seed: int, count: int) -> Point:
-    """Deterministic stack of `count` boundary points: sampled z, uniform
-    zeta-direction.
+def sample_boundary(params: DomainParams, seed, count: int) -> Point:
+    """Deterministic stack of `count` boundary points per seed: sampled z,
+    uniform zeta-direction.
 
-    Row i of the one draw holds Re z, Im z, Re d, Im d of point i, so the
-    first k points do not depend on count.
+    Row i of a seed's one draw holds Re z, Im z, Re d, Im d of point i, so
+    the first k points do not depend on count.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     n, m = params.n, params.m
-    g = np.random.default_rng(seed).standard_normal((count, 2 * (n + m)))
-    z = math.sqrt(1.0 / (2.0 * params.mu)) * (g[:, :n] + 1j * g[:, n : 2 * n])
-    d = g[:, 2 * n : 2 * n + m] + 1j * g[:, 2 * n + m :]
+    g = _draw(_generators(seed), (count, 2 * (n + m)))
+    z = math.sqrt(1.0 / (2.0 * params.mu)) * (g[..., :n] + 1j * g[..., n : 2 * n])
+    d = g[..., 2 * n : 2 * n + m] + 1j * g[..., 2 * n + m :]
     d /= np.linalg.norm(d, axis=-1, keepdims=True)
     return project_to_boundary(params, z, d)

@@ -8,7 +8,7 @@ precision error accumulation across determinants and matrix products.
 """
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,10 +40,10 @@ from .polylog import _guarded, a_poly
 
 # One row per suite: (check, automorphism factory, its seed offset, sampler,
 # its seed offset, sample count, parts); part j uses sub-seeds seed + offset + j.
-# The parts' draws are stacked, automorphisms with leading shape (parts, 1)
-# and samples (parts, count), and the check runs once on the stacks.  Without
-# a sampler the check gets the sub-seed and count.  Names resolve when the
-# suite runs, so whatever the module attribute holds then gets called.
+# Each draw is one call on all parts' sub-seeds: automorphisms with leading shape
+# (parts, 1), samples (parts, count), and the check runs once on the stacks.
+# Without a sampler the check gets the sub-seed and count.  Names resolve when
+# the suite runs, so whatever the module attribute holds then gets called.
 _SUITE_TABLE = {
     "kernel-law": ("check_kernel_law", "random_automorphism", 101, "sample_pairs", 301, 10, 10),
     "metric-law": ("check_metric_law", "random_automorphism", 501, "sample_pairs", 701, 5, 10),
@@ -110,21 +110,24 @@ def _worst(residuals) -> float:
     return float(np.max(residuals, initial=0.0))
 
 
-def sample_pairs(params: DomainParams, seed: int, count: int):
+def sample_pairs(params: DomainParams, seed, count: int):
     """Stacks (P, Q) of `count` interior point pairs with |1 - t| above the
-    pole guard: consecutive draws of the interior sampler, one chunk seed
-    after another.  Only t is computed, not the kernel value."""
-    rows, need, chunk_seed = [], count, seed
-    while need > 0:
-        Z, Zeta = sample_interior_arrays(params, chunk_seed, 2 * need + 8)
-        P, Q = Point(Z[0::2], Zeta[0::2]), Point(Z[1::2], Zeta[1::2])
-        t = _kernel_args(params, P, Q.z, Q.zeta)[1]
-        kept = np.flatnonzero(np.abs(1.0 - t) > PAIR_POLE_DISTANCE)[:need]
-        rows.append([x[kept] for x in (P.z, P.zeta, Q.z, Q.zeta)])
-        need -= len(kept)
-        chunk_seed += 1
-    z, zeta, w, omega = (np.concatenate(side) for side in zip(*rows))
-    return Point(z, zeta), Point(w, omega)
+    pole guard, in order from one interior draw (rows 0 and 1 form the first
+    pair); only t is computed, not the kernel value.  A sequence of seeds gives
+    one stack per seed, seed axis first; a seed short of `count` guarded pairs
+    continues alone from chunk seed + 1, as one seed does."""
+    Z, Zeta = sample_interior_arrays(params, seed, 2 * count + 8)
+    sides = [Z[..., 0::2, :], Zeta[..., 0::2, :], Z[..., 1::2, :], Zeta[..., 1::2, :]]
+    t = _kernel_args(params, Point(*sides[:2]), *sides[2:])[1]
+    guarded = np.abs(1.0 - t) > PAIR_POLE_DISTANCE
+    first = np.argsort(~guarded, axis=-1, kind="stable")[..., :count, None]
+    sides = [np.take_along_axis(x, first, axis=-2) for x in sides]
+    for j in map(tuple, np.argwhere(guarded.sum(axis=-1) < count)):
+        have = np.count_nonzero(guarded[j])
+        P, Q = sample_pairs(params, int(np.asarray(seed)[j]) + 1, count - have)
+        for x, rest in zip(sides, (P.z, P.zeta, Q.z, Q.zeta)):
+            x[j][have:] = rest
+    return Point(*sides[:2]), Point(*sides[2:])
 
 
 # ------------------------------ law checks ---------------------------------
@@ -300,23 +303,10 @@ def check_boundary_invariance(params, a: Automorphism, boundary_points, toleranc
 
 # ------------------------------ suite runner --------------------------------
 
-def _rotation(params: DomainParams, seed: int) -> Automorphism:
-    """Origin-fixing automorphism: the rotation part of a random one."""
+def _rotation(params: DomainParams, seed) -> Automorphism:
+    """Origin-fixing automorphisms: the rotation parts of random ones."""
     rot = random_automorphism(params, seed)
-    return _from_unitary(rot.U, rot.Uprime, np.zeros(params.n))
-
-
-def _stack_parts(draws):
-    """The parts' draws, Points, (P, Q) pairs of them or Automorphisms, as
-    one stack with the parts axis first.  Automorphisms get a length-1 axis
-    after it, so that one per part broadcasts over the part's samples, and
-    are not checked for unitarity again: each draw was."""
-    if isinstance(draws[0], tuple):
-        return tuple(_stack_parts(side) for side in zip(*draws))
-    stacks = [np.stack([getattr(d, f.name) for d in draws]) for f in fields(draws[0])]
-    if isinstance(draws[0], Automorphism):
-        return _from_unitary(*(x[:, None] for x in stacks))
-    return Point(*stacks)
+    return _from_unitary(rot.U, rot.Uprime, np.zeros_like(rot.v))
 
 
 def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, tolerances=None):
@@ -327,7 +317,7 @@ def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, to
     (n = m = 1).  `samples` overrides the Monte-Carlo sample count, and a
     run without that check rejects it; `tolerances` maps suite names to
     tolerance overrides.  Each suite runs as its _SUITE_TABLE row says: its
-    parts are drawn one by one and checked in one call, so the report holds
+    parts are drawn together and checked in one call, so the report holds
     the largest residual over all parts.  Every report carries the root seed.
     """
     tolerances = tolerances or {}
@@ -346,11 +336,11 @@ def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, to
         if sampler is None:
             args = [seed + sample_offset, count if samples is None else samples]
         else:
-            draws = [names[sampler](params, seed + sample_offset + j, count) for j in range(parts)]
-            args = [_stack_parts(draws), tolerances.get(name), seed]
+            draws = names[sampler](params, [seed + sample_offset + j for j in range(parts)], count)
+            args = [draws, tolerances.get(name), seed]
         if factory is not None:
-            auts = [names[factory](params, seed + factory_offset + j) for j in range(parts)]
-            args.insert(0, _stack_parts(auts))
+            a = names[factory](params, [seed + factory_offset + j for j in range(parts)])
+            args.insert(0, _from_unitary(a.U[:, None], a.Uprime[:, None], a.v[:, None]))
         reports.append(names[check](params, *args))
         reports[-1].seed = seed
     return reports

@@ -6,7 +6,8 @@ oracles only ever call the functions they are checking at perturbed points.
 The per-part suite runner is the reference for run_suite's one call per
 suite: it shares the checks and draws, not the stacking.  The block metric
 is the reference for metric's one output array: it shares the log-derivative
-pieces, not the assembly.
+pieces, not the assembly.  The one-stream Haar draw is the reference for the
+draw order of random_automorphism at an int seed.
 """
 
 from math import comb
@@ -185,6 +186,22 @@ def assert_rows_match(stacked, singles, rtol=1e-13):
     err = np.max(np.abs(stacked - singles).reshape(count, -1), axis=1)
     scale = np.max(np.abs(singles).reshape(count, -1), axis=1)
     assert np.all(err <= rtol * scale), np.max(err / scale)
+
+
+def haar_one_stream(params, seed):
+    """Reference for random_automorphism at one int seed: U, U' and v drawn
+    from one default_rng(seed) in that order, with one generator call per
+    real or imaginary part."""
+    rng = np.random.default_rng(seed)
+
+    def haar(dim):
+        g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+        q, r = np.linalg.qr(g)
+        d = np.diagonal(r)
+        return q * (d / np.abs(d))
+
+    U, Up = haar(params.n), haar(params.m)
+    return U, Up, (rng.standard_normal(params.n) + 1j * rng.standard_normal(params.n)) / np.sqrt(2)
 
 
 def sample_pairs_per_pair(params, seed, count):

@@ -38,6 +38,14 @@ def test_construction_rejects_non_unitary():
         Automorphism(np.array([[1.1]]), np.eye(1), np.zeros(1))
 
 
+def test_construction_rejects_nan():
+    # NaN > tol is False, so the check is written to fail unless dev <= tol
+    U = np.eye(2, dtype=complex)
+    U[0, 0] = np.nan
+    with pytest.raises(NotUnitary):
+        Automorphism(U, np.eye(1), np.zeros(2))
+
+
 def test_construction_dimension_checks():
     with pytest.raises(DimensionMismatch):
         Automorphism(np.eye(2), np.eye(1), np.zeros(1))

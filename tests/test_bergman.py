@@ -321,6 +321,22 @@ def test_sqrt_pd_rejects_bad_input():
         sqrt_pd(np.diag([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("root", [sqrt_pd, inv_sqrt_pd])
+def test_matrix_roots_reject_nan(root):
+    M = np.eye(2)
+    M[1, 1] = np.nan
+    with pytest.raises(NotHermitian):
+        root(M)
+
+
+def test_matrix_roots_reject_nan_eigenvalues(monkeypatch):
+    # no finite Hermitian input is known to give NaN eigenvalues, so eigh is
+    # replaced to reach the floor check behind the Hermitian one
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: (np.array([1.0, np.nan]), np.eye(2)))
+    with pytest.raises(NotPositiveDefinite):
+        sqrt_pd(np.eye(2))
+
+
 # --------------------------- representative map ----------------------------
 
 def test_representative_map_origin_and_example():
@@ -364,6 +380,11 @@ def test_l_matrix_requires_origin_fixing():
     assert np.linalg.norm(a.v) > 1e-6
     with pytest.raises(DoesNotFixOrigin):
         l_matrix(P11, a)
+
+
+def test_l_matrix_rejects_a_nan_translation():
+    with pytest.raises(DoesNotFixOrigin):
+        l_matrix(P11, Automorphism(np.eye(1), np.eye(1), np.array([np.nan])))
 
 
 def test_l_matrix_broadcasts_over_automorphism_stacks():

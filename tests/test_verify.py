@@ -18,7 +18,7 @@ from fbh.domain import (
     sample_interior,
     sample_interior_arrays,
 )
-from fbh.errors import NotFinite, OutsideDomain, PoleProximity
+from fbh.errors import NotFinite, NotUnitary, OutsideDomain, PoleProximity
 from fbh.verify import (
     SUITE_NAMES,
     check_boundary_invariance,
@@ -31,7 +31,7 @@ from fbh.verify import (
     sample_pairs,
 )
 
-from oracles import run_suite_per_part, sample_pairs_per_pair, singles, stack
+from oracles import haar_one_stream, run_suite_per_part, sample_pairs_per_pair, singles, stack
 
 P11 = DomainParams(1, 1, 1.0)
 CONFIGS = [P11, DomainParams(2, 1, 1.0), DomainParams(1, 2, 0.5), DomainParams(2, 2, 2.0)]
@@ -78,6 +78,73 @@ def test_sample_pairs_draws_the_pairs_of_the_per_pair_loop(params):
     for X, ref in ((P, [p for p, _ in pairs]), (Q, [q for _, q in pairs])):
         assert X.z.tobytes() == stack(ref).z.tobytes()
         assert X.zeta.tobytes() == stack(ref).zeta.tobytes()
+
+
+STACK_PARAMS = [P11, DomainParams(3, 2, 1.0), DomainParams(32, 4, 1.0), DomainParams(2, 64, 1.0)]
+
+
+def assert_stacks(stacked, singles):
+    expected = np.stack(singles)
+    assert stacked.shape == expected.shape and stacked.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("params", STACK_PARAMS)
+def test_seed_sequences_stack_the_per_seed_draws_bit_for_bit(params):
+    seeds = [7, 8, 1000, 3]
+    a = random_automorphism(params, seeds)
+    alone = [random_automorphism(params, s) for s in seeds]
+    for name in ("U", "Uprime", "v"):
+        assert_stacks(getattr(a, name), [getattr(b, name) for b in alone])
+    for sampler in (sample_interior, sample_boundary):
+        X, alone = sampler(params, seeds, 6), [sampler(params, s, 6) for s in seeds]
+        assert_stacks(X.z, [x.z for x in alone])
+        assert_stacks(X.zeta, [x.zeta for x in alone])
+    P, Q = sample_pairs(params, seeds, 5)
+    alone = [sample_pairs(params, s, 5) for s in seeds]
+    for X, side in ((P, 0), (Q, 1)):
+        assert_stacks(X.z, [pair[side].z for pair in alone])
+        assert_stacks(X.zeta, [pair[side].zeta for pair in alone])
+
+
+@pytest.mark.parametrize("params", STACK_PARAMS)
+def test_int_seed_automorphism_keeps_the_one_stream_draw_order(params):
+    a = random_automorphism(params, 11)
+    for got, ref in zip((a.U, a.Uprime, a.v), haar_one_stream(params, 11)):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_random_automorphism_checks_the_stack_as_a_whole(monkeypatch):
+    # all-zero draws for member 1 give R a zero diagonal, so d/|d| is NaN
+    # there and only a NaN-safe unitarity check of the stack can catch it
+    draw = autgroup._draw
+
+    def zero_member(*args):
+        out = draw(*args)
+        out[1] = 0.0
+        return out
+
+    monkeypatch.setattr(autgroup, "_draw", zero_member)
+    with np.errstate(invalid="ignore"), pytest.raises(NotUnitary):
+        random_automorphism(DomainParams(3, 2, 1.0), [4, 5, 6])
+
+
+@pytest.mark.parametrize("params", [P11, DomainParams(1, 2, 0.5)])
+def test_stacked_sample_pairs_continue_short_seeds_like_the_per_pair_oracle(params, monkeypatch):
+    # at this guard distance some seeds keep fewer than 20 of their first 24
+    # pairs, so they need chunk seed + 1 and beyond, alone; 24 pairs are also
+    # enough for an unstable sort to reorder the guarded ones
+    monkeypatch.setattr(verify, "PAIR_POLE_DISTANCE", 0.95)
+    chunks = []
+    draw = verify.sample_interior_arrays
+    monkeypatch.setattr(verify, "sample_interior_arrays", lambda *a: chunks.append(a[1]) or draw(*a))
+    seeds = list(range(40, 50))
+    P, Q = sample_pairs(params, seeds, 20)
+    assert len(chunks) > 1 and all(np.ndim(c) == 0 for c in chunks[1:])
+    for j, seed in enumerate(seeds):
+        pairs = sample_pairs_per_pair(params, seed, 20)
+        for X, ref in ((P, [p for p, _ in pairs]), (Q, [q for _, q in pairs])):
+            assert X.z[j].tobytes() == stack(ref).z.tobytes()
+            assert X.zeta[j].tobytes() == stack(ref).zeta.tobytes()
 
 
 # ------------------------------ kernel law ---------------------------------
@@ -155,8 +222,9 @@ def test_metric_law_peak_memory_at_large_order():
     # 50 pairs at (32, 4): each (50, 36, 36) stack is 1.04 MB, and the check
     # keeps at most three of them live (seven before the in-place metric)
     params = DomainParams(32, 4, 1.0)
-    a = verify._stack_parts([random_automorphism(params, 501 + j) for j in range(10)])
-    pairs = verify._stack_parts([sample_pairs(params, 701 + j, 5) for j in range(10)])
+    rot = random_automorphism(params, range(501, 511))
+    a = Automorphism(rot.U[:, None], rot.Uprime[:, None], rot.v[:, None])
+    pairs = sample_pairs(params, range(701, 711), 5)
     check_metric_law(params, a, pairs)
     tracemalloc.start()
     try:
@@ -412,7 +480,8 @@ def test_run_suite_matches_the_per_part_oracle(params, seed):
 
 def test_run_suite_makes_one_check_call_per_suite(monkeypatch):
     # the call budget of one (32, 4) op: a per-part loop would call each check
-    # 10 (boundary: 4) times and polylog_deriv 111 times
+    # 10 (boundary: 4) times, polylog_deriv 111 times, random_automorphism 34
+    # times and the samplers 35 times
     from fbh import bergman
 
     calls = {}
@@ -425,18 +494,26 @@ def test_run_suite_makes_one_check_call_per_suite(monkeypatch):
         return wrapped
 
     checks = [n for n in dir(verify) if n.startswith("check_")]
-    for name in checks + ["random_automorphism"]:
+    samplers = ["sample_pairs", "sample_interior", "sample_interior_arrays", "sample_boundary"]
+    for name in checks + samplers + ["random_automorphism"]:
         monkeypatch.setattr(verify, name, spy(name, getattr(verify, name)))
     monkeypatch.setattr(bergman, "polylog_deriv", spy("polylog_deriv", bergman.polylog_deriv))
     monkeypatch.setattr(Automorphism, "__post_init__", spy("validate", Automorphism.__post_init__))
     run_suite(DomainParams(32, 4, 1.0), 5, ("all",))
     assert {name: len(calls.get(name, ())) for name in checks} == dict.fromkeys(checks, 1)
     assert len(calls["polylog_deriv"]) <= 10
-    assert len(calls["validate"]) == 34  # once per draw, not again when stacked
+    assert len(calls["validate"]) == 4  # once per stacked draw, not again with the parts axis
     offsets = [101, 501, 901, 1701]  # kernel-law, metric-law, cartan, boundary factories
     parts = [10, 10, 10, 4]
-    expected = sorted(5 + off + j for off, k in zip(offsets, parts) for j in range(k))
-    assert sorted(args[1] for args in calls["random_automorphism"]) == expected
+    expected = [[5 + off + j for j in range(k)] for off, k in zip(offsets, parts)]
+    assert [args[1] for args in calls["random_automorphism"]] == expected
+    # one sampler call per suite: kernel-law and metric-law draw through
+    # sample_pairs (one interior draw each), cartan and gram through
+    # sample_interior, boundary through sample_boundary
+    assert {name: len(calls[name]) for name in samplers} == dict(zip(samplers, [2, 2, 2, 1]))
+    assert [args[1] for args in calls["sample_interior"]] == [
+        [5 + 1101 + j for j in range(10)], [5 + 1301]
+    ]
 
 
 @pytest.mark.parametrize("seed", [80831641, 219631995, 892792457, 37202962])
