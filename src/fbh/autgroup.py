@@ -30,9 +30,9 @@ class Automorphism:
     A stack of automorphisms holds U of shape (..., n, n), Uprime
     (..., m, m) and v (..., n) with one leading shape; the group functions
     broadcast it against the leading shape of the points or automorphisms
-    they meet, by numpy's rules.  Construction rejects non-unitary blocks
-    (max-norm of U^H U - I above 1e-10, or NaN, anywhere in the stack), so
-    caller bugs stay visible.
+    they meet, by numpy's rules.  Construction rejects empty stacks and
+    non-unitary blocks (max-norm of U^H U - I above 1e-10, or NaN, anywhere
+    in the stack), so caller bugs stay visible.
     """
 
     U: np.ndarray
@@ -48,6 +48,8 @@ class Automorphism:
             raise DimensionMismatch("v must be a vector of length matching U")
         if not U.shape[:-2] == Up.shape[:-2] == v.shape[:-1]:
             raise DimensionMismatch(f"U {U.shape}, Uprime {Up.shape}, v {v.shape}: leads differ")
+        if not v.size or not Up.size:
+            raise DimensionMismatch(f"U {U.shape}, Uprime {Up.shape}, v {v.shape}: empty stack")
         for name, M in (("U", U), ("Uprime", Up)):
             dev = np.max(np.abs(M.conj().swapaxes(-1, -2) @ M - np.eye(M.shape[-1])))
             if not dev <= UNITARY_TOL:
@@ -62,13 +64,6 @@ class Automorphism:
     @staticmethod
     def from_json(obj: dict) -> "Automorphism":
         return Automorphism(from_pairs(obj["U"]), from_pairs(obj["Uprime"]), from_pairs(obj["v"]))
-
-
-def _from_unitary(U, Uprime, v) -> Automorphism:
-    """An Automorphism from blocks of validated ones, frozen but not checked again."""
-    a = object.__new__(Automorphism)
-    a.__dict__.update(U=_frozen(U), Uprime=_frozen(Uprime), v=_frozen(v))
-    return a
 
 
 def identity(params: DomainParams) -> Automorphism:
@@ -167,7 +162,7 @@ def jacobian_det(params: DomainParams, a: Automorphism, p: Point):
 
 def haar_unitary(dim: int, rng) -> np.ndarray:
     """Haar-distributed unitary: complex Ginibre, QR, R-diagonal phases absorbed.
-    `rng` is a seed or Generator as for the samplers; a sequence gives a stack."""
+    `rng` is a seed as for the samplers; its shape is the stack's leading shape."""
     rngs = _generators(rng)
     g = (_draw(rngs, (dim, dim)) + 1j * _draw(rngs, (dim, dim))) / math.sqrt(2)
     q, r = np.linalg.qr(g)
@@ -177,8 +172,8 @@ def haar_unitary(dim: int, rng) -> np.ndarray:
 
 def random_automorphism(params: DomainParams, seed) -> Automorphism:
     """Haar-random U and U', complex Gaussian v with unit per-coordinate
-    variance; deterministic per seed, and a sequence of seeds gives their
-    stack.  A stack is checked for unitarity once, as a whole."""
+    variance; deterministic per seed entry, with the seed's shape as leading
+    shape.  A stack is checked for unitarity once, as a whole."""
     rngs = _generators(seed)
     U = haar_unitary(params.n, rngs)
     Up = haar_unitary(params.m, rngs)

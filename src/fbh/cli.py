@@ -39,6 +39,8 @@ def _parse_tolerances(items) -> dict:
         if not value or name not in SUITE_NAMES:
             raise ValueError(f"--tol expects suite=value with a known suite, got {item!r}")
         out[name] = float(value)
+        if not out[name] >= 0:
+            raise ValueError(f"--tol expects a tolerance >= 0, got {item!r}")
     return out
 
 

@@ -26,8 +26,13 @@ class DomainParams:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be >= 1")
-        if not self.mu > 0:
-            raise ValueError("mu must be > 0")
+        try:  # the kernel prefactor needs mu^n and the sampler 1/mu
+            mu = float(self.mu)
+            usable = 0 < mu < math.inf and math.isfinite(1 / mu) and math.isfinite(mu**self.n)
+        except OverflowError:
+            usable = False
+        if not usable:
+            raise ValueError(f"mu must be finite and > 0 with 1/mu and mu**n finite, got {self.mu}")
 
     @property
     def dim(self) -> int:
@@ -150,30 +155,31 @@ def project_to_boundary(params: DomainParams, z, direction) -> Point:
 # ------------------------------- sampling ----------------------------------
 # The generator is numpy's seeded PCG64; draws are reproducible per seed on
 # one implementation and reproducible in distribution across platforms.  A
-# seed is an int, a sequence of ints or a Generator: an int gives one draw,
-# a sequence a stack of the draws its seeds give one by one (seed axis
-# first, equal bit for bit), and a Generator continues its own stream.
+# seed is an int, a Generator or an array-like of them, and its shape is the
+# draw's leading shape: entry i draws slice i as default_rng(entry) would
+# alone, bit for bit, and a Generator continues its own stream.
 
 def _generators(seed):
-    """default_rng(seed), or a list of one per seed of a sequence; a
-    Generator (or a list of them) is used as it is."""
-    return [np.random.default_rng(s) for s in seed] if np.ndim(seed) else np.random.default_rng(seed)
+    """default_rng of each entry, as an object array of the seed's shape (a
+    Generator stays as it is, so this accepts its own output)."""
+    rngs = np.asarray(np.frompyfunc(np.random.default_rng, 1, 1)(seed), dtype=object)
+    if not rngs.size:
+        raise DimensionMismatch("expected at least one seed")
+    return rngs
 
 
 def _draw(rngs, shape, method="standard_normal"):
-    """rngs.<method>(shape) from a Generator; from a list of them, each
-    fills its own slice of one array, in turn, along a new first axis."""
-    if not isinstance(rngs, list):
-        return getattr(rngs, method)(shape)
-    out = np.empty((len(rngs),) + shape)
-    for rng, row in zip(rngs, out):
+    """An array of leading shape rngs.shape and trailing shape `shape`: each
+    Generator fills its own slice with rng.<method>, in turn."""
+    out = np.empty(rngs.shape + shape)
+    for rng, row in zip(rngs.flat, out.reshape((-1,) + shape)):
         getattr(rng, method)(out=row)
     return out
 
 
 def sample_interior_arrays(params: DomainParams, seed, count: int):
     """Vectorized interior sampler: arrays Z (..., count, n) and Zeta
-    (..., count, m), with a leading axis for a sequence of seeds.
+    (..., count, m), whose leading shape is the seed's.
 
     z has independent complex-Gaussian coordinates with variance 1/(2 mu)
     per real coordinate, so the z-marginal density is (mu/pi)^n
@@ -183,12 +189,12 @@ def sample_interior_arrays(params: DomainParams, seed, count: int):
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    rngs, lead = _generators(seed), np.shape(seed)
-    Z = np.empty(lead + (count, params.n), dtype=complex)
+    rngs = _generators(seed)
+    Z = np.empty(rngs.shape + (count, params.n), dtype=complex)
     Z.real = _draw(rngs, (count, params.n))
     Z.imag = _draw(rngs, (count, params.n))
     Z *= math.sqrt(1.0 / (2.0 * params.mu))
-    Zeta = np.empty(lead + (count, params.m), dtype=complex)
+    Zeta = np.empty(rngs.shape + (count, params.m), dtype=complex)
     Zeta.real = _draw(rngs, (count, params.m))
     Zeta.imag = _draw(rngs, (count, params.m))
     Zeta /= np.linalg.norm(Zeta, axis=-1, keepdims=True)
@@ -199,7 +205,7 @@ def sample_interior_arrays(params: DomainParams, seed, count: int):
 
 
 def sample_interior(params: DomainParams, seed, count: int) -> Point:
-    """Deterministic stack of `count` interior points per seed."""
+    """Deterministic stack of `count` interior points per seed entry."""
     return Point(*sample_interior_arrays(params, seed, count))
 
 
@@ -226,8 +232,8 @@ def sample_density(params: DomainParams, p: Point):
 
 
 def sample_boundary(params: DomainParams, seed, count: int) -> Point:
-    """Deterministic stack of `count` boundary points per seed: sampled z,
-    uniform zeta-direction.
+    """Deterministic stack of `count` boundary points per seed entry, with
+    the seed's shape as leading shape: sampled z, uniform zeta-direction.
 
     Row i of a seed's one draw holds Re z, Im z, Re d, Im d of point i, so
     the first k points do not depend on count.

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autgroup import Automorphism, _from_unitary, _matvec, apply, jacobian, jacobian_det, random_automorphism
+from .autgroup import Automorphism, _matvec, apply, haar_unitary, jacobian, jacobian_det, random_automorphism
 from .bergman import (
     KERNEL_FLOOR,
     _check_interior,
@@ -29,6 +29,7 @@ from .bergman import (
 from .domain import (
     DomainParams,
     Point,
+    _generators,
     _norm2,
     defect,
     sample_boundary,
@@ -36,12 +37,13 @@ from .domain import (
     sample_interior,
     sample_interior_arrays,
 )
+from .errors import NotFinite
 from .polylog import _guarded, a_poly
 
 # One row per suite: (check, automorphism factory, its seed offset, sampler,
 # its seed offset, sample count, parts); part j uses sub-seeds seed + offset + j.
-# Each draw is one call on all parts' sub-seeds: automorphisms with leading shape
-# (parts, 1), samples (parts, count), and the check runs once on the stacks.
+# Each draw is one call on all parts' sub-seeds, shaped (parts, 1) for automorphisms
+# and (parts,) for samples (parts, count); the check runs once on the stacks.
 # Without a sampler the check gets the sub-seed and count.  Names resolve when
 # the suite runs, so whatever the module attribute holds then gets called.
 _SUITE_TABLE = {
@@ -113,12 +115,14 @@ def _worst(residuals) -> float:
 def sample_pairs(params: DomainParams, seed, count: int):
     """Stacks (P, Q) of `count` interior point pairs with |1 - t| above the
     pole guard, in order from one interior draw (rows 0 and 1 form the first
-    pair); only t is computed, not the kernel value.  A sequence of seeds gives
-    one stack per seed, seed axis first; a seed short of `count` guarded pairs
-    continues alone from chunk seed + 1, as one seed does."""
+    pair); only t is computed, not the kernel value.  The seed's shape leads
+    the stacks; a seed entry short of `count` guarded pairs continues alone
+    from chunk entry + 1, and a NaN t, which no chunk mends, raises NotFinite."""
     Z, Zeta = sample_interior_arrays(params, seed, 2 * count + 8)
     sides = [Z[..., 0::2, :], Zeta[..., 0::2, :], Z[..., 1::2, :], Zeta[..., 1::2, :]]
     t = _kernel_args(params, Point(*sides[:2]), *sides[2:])[1]
+    if np.isnan(t).any():
+        raise NotFinite(f"pair sampling drew a NaN t at {params}")
     guarded = np.abs(1.0 - t) > PAIR_POLE_DISTANCE
     first = np.argsort(~guarded, axis=-1, kind="stable")[..., :count, None]
     sides = [np.take_along_axis(x, first, axis=-2) for x in sides]
@@ -304,9 +308,10 @@ def check_boundary_invariance(params, a: Automorphism, boundary_points, toleranc
 # ------------------------------ suite runner --------------------------------
 
 def _rotation(params: DomainParams, seed) -> Automorphism:
-    """Origin-fixing automorphisms: the rotation parts of random ones."""
-    rot = random_automorphism(params, seed)
-    return _from_unitary(rot.U, rot.Uprime, np.zeros_like(rot.v))
+    """Origin-fixing automorphisms: random_automorphism's U and U' for seed, v = 0."""
+    rngs = _generators(seed)
+    U = haar_unitary(params.n, rngs)
+    return Automorphism(U, haar_unitary(params.m, rngs), np.zeros(U.shape[:-1]))
 
 
 def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, tolerances=None):
@@ -339,8 +344,8 @@ def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, to
             draws = names[sampler](params, [seed + sample_offset + j for j in range(parts)], count)
             args = [draws, tolerances.get(name), seed]
         if factory is not None:
-            a = names[factory](params, [seed + factory_offset + j for j in range(parts)])
-            args.insert(0, _from_unitary(a.U[:, None], a.Uprime[:, None], a.v[:, None]))
+            a_seeds = [[seed + factory_offset + j] for j in range(parts)]
+            args.insert(0, names[factory](params, a_seeds))
         reports.append(names[check](params, *args))
         reports[-1].seed = seed
     return reports

@@ -51,6 +51,9 @@ def test_construction_dimension_checks():
         Automorphism(np.eye(2), np.eye(1), np.zeros(1))
     with pytest.raises(DimensionMismatch):
         Automorphism(np.ones((2, 3)), np.eye(1), np.zeros(2))
+    for lead in [(0,), (2, 0)]:  # an empty stack, not numpy's bare ValueError
+        with pytest.raises(DimensionMismatch, match="empty"):
+            Automorphism(np.zeros(lead + (1, 1)), np.zeros(lead + (1, 1)), np.zeros(lead + (1,)))
 
 
 # --------------------------------- apply -----------------------------------

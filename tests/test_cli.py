@@ -147,11 +147,12 @@ def test_verify_json_report(capsys):
 
 
 def test_verify_tolerance_override_fails(capsys):
+    # a zero tolerance fails any residual above 0 (boundary's is rounding error)
     code = main(
-        ["verify", "--suite", "gram", "--params", "1,1,1.0", "--tol", "gram=-1"]
+        ["verify", "--suite", "boundary", "--params", "1,1,1.0", "--tol", "boundary=0"]
     )
     assert code == 1
-    assert "gram FAIL" in capsys.readouterr().out
+    assert "boundary FAIL" in capsys.readouterr().out
 
 
 def test_verify_mc_on_wrong_dimensions_exits_2(capsys):
@@ -197,9 +198,22 @@ def test_bad_params_string_exits_2(capsys):
     assert "--params" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params", ["1,1,inf", "1,1,1e-320", "2,1,1e308", "4,4,1e100"])
+def test_verify_unusable_mu_exits_2_with_one_error_line(params, capsys):
+    assert main(["verify", "--params", params]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith("error: mu must be finite")
+
+
 def test_bad_tol_flag_exits_2(capsys):
     assert main(["verify", "--suite", "gram", "--params", "1,1,1.0", "--tol", "gram"]) == 2
     assert "error:" in capsys.readouterr().err
+    # NaN or a negative tolerance is a usage error, not a failed check
+    for tol in ["boundary=nan", "boundary=-1", "boundary=-inf"]:
+        assert main(["verify", "--suite", "boundary", "--params", "1,1,1.0", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: --tol")
 
 
 def test_verify_gram_non_finite_fails_with_exit_1(capsys, monkeypatch):

@@ -32,6 +32,10 @@ def test_params_validation():
         DomainParams(1, 0, 1.0)
     with pytest.raises(ValueError):
         DomainParams(1, 1, 0.0)
+    # mu must be finite, and so must 1/mu and mu**n
+    for n, mu in [(1, math.inf), (1, math.nan), (1, 1e-320), (2, 1e308), (4, 1e100)]:
+        with pytest.raises(ValueError, match="mu"):
+            DomainParams(n, 1, mu)
     assert DomainParams(2, 3, 0.5).dim == 5
 
 

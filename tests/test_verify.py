@@ -18,7 +18,7 @@ from fbh.domain import (
     sample_interior,
     sample_interior_arrays,
 )
-from fbh.errors import NotFinite, NotUnitary, OutsideDomain, PoleProximity
+from fbh.errors import DimensionMismatch, NotFinite, NotUnitary, OutsideDomain, PoleProximity
 from fbh.verify import (
     SUITE_NAMES,
     check_boundary_invariance,
@@ -106,6 +106,41 @@ def test_seed_sequences_stack_the_per_seed_draws_bit_for_bit(params):
         assert_stacks(X.zeta, [pair[side].zeta for pair in alone])
 
 
+DRAWS = {
+    "random_automorphism": lambda params, seed: astuple(random_automorphism(params, seed)),
+    "haar_unitary": lambda params, seed: (autgroup.haar_unitary(params.n, seed),),
+    "sample_interior": lambda params, seed: astuple(sample_interior(params, seed, 6)),
+    "sample_interior_arrays": lambda params, seed: sample_interior_arrays(params, seed, 6),
+    "sample_boundary": lambda params, seed: astuple(sample_boundary(params, seed, 6)),
+    "sample_pairs": lambda params, seed: [x for p in sample_pairs(params, seed, 5) for x in astuple(p)],
+}
+
+
+@pytest.mark.parametrize("draw", DRAWS)
+@pytest.mark.parametrize("params", [P11, DomainParams(3, 2, 1.0), DomainParams(32, 4, 1.0)])
+def test_seed_shape_is_the_leading_shape_of_every_draw(params, draw):
+    seeds = [7, 8, 1000, 3]
+    flat = DRAWS[draw](params, seeds)
+    for column in ([[s] for s in seeds], np.array(seeds)[:, None]):
+        for got, ref in zip(DRAWS[draw](params, column), flat, strict=True):
+            assert_stacks(got, list(ref[:, None]))
+
+
+@pytest.mark.parametrize("draw", DRAWS)
+def test_every_draw_rejects_an_empty_seed_array(draw):
+    for seeds in ([], np.zeros((2, 0), dtype=int)):
+        with pytest.raises(DimensionMismatch):
+            DRAWS[draw](P11, seeds)
+
+
+@pytest.mark.parametrize("params", STACK_PARAMS)
+def test_rotation_is_the_rotation_part_of_the_random_automorphism(params):
+    seeds = [[s] for s in (901, 902, 17)]
+    rot, a = verify._rotation(params, seeds), random_automorphism(params, seeds)
+    assert rot.U.tobytes() == a.U.tobytes() and rot.Uprime.tobytes() == a.Uprime.tobytes()
+    assert rot.v.shape == a.v.shape and not np.any(rot.v)
+
+
 @pytest.mark.parametrize("params", STACK_PARAMS)
 def test_int_seed_automorphism_keeps_the_one_stream_draw_order(params):
     a = random_automorphism(params, 11)
@@ -145,6 +180,17 @@ def test_stacked_sample_pairs_continue_short_seeds_like_the_per_pair_oracle(para
         for X, ref in ((P, [p for p, _ in pairs]), (Q, [q for _, q in pairs])):
             assert X.z[j].tobytes() == stack(ref).z.tobytes()
             assert X.zeta[j].tobytes() == stack(ref).zeta.tobytes()
+
+
+def test_sample_pairs_raises_on_a_nan_t_instead_of_continuing(monkeypatch):
+    def nan_rows(params, seed, count):
+        nan = np.full(np.shape(seed) + (count,), np.nan)
+        return nan[..., None] * np.ones(params.n), nan[..., None] * np.ones(params.m)
+
+    monkeypatch.setattr(verify, "sample_interior_arrays", nan_rows)
+    for seed in (3, [3, 4]):
+        with pytest.raises(NotFinite):
+            sample_pairs(P11, seed, 5)
 
 
 # ------------------------------ kernel law ---------------------------------
@@ -481,7 +527,7 @@ def test_run_suite_matches_the_per_part_oracle(params, seed):
 def test_run_suite_makes_one_check_call_per_suite(monkeypatch):
     # the call budget of one (32, 4) op: a per-part loop would call each check
     # 10 (boundary: 4) times, polylog_deriv 111 times, random_automorphism 34
-    # times and the samplers 35 times
+    # times and the samplers 35 times; cartan draws its rotations itself
     from fbh import bergman
 
     calls = {}
@@ -503,9 +549,9 @@ def test_run_suite_makes_one_check_call_per_suite(monkeypatch):
     assert {name: len(calls.get(name, ())) for name in checks} == dict.fromkeys(checks, 1)
     assert len(calls["polylog_deriv"]) <= 10
     assert len(calls["validate"]) == 4  # once per stacked draw, not again with the parts axis
-    offsets = [101, 501, 901, 1701]  # kernel-law, metric-law, cartan, boundary factories
-    parts = [10, 10, 10, 4]
-    expected = [[5 + off + j for j in range(k)] for off, k in zip(offsets, parts)]
+    offsets = [101, 501, 1701]  # kernel-law, metric-law, boundary factories
+    parts = [10, 10, 4]
+    expected = [[[5 + off + j] for j in range(k)] for off, k in zip(offsets, parts)]
     assert [args[1] for args in calls["random_automorphism"]] == expected
     # one sampler call per suite: kernel-law and metric-law draw through
     # sample_pairs (one interior draw each), cartan and gram through
