@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainParams, Point, _draw, _frozen, _generators, check_point, from_pairs, to_pairs
+from .domain import DomainParams, Point, _frozen, _leading, check_point, from_pairs, to_pairs
 from .errors import DimensionMismatch, NotUnitary
 
 UNITARY_TOL = 1e-10
@@ -160,22 +160,24 @@ def jacobian_det(params: DomainParams, a: Automorphism, p: Point):
     return np.linalg.det(a.U) * np.linalg.det(a.Uprime) * s**params.m
 
 
-def haar_unitary(dim: int, rng) -> np.ndarray:
-    """Haar-distributed unitary: complex Ginibre, QR, R-diagonal phases absorbed.
-    `rng` is a seed as for the samplers; its shape is the stack's leading shape."""
-    rngs = _generators(rng)
-    g = (_draw(rngs, (dim, dim)) + 1j * _draw(rngs, (dim, dim))) / math.sqrt(2)
+def haar_unitary(dim: int, rng, shape=()) -> np.ndarray:
+    """Haar-distributed unitaries of leading shape `shape`: complex Ginibre,
+    QR, R-diagonal phases absorbed.  `rng` is a seed as for the samplers."""
+    rng = np.random.default_rng(rng)
+    shape = _leading(shape) + (dim, dim)
+    g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
     q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
 
 
-def random_automorphism(params: DomainParams, seed) -> Automorphism:
+def random_automorphism(params: DomainParams, seed, shape=()) -> Automorphism:
     """Haar-random U and U', complex Gaussian v with unit per-coordinate
-    variance; deterministic per seed entry, with the seed's shape as leading
-    shape.  A stack is checked for unitarity once, as a whole."""
-    rngs = _generators(seed)
-    U = haar_unitary(params.n, rngs)
-    Up = haar_unitary(params.m, rngs)
-    v = (_draw(rngs, (params.n,)) + 1j * _draw(rngs, (params.n,))) / math.sqrt(2)
+    variance, drawn in that order from one stream; a stack of leading shape
+    `shape` is checked for unitarity once, as a whole."""
+    rng = np.random.default_rng(seed)
+    U = haar_unitary(params.n, rng, shape)
+    Up = haar_unitary(params.m, rng, shape)
+    v_shape = U.shape[:-1]
+    v = (rng.standard_normal(v_shape) + 1j * rng.standard_normal(v_shape)) / math.sqrt(2)
     return Automorphism(U, Up, v)

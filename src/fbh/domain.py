@@ -8,6 +8,7 @@ Monte-Carlo checks, so its density is exposed in closed form.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +27,15 @@ class DomainParams:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be >= 1")
-        try:  # the kernel prefactor needs mu^n and the sampler 1/mu
+        try:  # the sampler needs 1/mu and the kernel its prefactor mu^n / pi^(n+m)
             mu = float(self.mu)
-            usable = 0 < mu < math.inf and math.isfinite(1 / mu) and math.isfinite(mu**self.n)
+            usable = 0 < mu < math.inf and math.isfinite(1 / mu)
+            usable = usable and mu**self.n / math.pi ** (self.n + self.m) >= sys.float_info.min
         except OverflowError:
             usable = False
         if not usable:
-            raise ValueError(f"mu must be finite and > 0 with 1/mu and mu**n finite, got {self.mu}")
+            raise ValueError(f"mu must be finite and > 0 with 1/mu finite and mu**n / pi**(n+m) "
+                             f"a normal float, got {self.mu}")
 
     @property
     def dim(self) -> int:
@@ -155,31 +158,21 @@ def project_to_boundary(params: DomainParams, z, direction) -> Point:
 # ------------------------------- sampling ----------------------------------
 # The generator is numpy's seeded PCG64; draws are reproducible per seed on
 # one implementation and reproducible in distribution across platforms.  A
-# seed is an int, a Generator or an array-like of them, and its shape is the
-# draw's leading shape: entry i draws slice i as default_rng(entry) would
-# alone, bit for bit, and a Generator continues its own stream.
+# seed is anything np.random.default_rng takes (an int, an int sequence, or a
+# Generator, which continues its stream), and a draw of leading shape (k, c)
+# is the draw of k * c reshaped: each component is one call on the whole shape.
 
-def _generators(seed):
-    """default_rng of each entry, as an object array of the seed's shape (a
-    Generator stays as it is, so this accepts its own output)."""
-    rngs = np.asarray(np.frompyfunc(np.random.default_rng, 1, 1)(seed), dtype=object)
-    if not rngs.size:
-        raise DimensionMismatch("expected at least one seed")
-    return rngs
-
-
-def _draw(rngs, shape, method="standard_normal"):
-    """An array of leading shape rngs.shape and trailing shape `shape`: each
-    Generator fills its own slice with rng.<method>, in turn."""
-    out = np.empty(rngs.shape + shape)
-    for rng, row in zip(rngs.flat, out.reshape((-1,) + shape)):
-        getattr(rng, method)(out=row)
-    return out
+def _leading(shape) -> tuple:
+    """A draw's leading shape from an int or a tuple, each axis >= 1."""
+    shape = tuple(shape) if np.ndim(shape) else (shape,)
+    if not all(k >= 1 for k in shape):
+        raise ValueError(f"draw shapes need every axis >= 1, got {shape}")
+    return shape
 
 
-def sample_interior_arrays(params: DomainParams, seed, count: int):
-    """Vectorized interior sampler: arrays Z (..., count, n) and Zeta
-    (..., count, m), whose leading shape is the seed's.
+def sample_interior_arrays(params: DomainParams, seed, count):
+    """Vectorized interior sampler: arrays Z (*count, n) and Zeta
+    (*count, m), where count is an int or a shape.
 
     z has independent complex-Gaussian coordinates with variance 1/(2 mu)
     per real coordinate, so the z-marginal density is (mu/pi)^n
@@ -187,25 +180,20 @@ def sample_interior_arrays(params: DomainParams, seed, count: int):
     exp(-mu ||z||^2 / 2): a normalized complex Gaussian direction scaled by
     R u^(1/(2m)) with u uniform on [0, 1).  Every row is strictly interior.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    rngs = _generators(seed)
-    Z = np.empty(rngs.shape + (count, params.n), dtype=complex)
-    Z.real = _draw(rngs, (count, params.n))
-    Z.imag = _draw(rngs, (count, params.n))
-    Z *= math.sqrt(1.0 / (2.0 * params.mu))
-    Zeta = np.empty(rngs.shape + (count, params.m), dtype=complex)
-    Zeta.real = _draw(rngs, (count, params.m))
-    Zeta.imag = _draw(rngs, (count, params.m))
+    rng = np.random.default_rng(seed)
+    lead = _leading(count)
+    zs, ws = lead + (params.n,), lead + (params.m,)
+    Z = (rng.standard_normal(zs) + 1j * rng.standard_normal(zs)) * math.sqrt(1.0 / (2.0 * params.mu))
+    Zeta = rng.standard_normal(ws) + 1j * rng.standard_normal(ws)
     Zeta /= np.linalg.norm(Zeta, axis=-1, keepdims=True)
-    u = _draw(rngs, (count,), "random")
+    u = rng.random(lead)
     radius = np.exp(-params.mu * _norm2(Z) / 2.0) * u ** (1.0 / (2 * params.m))
     Zeta *= radius[..., None]
     return Z, Zeta
 
 
-def sample_interior(params: DomainParams, seed, count: int) -> Point:
-    """Deterministic stack of `count` interior points per seed entry."""
+def sample_interior(params: DomainParams, seed, count) -> Point:
+    """Deterministic stack of interior points, of leading shape count."""
     return Point(*sample_interior_arrays(params, seed, count))
 
 
@@ -231,17 +219,15 @@ def sample_density(params: DomainParams, p: Point):
     return sample_density_arrays(params, p.z)
 
 
-def sample_boundary(params: DomainParams, seed, count: int) -> Point:
-    """Deterministic stack of `count` boundary points per seed entry, with
-    the seed's shape as leading shape: sampled z, uniform zeta-direction.
+def sample_boundary(params: DomainParams, seed, count) -> Point:
+    """Deterministic stack of boundary points, of leading shape count:
+    sampled z, uniform zeta-direction.
 
-    Row i of a seed's one draw holds Re z, Im z, Re d, Im d of point i, so
-    the first k points do not depend on count.
+    Row i of the draw holds Re z, Im z, Re d, Im d of point i, so the first
+    k points do not depend on count.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
     n, m = params.n, params.m
-    g = _draw(_generators(seed), (count, 2 * (n + m)))
+    g = np.random.default_rng(seed).standard_normal(_leading(count) + (2 * (n + m),))
     z = math.sqrt(1.0 / (2.0 * params.mu)) * (g[..., :n] + 1j * g[..., n : 2 * n])
     d = g[..., 2 * n : 2 * n + m] + 1j * g[..., 2 * n + m :]
     d /= np.linalg.norm(d, axis=-1, keepdims=True)

@@ -8,6 +8,7 @@ precision error accumulation across determinants and matrix products.
 """
 
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -29,7 +30,7 @@ from .bergman import (
 from .domain import (
     DomainParams,
     Point,
-    _generators,
+    _leading,
     _norm2,
     defect,
     sample_boundary,
@@ -40,21 +41,19 @@ from .domain import (
 from .errors import NotFinite
 from .polylog import _guarded, a_poly
 
-# One row per suite: (check, automorphism factory, its seed offset, sampler,
-# its seed offset, sample count, parts); part j uses sub-seeds seed + offset + j.
-# Each draw is one call on all parts' sub-seeds, shaped (parts, 1) for automorphisms
-# and (parts,) for samples (parts, count); the check runs once on the stacks.
-# Without a sampler the check gets the sub-seed and count.  Names resolve when
-# the suite runs, so whatever the module attribute holds then gets called.
+# One row per suite: (check, automorphism factory, sampler, sample count,
+# parts, stream key).  Each suite draws from one default_rng([seed, key]):
+# first its automorphisms, shaped (parts, 1), then its samples, shaped
+# (parts, count); the check runs once on the stacks.  Without a sampler the
+# check gets the stream and count.  Names resolve when the suite runs, so
+# whatever the module attribute holds then gets called.
 _SUITE_TABLE = {
-    "kernel-law": ("check_kernel_law", "random_automorphism", 101, "sample_pairs", 301, 10, 10),
-    "metric-law": ("check_metric_law", "random_automorphism", 501, "sample_pairs", 701, 5, 10),
-    "cartan": ("check_cartan", "_rotation", 901, "sample_interior", 1101, 10, 10),
-    "gram": ("check_gram_psd", None, 0, "sample_interior", 1301, 40, 1),
-    "mc": ("mc_reproduce_constant", None, 0, None, 1501, 1_000_000, 1),
-    "boundary": (
-        "check_boundary_invariance", "random_automorphism", 1701, "sample_boundary", 1901, 50, 4
-    ),
+    "kernel-law": ("check_kernel_law", "random_automorphism", "sample_pairs", 10, 10, 101),
+    "metric-law": ("check_metric_law", "random_automorphism", "sample_pairs", 5, 10, 501),
+    "cartan": ("check_cartan", "_rotation", "sample_interior", 10, 10, 901),
+    "gram": ("check_gram_psd", None, "sample_interior", 40, 1, 1301),
+    "mc": ("mc_reproduce_constant", None, None, 1_000_000, 1, 1501),
+    "boundary": ("check_boundary_invariance", "random_automorphism", "sample_boundary", 50, 4, 1701),
 }
 SUITE_NAMES = tuple(_SUITE_TABLE)
 
@@ -101,7 +100,7 @@ def _report(name, max_residual, tolerance, samples, seed, residual_kind, **detai
         tolerance=tolerance,
         samples=int(samples),
         passed=bool(max_residual <= tolerance),
-        seed=int(seed),
+        seed=seed,
         residual_kind=residual_kind,
         details={k: float(v) for k, v in details.items()},
     )
@@ -112,25 +111,25 @@ def _worst(residuals) -> float:
     return float(np.max(residuals, initial=0.0))
 
 
-def sample_pairs(params: DomainParams, seed, count: int):
-    """Stacks (P, Q) of `count` interior point pairs with |1 - t| above the
-    pole guard, in order from one interior draw (rows 0 and 1 form the first
-    pair); only t is computed, not the kernel value.  The seed's shape leads
-    the stacks; a seed entry short of `count` guarded pairs continues alone
-    from chunk entry + 1, and a NaN t, which no chunk mends, raises NotFinite."""
-    Z, Zeta = sample_interior_arrays(params, seed, 2 * count + 8)
-    sides = [Z[..., 0::2, :], Zeta[..., 0::2, :], Z[..., 1::2, :], Zeta[..., 1::2, :]]
-    t = _kernel_args(params, Point(*sides[:2]), *sides[2:])[1]
-    if np.isnan(t).any():
-        raise NotFinite(f"pair sampling drew a NaN t at {params}")
-    guarded = np.abs(1.0 - t) > PAIR_POLE_DISTANCE
-    first = np.argsort(~guarded, axis=-1, kind="stable")[..., :count, None]
-    sides = [np.take_along_axis(x, first, axis=-2) for x in sides]
-    for j in map(tuple, np.argwhere(guarded.sum(axis=-1) < count)):
-        have = np.count_nonzero(guarded[j])
-        P, Q = sample_pairs(params, int(np.asarray(seed)[j]) + 1, count - have)
-        for x, rest in zip(sides, (P.z, P.zeta, Q.z, Q.zeta)):
-            x[j][have:] = rest
+def sample_pairs(params: DomainParams, seed, count):
+    """Stacks (P, Q) of interior point pairs with |1 - t| above the pole
+    guard, of leading shape count (an int or a shape); only t is computed.
+    They are the guarded pairs of one stream, in order: rows 0 and 1 of an
+    interior draw form its first pair, and a short draw is continued from
+    the same stream.  A NaN t, which no draw mends, raises NotFinite."""
+    rng = np.random.default_rng(seed)
+    lead = _leading(count)
+    need, kept = math.prod(lead), []
+    while need:
+        Z, Zeta = sample_interior_arrays(params, rng, 2 * need + 8)
+        sides = [Z[0::2], Zeta[0::2], Z[1::2], Zeta[1::2]]
+        t = _kernel_args(params, Point(*sides[:2]), *sides[2:])[1]
+        if np.isnan(t).any():
+            raise NotFinite(f"pair sampling drew a NaN t at {params}")
+        guarded = np.abs(1.0 - t) > PAIR_POLE_DISTANCE
+        kept.append([x[guarded][:need] for x in sides])
+        need -= len(kept[-1][0])
+    sides = [np.concatenate(x).reshape(lead + x[0].shape[-1:]) for x in zip(*kept)]
     return Point(*sides[:2]), Point(*sides[2:])
 
 
@@ -188,11 +187,11 @@ def check_cartan(params, a: Automorphism, points, tolerance=None, seed=0) -> Che
     Verifies, over the given interior points, that the representative map
     intertwines the action with the unitary L = l_matrix(a), that the
     reconstructed linear map T^(-1/2) L T^(1/2) reproduces the action, and
-    that this matrix is exactly the block-diagonal (U, U'); the block
-    deviation is reported in the details.  T^(+-1/2) come from metric(0, 0),
-    once per call, so the closed-form diagonal in representative_map is
-    checked too.  `points` is a stacked Point whose leading shape broadcasts
-    against that of a stacked `a`.
+    that this matrix is exactly the block-diagonal (U, U'); the residual is
+    the worst of the three, each reported in the details.  T^(+-1/2) come
+    from metric(0, 0), once per call, so the closed-form diagonal in
+    representative_map is checked too.  `points` is a stacked Point whose
+    leading shape broadcasts against that of a stacked `a`.
     """
     L = l_matrix(params, a)
     o = Point.origin(params)
@@ -209,11 +208,9 @@ def check_cartan(params, a: Automorphism, points, tolerance=None, seed=0) -> Che
     comm = np.max(np.abs(sig_image - sig_linear), axis=-1) / denom_c
     denom_l = np.maximum(np.max(np.abs(image.coords()), axis=-1), KERNEL_FLOOR)
     lin = np.max(np.abs(image.coords() - _matvec(linear_map, points.coords())), axis=-1) / denom_l
-    return _report(
-        "cartan", _worst([_worst(comm), _worst(lin)]), tolerance, comm.size, seed, "relative",
-        commutation_residual=_worst(comm), linearity_residual=_worst(lin),
-        block_residual=block_residual,
-    )
+    worst = {"commutation_residual": _worst(comm), "linearity_residual": _worst(lin),
+             "block_residual": block_residual}
+    return _report("cartan", _worst(list(worst.values())), tolerance, comm.size, seed, "relative", **worst)
 
 
 def check_gram_psd(params, points, tol=None, seed=0) -> CheckReport:
@@ -255,7 +252,7 @@ def check_gram_psd(params, points, tol=None, seed=0) -> CheckReport:
     )
 
 
-def mc_reproduce_constant(params: DomainParams, seed: int, samples: int = 1_000_000) -> CheckReport:
+def mc_reproduce_constant(params: DomainParams, seed, samples: int = 1_000_000) -> CheckReport:
     """Importance-sampling check that the kernel integrates the constant
     function 1 back to 1 at the origin (n = m = 1 only).
 
@@ -264,8 +261,8 @@ def mc_reproduce_constant(params: DomainParams, seed: int, samples: int = 1_000_
     like the proposal here, so the weights are constant up to rounding and
     the standard error sits at float-noise level.  Passes when
     |estimate - 1| <= max(0.02, 4 stderr).  Drawn in 2^17-row blocks from
-    one default_rng(seed): memory is a block plus 8 bytes per sample, and
-    runs of up to 2^17 samples are bit-identical to one sampler call.
+    one default_rng(seed), which continues a Generator: memory is a block plus
+    8 bytes per sample, and runs of up to 2^17 are one sampler call, bit for bit.
     """
     if params.n != 1 or params.m != 1:
         raise ValueError("the reproducing check is defined for n = m = 1")
@@ -307,11 +304,11 @@ def check_boundary_invariance(params, a: Automorphism, boundary_points, toleranc
 
 # ------------------------------ suite runner --------------------------------
 
-def _rotation(params: DomainParams, seed) -> Automorphism:
+def _rotation(params: DomainParams, seed, shape=()) -> Automorphism:
     """Origin-fixing automorphisms: random_automorphism's U and U' for seed, v = 0."""
-    rngs = _generators(seed)
-    U = haar_unitary(params.n, rngs)
-    return Automorphism(U, haar_unitary(params.m, rngs), np.zeros(U.shape[:-1]))
+    rng = np.random.default_rng(seed)
+    U = haar_unitary(params.n, rng, shape)
+    return Automorphism(U, haar_unitary(params.m, rng, shape), np.zeros(U.shape[:-1]))
 
 
 def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, tolerances=None):
@@ -322,8 +319,9 @@ def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, to
     (n = m = 1).  `samples` overrides the Monte-Carlo sample count, and a
     run without that check rejects it; `tolerances` maps suite names to
     tolerance overrides.  Each suite runs as its _SUITE_TABLE row says: its
-    parts are drawn together and checked in one call, so the report holds
-    the largest residual over all parts.  Every report carries the root seed.
+    parts are drawn together from the suite's own stream and checked in one
+    call, so the report holds the largest residual over all parts.  Every
+    report carries the root seed, which must be a non-negative int.
     """
     tolerances = tolerances or {}
     wanted = list(SUITE_NAMES) if "all" in suites else list(suites)
@@ -334,18 +332,18 @@ def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, to
         raise ValueError(f"unknown suites: {sorted(unknown)}")
     if samples is not None and "mc" not in wanted:
         raise ValueError("samples sizes the Monte-Carlo check, which this run does not include")
+    if operator.index(seed) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
     names, reports = globals(), []
     for name in wanted:
-        check, factory, factory_offset, sampler, sample_offset, count, parts = _SUITE_TABLE[name]
+        check, factory, sampler, count, parts, key = _SUITE_TABLE[name]
+        rng = np.random.default_rng([seed, key])
+        args = [] if factory is None else [names[factory](params, rng, (parts, 1))]
         if sampler is None:
-            args = [seed + sample_offset, count if samples is None else samples]
+            args += [rng, count if samples is None else samples]
         else:
-            draws = names[sampler](params, [seed + sample_offset + j for j in range(parts)], count)
-            args = [draws, tolerances.get(name), seed]
-        if factory is not None:
-            a_seeds = [[seed + factory_offset + j] for j in range(parts)]
-            args.insert(0, names[factory](params, a_seeds))
+            args += [names[sampler](params, rng, (parts, count)), tolerances.get(name), seed]
         reports.append(names[check](params, *args))
         reports[-1].seed = seed
     return reports

@@ -4,12 +4,14 @@ Nothing here shares code paths with the production derivatives: the series
 oracle sums the defining power series directly, and the finite-difference
 oracles only ever call the functions they are checking at perturbed points.
 The per-part suite runner is the reference for run_suite's one call per
-suite: it shares the checks and draws, not the stacking.  The block metric
+suite: it shares the checks and the stacked draws, and checks them slice by
+slice.  The block metric
 is the reference for metric's one output array: it shares the log-derivative
 pieces, not the assembly.  The one-stream Haar draw is the reference for the
 draw order of random_automorphism at an int seed.
 """
 
+from dataclasses import astuple
 from math import comb
 
 import numpy as np
@@ -205,17 +207,16 @@ def haar_one_stream(params, seed):
 
 
 def sample_pairs_per_pair(params, seed, count):
-    """Reference for verify.sample_pairs: the same chunked draws, kept pair
-    by pair as a list of single-Point pairs."""
-    pairs, chunk_seed = [], seed
+    """Reference for verify.sample_pairs: the same chunked draws from one
+    stream, kept pair by pair as a list of single-Point pairs."""
+    pairs, rng = [], np.random.default_rng(seed)
     while len(pairs) < count:
-        Z, Zeta = sample_interior_arrays(params, chunk_seed, 2 * (count - len(pairs)) + 8)
+        Z, Zeta = sample_interior_arrays(params, rng, 2 * (count - len(pairs)) + 8)
         for i in range(0, len(Z), 2):
             p, q = Point(Z[i], Zeta[i]), Point(Z[i + 1], Zeta[i + 1])
             guarded = abs(1.0 - kernel(params, p, q).t_arg) > verify.PAIR_POLE_DISTANCE
             if guarded and len(pairs) < count:
                 pairs.append((p, q))
-        chunk_seed += 1
     return pairs
 
 
@@ -243,23 +244,30 @@ def _merge_parts(reports, seed):
     )
 
 
+def _part(draw, j):
+    """Part j of a stacked draw: an Automorphism, a Point or a (P, Q) pair."""
+    if isinstance(draw, tuple):
+        return tuple(_part(x, j) for x in draw)
+    return type(draw)(*(x[j] for x in astuple(draw)))
+
+
 def run_suite_per_part(params, seed, suites):
-    """Reference for verify.run_suite: every part of a suite is drawn as
-    _SUITE_TABLE says and checked in a call of its own, with one automorphism
-    and one part's samples, and the part reports are merged."""
+    """Reference for verify.run_suite: every suite is drawn as _SUITE_TABLE
+    says, each part's slice of the stacked draws (automorphism and samples)
+    is checked in a call of its own, and the part reports are merged."""
     reports = []
     for name in suites:
-        check, factory, f_offset, sampler, s_offset, count, parts = verify._SUITE_TABLE[name]
+        check, factory, sampler, count, parts, key = verify._SUITE_TABLE[name]
         fn = getattr(verify, check)
+        rng = np.random.default_rng([seed, key])
+        if sampler is None:
+            reports.append(_merge_parts([fn(params, rng, count)], seed))
+            continue
+        auts = None if factory is None else getattr(verify, factory)(params, rng, (parts, 1))
+        draws = getattr(verify, sampler)(params, rng, (parts, count))
         part_reports = []
         for j in range(parts):
-            if sampler is None:
-                part_reports.append(fn(params, seed + s_offset + j, count))
-                continue
-            args = [params]
-            if factory is not None:
-                args.append(getattr(verify, factory)(params, seed + f_offset + j))
-            args.append(getattr(verify, sampler)(params, seed + s_offset + j, count))
-            part_reports.append(fn(*args, None, seed))
+            args = [params] if auts is None else [params, _part(auts, (j, 0))]
+            part_reports.append(fn(*args, _part(draws, j), None, seed))
         reports.append(_merge_parts(part_reports, seed))
     return reports

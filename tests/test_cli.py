@@ -198,7 +198,9 @@ def test_bad_params_string_exits_2(capsys):
     assert "--params" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("params", ["1,1,inf", "1,1,1e-320", "2,1,1e308", "4,4,1e100"])
+@pytest.mark.parametrize(
+    "params", ["1,1,inf", "1,1,1e-320", "2,1,1e308", "4,4,1e100", "8,1,1e-40", "64,1,1e-6"]
+)
 def test_verify_unusable_mu_exits_2_with_one_error_line(params, capsys):
     assert main(["verify", "--params", params]) == 2
     captured = capsys.readouterr()
@@ -307,3 +309,10 @@ def test_apply_stacked_point_matches_library(capsys, tmp_path, files):
     a = Automorphism.from_json(json.loads(open(files["aut"]).read()))
     expected = apply(P11, a, X)
     assert np.array_equal(out.z, expected.z) and np.array_equal(out.zeta, expected.zeta)
+
+
+@pytest.mark.parametrize("seed", ["-1", "-102"])
+def test_verify_negative_seed_exits_2_with_one_error_line(seed, capsys):
+    assert main(["verify", "--params", "1,1,1.0", "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [f"error: seed must be >= 0, got {seed}"]

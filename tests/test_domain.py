@@ -36,7 +36,13 @@ def test_params_validation():
     for n, mu in [(1, math.inf), (1, math.nan), (1, 1e-320), (2, 1e308), (4, 1e100)]:
         with pytest.raises(ValueError, match="mu"):
             DomainParams(n, 1, mu)
+    # the kernel prefactor mu**n / pi**(n+m) must not underflow: at (8, 1, 1e-40)
+    # every kernel value was 0.0, which the laws read as agreement
+    for n, mu in [(8, 1e-40), (64, 1e-6)]:
+        with pytest.raises(ValueError, match="mu"):
+            DomainParams(n, 1, mu)
     assert DomainParams(2, 3, 0.5).dim == 5
+    assert DomainParams(64, 64, 1.0).mu == 1.0 and DomainParams(1, 1, 1e-300).mu == 1e-300
 
 
 def test_point_arrays_are_readonly():

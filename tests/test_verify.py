@@ -18,7 +18,7 @@ from fbh.domain import (
     sample_interior,
     sample_interior_arrays,
 )
-from fbh.errors import DimensionMismatch, NotFinite, NotUnitary, OutsideDomain, PoleProximity
+from fbh.errors import NotFinite, NotUnitary, OutsideDomain, PoleProximity
 from fbh.verify import (
     SUITE_NAMES,
     check_boundary_invariance,
@@ -82,63 +82,40 @@ def test_sample_pairs_draws_the_pairs_of_the_per_pair_loop(params):
 
 STACK_PARAMS = [P11, DomainParams(3, 2, 1.0), DomainParams(32, 4, 1.0), DomainParams(2, 64, 1.0)]
 
-
-def assert_stacks(stacked, singles):
-    expected = np.stack(singles)
-    assert stacked.shape == expected.shape and stacked.tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("params", STACK_PARAMS)
-def test_seed_sequences_stack_the_per_seed_draws_bit_for_bit(params):
-    seeds = [7, 8, 1000, 3]
-    a = random_automorphism(params, seeds)
-    alone = [random_automorphism(params, s) for s in seeds]
-    for name in ("U", "Uprime", "v"):
-        assert_stacks(getattr(a, name), [getattr(b, name) for b in alone])
-    for sampler in (sample_interior, sample_boundary):
-        X, alone = sampler(params, seeds, 6), [sampler(params, s, 6) for s in seeds]
-        assert_stacks(X.z, [x.z for x in alone])
-        assert_stacks(X.zeta, [x.zeta for x in alone])
-    P, Q = sample_pairs(params, seeds, 5)
-    alone = [sample_pairs(params, s, 5) for s in seeds]
-    for X, side in ((P, 0), (Q, 1)):
-        assert_stacks(X.z, [pair[side].z for pair in alone])
-        assert_stacks(X.zeta, [pair[side].zeta for pair in alone])
-
-
 DRAWS = {
-    "random_automorphism": lambda params, seed: astuple(random_automorphism(params, seed)),
-    "haar_unitary": lambda params, seed: (autgroup.haar_unitary(params.n, seed),),
-    "sample_interior": lambda params, seed: astuple(sample_interior(params, seed, 6)),
-    "sample_interior_arrays": lambda params, seed: sample_interior_arrays(params, seed, 6),
-    "sample_boundary": lambda params, seed: astuple(sample_boundary(params, seed, 6)),
-    "sample_pairs": lambda params, seed: [x for p in sample_pairs(params, seed, 5) for x in astuple(p)],
+    "random_automorphism": lambda params, seed, shape: astuple(random_automorphism(params, seed, shape)),
+    "haar_unitary": lambda params, seed, shape: (autgroup.haar_unitary(params.n, seed, shape),),
+    "sample_interior": lambda params, seed, shape: astuple(sample_interior(params, seed, shape)),
+    "sample_interior_arrays": lambda params, seed, shape: sample_interior_arrays(params, seed, shape),
+    "sample_boundary": lambda params, seed, shape: astuple(sample_boundary(params, seed, shape)),
+    "sample_pairs": lambda params, seed, shape: [
+        x for p in sample_pairs(params, seed, shape) for x in astuple(p)
+    ],
 }
 
 
 @pytest.mark.parametrize("draw", DRAWS)
 @pytest.mark.parametrize("params", [P11, DomainParams(3, 2, 1.0), DomainParams(32, 4, 1.0)])
-def test_seed_shape_is_the_leading_shape_of_every_draw(params, draw):
-    seeds = [7, 8, 1000, 3]
-    flat = DRAWS[draw](params, seeds)
-    for column in ([[s] for s in seeds], np.array(seeds)[:, None]):
-        for got, ref in zip(DRAWS[draw](params, column), flat, strict=True):
-            assert_stacks(got, list(ref[:, None]))
+def test_draw_shape_is_the_flat_draw_reshaped(params, draw):
+    flat = DRAWS[draw](params, 7, 12)
+    for shape in ((3, 4), (12, 1), (2, 3, 2)):
+        for seed in (7, np.random.default_rng(7)):
+            for got, ref in zip(DRAWS[draw](params, seed, shape), flat, strict=True):
+                assert got.shape == shape + ref.shape[1:] and got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("draw", DRAWS)
-def test_every_draw_rejects_an_empty_seed_array(draw):
-    for seeds in ([], np.zeros((2, 0), dtype=int)):
-        with pytest.raises(DimensionMismatch):
-            DRAWS[draw](P11, seeds)
+def test_every_draw_rejects_an_empty_shape(draw):
+    for shape in (0, (0,), (2, 0), -1):
+        with pytest.raises(ValueError, match="axis >= 1"):
+            DRAWS[draw](P11, 3, shape)
 
 
 @pytest.mark.parametrize("params", STACK_PARAMS)
 def test_rotation_is_the_rotation_part_of_the_random_automorphism(params):
-    seeds = [[s] for s in (901, 902, 17)]
-    rot, a = verify._rotation(params, seeds), random_automorphism(params, seeds)
+    rot, a = verify._rotation(params, 901, (3, 1)), random_automorphism(params, 901, (3, 1))
     assert rot.U.tobytes() == a.U.tobytes() and rot.Uprime.tobytes() == a.Uprime.tobytes()
-    assert rot.v.shape == a.v.shape and not np.any(rot.v)
+    assert rot.v.shape == a.v.shape == (3, 1, params.n) and not np.any(rot.v)
 
 
 @pytest.mark.parametrize("params", STACK_PARAMS)
@@ -148,49 +125,48 @@ def test_int_seed_automorphism_keeps_the_one_stream_draw_order(params):
         assert got.tobytes() == ref.tobytes()
 
 
-def test_random_automorphism_checks_the_stack_as_a_whole(monkeypatch):
-    # all-zero draws for member 1 give R a zero diagonal, so d/|d| is NaN
-    # there and only a NaN-safe unitarity check of the stack can catch it
-    draw = autgroup._draw
+class _ZeroMember(np.random.Generator):
+    """A Generator whose stacked normal draws are all zero for member 1."""
 
-    def zero_member(*args):
-        out = draw(*args)
+    def standard_normal(self, size=None):
+        out = super().standard_normal(size)
         out[1] = 0.0
         return out
 
-    monkeypatch.setattr(autgroup, "_draw", zero_member)
+
+def test_random_automorphism_checks_the_stack_as_a_whole():
+    # all-zero draws for member 1 give R a zero diagonal, so d/|d| is NaN
+    # there and only a NaN-safe unitarity check of the stack can catch it
     with np.errstate(invalid="ignore"), pytest.raises(NotUnitary):
-        random_automorphism(DomainParams(3, 2, 1.0), [4, 5, 6])
+        random_automorphism(DomainParams(3, 2, 1.0), _ZeroMember(np.random.PCG64(4)), 3)
 
 
 @pytest.mark.parametrize("params", [P11, DomainParams(1, 2, 0.5)])
 def test_stacked_sample_pairs_continue_short_seeds_like_the_per_pair_oracle(params, monkeypatch):
-    # at this guard distance some seeds keep fewer than 20 of their first 24
-    # pairs, so they need chunk seed + 1 and beyond, alone; 24 pairs are also
-    # enough for an unstable sort to reorder the guarded ones
+    # at this guard distance the first draw of 208 pairs keeps fewer than the
+    # 200 asked for, so the same stream is drawn from again
     monkeypatch.setattr(verify, "PAIR_POLE_DISTANCE", 0.95)
     chunks = []
     draw = verify.sample_interior_arrays
     monkeypatch.setattr(verify, "sample_interior_arrays", lambda *a: chunks.append(a[1]) or draw(*a))
-    seeds = list(range(40, 50))
-    P, Q = sample_pairs(params, seeds, 20)
-    assert len(chunks) > 1 and all(np.ndim(c) == 0 for c in chunks[1:])
-    for j, seed in enumerate(seeds):
-        pairs = sample_pairs_per_pair(params, seed, 20)
-        for X, ref in ((P, [p for p, _ in pairs]), (Q, [q for _, q in pairs])):
-            assert X.z[j].tobytes() == stack(ref).z.tobytes()
-            assert X.zeta[j].tobytes() == stack(ref).zeta.tobytes()
+    P, Q = sample_pairs(params, 40, (10, 20))
+    assert len(chunks) > 1 and all(c is chunks[0] for c in chunks)
+    pairs = sample_pairs_per_pair(params, 40, 200)
+    for X, ref in ((P, [p for p, _ in pairs]), (Q, [q for _, q in pairs])):
+        assert X.z.shape == (10, 20, params.n)
+        assert X.z.tobytes() == stack(ref).z.tobytes()
+        assert X.zeta.tobytes() == stack(ref).zeta.tobytes()
 
 
 def test_sample_pairs_raises_on_a_nan_t_instead_of_continuing(monkeypatch):
     def nan_rows(params, seed, count):
-        nan = np.full(np.shape(seed) + (count,), np.nan)
-        return nan[..., None] * np.ones(params.n), nan[..., None] * np.ones(params.m)
+        nan = np.full((count, 1), np.nan)
+        return nan * np.ones(params.n), nan * np.ones(params.m)
 
     monkeypatch.setattr(verify, "sample_interior_arrays", nan_rows)
-    for seed in (3, [3, 4]):
+    for count in (5, (2, 5)):
         with pytest.raises(NotFinite):
-            sample_pairs(P11, seed, 5)
+            sample_pairs(P11, 3, count)
 
 
 # ------------------------------ kernel law ---------------------------------
@@ -268,9 +244,8 @@ def test_metric_law_peak_memory_at_large_order():
     # 50 pairs at (32, 4): each (50, 36, 36) stack is 1.04 MB, and the check
     # keeps at most three of them live (seven before the in-place metric)
     params = DomainParams(32, 4, 1.0)
-    rot = random_automorphism(params, range(501, 511))
-    a = Automorphism(rot.U[:, None], rot.Uprime[:, None], rot.v[:, None])
-    pairs = sample_pairs(params, range(701, 711), 5)
+    a = random_automorphism(params, 501, (10, 1))
+    pairs = sample_pairs(params, 701, (10, 5))
     check_metric_law(params, a, pairs)
     tracemalloc.start()
     try:
@@ -530,7 +505,7 @@ def test_run_suite_makes_one_check_call_per_suite(monkeypatch):
     # times and the samplers 35 times; cartan draws its rotations itself
     from fbh import bergman
 
-    calls = {}
+    calls, streams = {}, []
 
     def spy(name, fn):
         def wrapped(*args, **kwargs):
@@ -539,32 +514,87 @@ def test_run_suite_makes_one_check_call_per_suite(monkeypatch):
 
         return wrapped
 
+    def default_rng(seed=None):
+        streams.append(seed)
+        return real_default_rng(seed)
+
+    real_default_rng = np.random.default_rng
     checks = [n for n in dir(verify) if n.startswith("check_")]
     samplers = ["sample_pairs", "sample_interior", "sample_interior_arrays", "sample_boundary"]
-    for name in checks + samplers + ["random_automorphism"]:
+    for name in checks + samplers + ["random_automorphism", "_rotation"]:
         monkeypatch.setattr(verify, name, spy(name, getattr(verify, name)))
     monkeypatch.setattr(bergman, "polylog_deriv", spy("polylog_deriv", bergman.polylog_deriv))
     monkeypatch.setattr(Automorphism, "__post_init__", spy("validate", Automorphism.__post_init__))
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
     run_suite(DomainParams(32, 4, 1.0), 5, ("all",))
     assert {name: len(calls.get(name, ())) for name in checks} == dict.fromkeys(checks, 1)
     assert len(calls["polylog_deriv"]) <= 10
     assert len(calls["validate"]) == 4  # once per stacked draw, not again with the parts axis
-    offsets = [101, 501, 1701]  # kernel-law, metric-law, boundary factories
-    parts = [10, 10, 4]
-    expected = [[[5 + off + j] for j in range(k)] for off, k in zip(offsets, parts)]
-    assert [args[1] for args in calls["random_automorphism"]] == expected
+    # one stream per suite, built once; every draw continues it
+    suites = ["kernel-law", "metric-law", "cartan", "gram", "boundary"]
+    fresh = [s for s in streams if not isinstance(s, np.random.Generator)]
+    assert fresh == [[5, verify._SUITE_TABLE[name][-1]] for name in suites]
+    factories = calls["random_automorphism"] + calls["_rotation"]
+    assert sorted(args[2] for args in factories) == [(4, 1), (10, 1), (10, 1), (10, 1)]
     # one sampler call per suite: kernel-law and metric-law draw through
     # sample_pairs (one interior draw each), cartan and gram through
     # sample_interior, boundary through sample_boundary
     assert {name: len(calls[name]) for name in samplers} == dict(zip(samplers, [2, 2, 2, 1]))
-    assert [args[1] for args in calls["sample_interior"]] == [
-        [5 + 1101 + j for j in range(10)], [5 + 1301]
-    ]
+    assert [args[2] for args in calls["sample_pairs"]] == [(10, 10), (10, 5)]
+    assert [args[2] for args in calls["sample_interior"]] == [(10, 10), (1, 40)]
+    assert [args[2] for args in calls["sample_boundary"]] == [(4, 50)]
+    # each suite's samples continue the stream its automorphisms were drawn from
+    samples = calls["sample_pairs"] + calls["sample_boundary"]
+    assert [args[1] for args in calls["random_automorphism"]] == [args[1] for args in samples]
+    assert calls["_rotation"][0][1] is calls["sample_interior"][0][1]
 
 
-@pytest.mark.parametrize("seed", [80831641, 219631995, 892792457, 37202962])
+def _drawn_rows(monkeypatch, params, seed):
+    """Every nonzero row (along the last axis) of every draw that
+    run_suite(params, seed, ("all",)) makes, as bytes."""
+    rows = set()
+
+    def record(out):
+        if isinstance(out, (Automorphism, Point)):
+            out = astuple(out)
+        if isinstance(out, tuple):
+            return [record(x) for x in out]
+        rows.update(r.tobytes() for r in out.reshape(-1, out.shape[-1]) if r.any())
+
+    def spy(fn):
+        def wrapped(*args):
+            out = fn(*args)
+            record(out)
+            return out
+
+        return wrapped
+
+    with monkeypatch.context() as m:
+        for name in ("random_automorphism", "_rotation", "sample_pairs", "sample_interior",
+                     "sample_interior_arrays", "sample_boundary"):
+            m.setattr(verify, name, spy(getattr(verify, name)))
+        run_suite(params, seed, ("all",), samples=100_000 if params == P11 else None)
+    return rows
+
+
+@pytest.mark.parametrize("params", [P11, DomainParams(3, 2, 1.0)])
+def test_run_suite_at_neighbouring_seeds_shares_no_draw(params, monkeypatch):
+    # sub-seeds seed + offset + j made run_suite(s) and run_suite(s + 1) share
+    # 9 of the 10 draws of every multi-part suite
+    rows = _drawn_rows(monkeypatch, params, 41)
+    shared = rows & _drawn_rows(monkeypatch, params, 42)
+    assert rows and not shared, f"{len(shared)} of {len(rows)} rows shared"
+
+
+@pytest.mark.parametrize("seed", [-1, -102])
+def test_run_suite_rejects_a_negative_seed(seed):
+    with pytest.raises(ValueError, match=f"seed must be >= 0, got {seed}"):
+        run_suite(P11, seed, ("gram",))
+
+
+@pytest.mark.parametrize("seed", [319, 9899, 22210, 27308])
 def test_run_suite_passes_where_the_gram_overflowed(seed):
-    # at these op seeds the (32, 4) Gram had kernel values past 1e308
+    # at these op seeds the (32, 4) Gram has kernel values past 1e308
     reports = run_suite(DomainParams(32, 4, 1.0), seed, ("all",))
     assert all(r.passed for r in reports), [r.to_dict() for r in reports if not r.passed]
     [gram] = [r for r in reports if r.name == "gram"]
@@ -706,6 +736,23 @@ def test_mutation_a_poly_constant_term_after_warm_caches(monkeypatch):
     monkeypatch.setattr(polylog, "a_poly", shifted)
     reports = run_suite(P11, 0, suites=("mc",), samples=100_000)
     assert not reports[0].passed
+
+
+@pytest.mark.parametrize("params", [DomainParams(3, 2, 1.0), DomainParams(32, 4, 1.0)])
+def test_mutation_action_by_the_transposed_z_rotation(params, monkeypatch):
+    # apply and the Jacobian behind l_matrix both act with U^T: a consistent
+    # but wrong action, which the commutation and linearity residuals pass and
+    # only the block residual sees (at n = 1, U^T = U, so (1, 1) cannot show it)
+    from fbh import bergman
+
+    def transposed(fn):
+        return lambda params, a, p: fn(params, Automorphism(a.U.swapaxes(-1, -2), a.Uprime, a.v), p)
+
+    monkeypatch.setattr(verify, "apply", transposed(verify.apply))
+    monkeypatch.setattr(bergman, "jacobian", transposed(bergman.jacobian))
+    [report] = run_suite(params, 0, suites=("cartan",))
+    assert not report.passed and report.max_residual == report.details["block_residual"] > 0.1
+    assert report.details["commutation_residual"] <= 1e-7 and report.details["linearity_residual"] <= 1e-7
 
 
 @pytest.mark.parametrize("params", MUTATION_CONFIGS)
