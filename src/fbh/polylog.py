@@ -6,7 +6,12 @@ the pole order raised by one:
 
     (d/dt)^m sum_{k>=1} k^n t^k  =  A(t) / (1 - t)^(n+m+1),
 
-where A is a degree-n polynomial with integer coefficients,
+where A = A_{n,m} is a degree-n polynomial with integer coefficients.
+a_poly builds it from A_{0,0} = t by two exact recurrences: t d/dt raises
+the series order, A_{n+1,0} = t ((1-t) A_{n,0}' + (n+1) A_{n,0}) (the
+Eulerian-number recurrence), and d/dt raises the derivative order,
+A_{n,m+1} = (1-t) A_{n,m}' + (n+m+1) A_{n,m}.  The tests check the result
+against the closed form
 
     A(t) = m! sum_{j=0..n} (-1)^(n+j) (m+1)_j S(n+1, j+1) (1-t)^(n-j),
 
@@ -17,9 +22,9 @@ polynomials are immutable), and conversion to floating point happens once
 per polynomial, on its first evaluation.
 """
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -35,10 +40,10 @@ MAX_ORDER = 64
 
 
 def _check_orders(n: int, m: int) -> None:
-    if not 1 <= n <= MAX_ORDER:
-        raise ValueError(f"series order n must be in 1..{MAX_ORDER}, got {n}")
-    if not 0 <= m <= MAX_ORDER:
-        raise ValueError(f"derivative order m must be in 0..{MAX_ORDER}, got {m}")
+    if not (isinstance(n, Integral) and 1 <= n <= MAX_ORDER):
+        raise ValueError(f"series order n must be an integer in 1..{MAX_ORDER}, got {n!r}")
+    if not (isinstance(m, Integral) and 0 <= m <= MAX_ORDER):
+        raise ValueError(f"derivative order m must be an integer in 0..{MAX_ORDER}, got {m!r}")
 
 
 def _stirling2_row(n: int) -> list:
@@ -93,28 +98,6 @@ class PolyExact:
         """Degree, or -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def __add__(self, other: "PolyExact") -> "PolyExact":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return PolyExact(tuple(out))
-
-    def __mul__(self, other: "PolyExact") -> "PolyExact":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return PolyExact(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, u in enumerate(a):
-            for j, v in enumerate(b):
-                out[i + j] += u * v
-        return PolyExact(tuple(out))
-
-    def scale(self, k: int) -> "PolyExact":
-        return PolyExact(tuple(k * v for v in self.coeffs))
-
     def derivative(self) -> "PolyExact":
         return self._derivative
 
@@ -145,9 +128,9 @@ class RationalForm:
     pole_order: int
 
 
-def _one_minus_t_power(k: int) -> PolyExact:
-    """(1 - t)^k expanded with exact binomials."""
-    return PolyExact(tuple((-1) ** i * math.comb(k, i) for i in range(k + 1)))
+def _step(c: list, p: int) -> list:
+    """Coefficients of (1-t) A' + p A, lowest degree first, for A with coefficients c."""
+    return [(p - i) * a + (i + 1) * b for i, (a, b) in enumerate(zip(c, c[1:] + [0]))]
 
 
 # At most MAX_ORDER * (MAX_ORDER + 1) immutable results.  Orders are checked
@@ -160,16 +143,16 @@ def a_poly(n: int, m: int) -> PolyExact:
     The result has degree exactly n, and a_poly(n, m) / (1-t)^(n+m+1) equals
     that derivative everywhere off t = 1.  For m >= 1 every coefficient is a
     positive integer; for m = 0 the constant term is 0 and the rest are
-    positive.
+    positive.  Built from A_{0,0} = t by n steps of the t d/dt recurrence,
+    then m steps of the d/dt recurrence (module docstring).
     """
     _check_orders(n, m)
-    stirling_row = _stirling2_row(n + 1)
-    total = PolyExact(())
-    fact_m = math.factorial(m)
-    for j in range(n + 1):
-        w = (-1) ** (n + j) * fact_m * pochhammer(m + 1, j) * stirling_row[j + 1]
-        total = total + _one_minus_t_power(n - j).scale(w)
-    return total
+    c = [0, 1]
+    for k in range(1, n + 1):  # range yields Python ints, so the arithmetic stays exact
+        c = [0] + _step(c, k)
+    for p in range(n + 1, n + m + 1):
+        c = _step(c, p)
+    return PolyExact(tuple(c))
 
 
 def li_neg_rational(n: int) -> RationalForm:

@@ -10,6 +10,7 @@ precision error accumulation across determinants and matrix products.
 import math
 import operator
 from dataclasses import asdict, dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -82,7 +83,7 @@ class CheckReport:
     tolerance: float
     samples: int
     passed: bool
-    seed: int
+    seed: int | None  # None when drawn from a Generator or an entropy sequence
     residual_kind: str = "relative"
     details: dict = field(default_factory=dict)
 
@@ -100,7 +101,7 @@ def _report(name, max_residual, tolerance, samples, seed, residual_kind, **detai
         tolerance=tolerance,
         samples=int(samples),
         passed=bool(max_residual <= tolerance),
-        seed=seed,
+        seed=operator.index(seed) if isinstance(seed, Integral) else None,
         residual_kind=residual_kind,
         details={k: float(v) for k, v in details.items()},
     )
@@ -332,7 +333,8 @@ def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, to
         raise ValueError(f"unknown suites: {sorted(unknown)}")
     if samples is not None and "mc" not in wanted:
         raise ValueError("samples sizes the Monte-Carlo check, which this run does not include")
-    if operator.index(seed) < 0:
+    seed = operator.index(seed)
+    if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
     names, reports = globals(), []

@@ -1,8 +1,10 @@
 """Independent numerical oracles for the test-suite.
 
 Nothing here shares code paths with the production derivatives: the series
-oracle sums the defining power series directly, and the finite-difference
-oracles only ever call the functions they are checking at perturbed points.
+oracle sums the defining power series directly, the Stirling closed form
+builds the numerators without the recurrences a_poly uses, and the
+finite-difference oracles only ever call the functions they are checking at
+perturbed points.
 The per-part suite runner is the reference for run_suite's one call per
 suite: it shares the checks and the stacked draws, and checks them slice by
 slice.  The block metric
@@ -12,7 +14,7 @@ draw order of random_automorphism at an int seed.
 """
 
 from dataclasses import astuple
-from math import comb
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -58,6 +60,25 @@ def stirling2_recursive(n, k, _cache={}):
     if key not in _cache:
         _cache[key] = k * stirling2_recursive(n - 1, k) + stirling2_recursive(n - 1, k - 1)
     return _cache[key]
+
+
+def a_poly_stirling(n, m):
+    """Coefficients (lowest first) of the numerator A with d^m/dt^m
+    sum_{k>=1} k^n t^k = A(t) / (1-t)^(n+m+1), from the closed form
+
+        A(t) = m! sum_{j=0..n} (-1)^(n+j) (m+1)_j S(n+1, j+1) (1-t)^(n-j)
+
+    with the recursive Stirling numbers and binomial expansions, and no
+    recurrence in n or m.
+    """
+    coeffs = [0] * (n + 1)
+    for j in range(n + 1):
+        w = (-1) ** (n + j) * factorial(m) * prod(range(m + 1, m + 1 + j)) * stirling2_recursive(n + 1, j + 1)
+        for i in range(n - j + 1):
+            coeffs[i] += w * (-1) ** i * comb(n - j, i)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def eulerian_numerator(n, m):

@@ -8,15 +8,17 @@ import pytest
 from fbh.errors import PoleProximity
 from fbh.polylog import (
     EPS_POLE,
+    MAX_ORDER,
     PolyExact,
     a_poly,
     li_neg_rational,
+    log_derivatives,
     pochhammer,
     polylog_deriv,
     stirling2,
 )
 
-from oracles import eulerian_numerator, series_polylog_deriv, stirling2_recursive
+from oracles import a_poly_stirling, eulerian_numerator, series_polylog_deriv, stirling2_recursive
 
 
 # ------------------------------- stirling2 ---------------------------------
@@ -65,11 +67,6 @@ def test_polyexact_strips_trailing_zeros():
 
 
 def test_polyexact_arithmetic():
-    p = PolyExact((1, 1))       # 1 + t
-    q = PolyExact((0, 1))       # t
-    assert (p + q).coeffs == (1, 2)
-    assert (p * q).coeffs == (0, 1, 1)
-    assert p.scale(3).coeffs == (3, 3)
     assert PolyExact((5, 0, 2)).derivative().coeffs == (0, 4)
 
 
@@ -97,11 +94,24 @@ def test_a_poly_first_derivative_numerator():
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("m", range(0, 5))
 def test_a_poly_derivative_consistency_exact(n, m):
-    # d/dt [A/(1-t)^p] = [A'(1-t) + pA]/(1-t)^(p+1) with p = n+m+1, so the
-    # numerators must satisfy this cross-multiplied identity exactly.
-    lhs = a_poly(n, m + 1)
-    rhs = a_poly(n, m).derivative() * PolyExact((1, -1)) + a_poly(n, m).scale(n + m + 1)
-    assert lhs.coeffs == rhs.coeffs
+    # d/dt [A/(1-t)^p] = [A'(1-t) + pA]/(1-t)^(p+1) with p = n+m+1, so
+    # neighbouring numerators must satisfy this identity exactly.
+    a = a_poly(n, m).coeffs
+    da = a_poly(n, m).derivative().coeffs + (0,)
+    rhs = [da[i] - (da[i - 1] if i else 0) + (n + m + 1) * a[i] for i in range(n + 1)]
+    assert a_poly(n, m + 1).coeffs == tuple(rhs)
+
+
+@pytest.mark.parametrize("m", [0, 1, 8, MAX_ORDER])
+def test_a_poly_matches_stirling_oracle_over_n(m):
+    for n in range(1, MAX_ORDER + 1):
+        assert a_poly(n, m).coeffs == a_poly_stirling(n, m), (n, m)
+
+
+@pytest.mark.parametrize("n", [1, 7, MAX_ORDER])
+def test_a_poly_matches_stirling_oracle_over_m(n):
+    for m in range(0, MAX_ORDER + 1):
+        assert a_poly(n, m).coeffs == a_poly_stirling(n, m), (n, m)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -137,6 +147,28 @@ def test_a_poly_order_guard():
 def test_a_poly_is_memoized():
     assert a_poly(7, 3) is a_poly(7, 3)
     assert a_poly(7, 3).derivative() is a_poly(7, 3).derivative()
+
+
+@pytest.mark.parametrize("orders", [(3.0, 1), (2.5, 1), (3, 1.0), (3, 0.5), ("3", 1), (np.float64(3), 1)])
+@pytest.mark.parametrize(
+    "call",
+    [a_poly, lambda n, m: polylog_deriv(n, m, 0.1), lambda n, m: log_derivatives(n, m, 0.1)],
+    ids=["a_poly", "polylog_deriv", "log_derivatives"],
+)
+def test_non_integral_orders_raise_the_order_error(call, orders):
+    # a float order used to pass the range check and crash in range()
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(*orders)
+
+
+@pytest.mark.parametrize("nm", [(3, 1), (32, 4), (MAX_ORDER, MAX_ORDER)])
+def test_numpy_int_orders_give_the_int_results(nm):
+    n, m = nm
+    assert a_poly(np.int64(n), np.int64(m)).coeffs == a_poly(n, m).coeffs
+    t = np.array([0.1, -0.5 + 0.3j])
+    assert np.array_equal(polylog_deriv(np.int64(n), np.int64(m), t), polylog_deriv(n, m, t))
+    for got, want in zip(log_derivatives(np.int64(n), np.int64(m), t), log_derivatives(n, m, t)):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("orders", [(2, 65), (0, 1)])

@@ -1,5 +1,6 @@
 """Tests for the verification harness itself."""
 
+import json
 import math
 import tracemalloc
 from dataclasses import astuple
@@ -592,6 +593,16 @@ def test_run_suite_rejects_a_negative_seed(seed):
         run_suite(P11, seed, ("gram",))
 
 
+def test_report_seeds_are_written_as_json():
+    # an np.int64 seed used to be stored as given, and a Generator as itself
+    reports = run_suite(P11, np.int64(5), ("gram",)) + [
+        mc_reproduce_constant(P11, np.int64(3), samples=100_000),
+        mc_reproduce_constant(P11, np.random.default_rng(3), samples=100_000),
+    ]
+    assert [json.loads(json.dumps(r.to_dict()))["seed"] for r in reports] == [5, 3, None]
+    assert [type(r.seed) for r in reports] == [int, int, type(None)]
+
+
 @pytest.mark.parametrize("seed", [319, 9899, 22210, 27308])
 def test_run_suite_passes_where_the_gram_overflowed(seed):
     # at these op seeds the (32, 4) Gram has kernel values past 1e308
@@ -622,6 +633,21 @@ def test_run_suite_full_grid(nm, mu):
     ]
     failing = [r.name for r in reports if not r.passed]
     assert not failing, f"suites failed at {params}: {failing}"
+
+
+# kernel-law overflows at the other six orders of the grid (exp(m mu <z,z'>)
+# F_m(t) and s(z)^m leave the float range); those failures are not pinned.
+_KERNEL_LAW_PASSES = {(1, 1), (1, 8), (1, 32), (1, 64), (8, 1), (8, 8), (8, 32), (32, 1), (32, 8), (64, 1)}
+
+
+@pytest.mark.parametrize("nm", [(n, m) for n in (1, 8, 32, 64) for m in (1, 8, 32, 64)])
+def test_run_suite_over_the_declared_range(nm):
+    with np.errstate(over="ignore", invalid="ignore"):
+        reports = run_suite(DomainParams(nm[0], nm[1], 1.0), 0, ("all",))
+    failing = {r.name for r in reports if not r.passed}
+    assert failing <= {"kernel-law"}, [r.to_dict() for r in reports if not r.passed]
+    if nm in _KERNEL_LAW_PASSES:
+        assert not failing
 
 
 @pytest.mark.parametrize("nm", [(2, 64), (1, 64)])
