@@ -31,7 +31,7 @@ from .errors import (
     NotPositiveDefinite,
     OutsideDomain,
 )
-from .polylog import log_derivatives, polylog_deriv
+from .polylog import _power, log_derivatives, polylog_deriv
 
 # |K| below this counts as a kernel zero: the transformation law for the
 # metric is only asserted where the kernel does not vanish.
@@ -71,19 +71,21 @@ class KernelValue:
 
 
 def _kernel_args(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray):
-    """s = <p.z, Z> and t = exp(mu s) <p.zeta, Zeta>, broadcast over leading axes."""
+    """s = <p.z, Z>, t = E <p.zeta, Zeta> and E = exp(mu s), broadcast over
+    leading axes; E is the one complex exponential of a kernel row."""
     check_point(params, p)
     s = inner(p.z, Z)
-    t = np.exp(params.mu * s)
-    t *= inner(p.zeta, Zeta)
-    return s, t
+    E = np.exp(params.mu * s)
+    w = inner(p.zeta, Zeta)  # fresh, so t = E w (E first: bit for bit) may overwrite it
+    return s, np.multiply(E, w, out=w if np.ndim(w) else None), E
 
 
 def _kernel_rows(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray):
     """(s, t, K(p, q)) against q = (Z, Zeta).  The kernel formula is written
-    down here, and only in logs elsewhere (verify.check_gram_psd)."""
-    s, t = _kernel_args(params, p, Z, Zeta)
-    values = np.exp(params.m * params.mu * s)
+    down here, and only in logs elsewhere (verify.check_gram_psd).  One
+    complex exponential per row: exp(m mu s) is E^m, E squared in place."""
+    s, t, E = _kernel_args(params, p, Z, Zeta)
+    values = _power(E, params.m)
     values *= params.mu ** params.n / math.pi ** params.dim
     values *= polylog_deriv(params.n, params.m, t)
     return s, t, values

@@ -10,6 +10,7 @@ Monte-Carlo checks, so its density is exposed in closed form.
 import math
 import sys
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -25,8 +26,11 @@ class DomainParams:
     mu: float
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError("n and m must be >= 1")
+        for name in ("n", "m"):  # stored as int, so numpy integers work everywhere
+            order = getattr(self, name)
+            if isinstance(order, bool) or not isinstance(order, Integral) or order < 1:
+                raise ValueError(f"n and m must be integers >= 1, got {name}={order!r}")
+            object.__setattr__(self, name, int(order))
         try:  # the sampler needs 1/mu and the kernel its prefactor mu^n / pi^(n+m)
             mu = float(self.mu)
             usable = 0 < mu < math.inf and math.isfinite(1 / mu)

@@ -40,9 +40,9 @@ MAX_ORDER = 64
 
 
 def _check_orders(n: int, m: int) -> None:
-    if not (isinstance(n, Integral) and 1 <= n <= MAX_ORDER):
+    if isinstance(n, bool) or not (isinstance(n, Integral) and 1 <= n <= MAX_ORDER):
         raise ValueError(f"series order n must be an integer in 1..{MAX_ORDER}, got {n!r}")
-    if not (isinstance(m, Integral) and 0 <= m <= MAX_ORDER):
+    if isinstance(m, bool) or not (isinstance(m, Integral) and 0 <= m <= MAX_ORDER):
         raise ValueError(f"derivative order m must be an integer in 0..{MAX_ORDER}, got {m!r}")
 
 
@@ -133,10 +133,6 @@ def _step(c: list, p: int) -> list:
     return [(p - i) * a + (i + 1) * b for i, (a, b) in enumerate(zip(c, c[1:] + [0]))]
 
 
-# At most MAX_ORDER * (MAX_ORDER + 1) immutable results.  Orders are checked
-# on every miss and an error is never cached; typed keys keep a float order
-# from reusing an int order's entry.
-@lru_cache(maxsize=None, typed=True)
 def a_poly(n: int, m: int) -> PolyExact:
     """Exact numerator of the m-th derivative of sum_{k>=1} k^n t^k.
 
@@ -147,8 +143,16 @@ def a_poly(n: int, m: int) -> PolyExact:
     then m steps of the d/dt recurrence (module docstring).
     """
     _check_orders(n, m)
+    return _a_poly(int(n), int(m))
+
+
+# At most MAX_ORDER * (MAX_ORDER + 1) immutable results, one per checked
+# order pair: a_poly converts numpy integers to int before the lookup, and an
+# error is never cached.
+@lru_cache(maxsize=None)
+def _a_poly(n: int, m: int) -> PolyExact:
     c = [0, 1]
-    for k in range(1, n + 1):  # range yields Python ints, so the arithmetic stays exact
+    for k in range(1, n + 1):
         c = [0] + _step(c, k)
     for p in range(n + 1, n + m + 1):
         c = _step(c, p)
@@ -169,13 +173,31 @@ def _guarded(n: int, t):
     return tt, u  # t as complex and a fresh 1 - t, which the callers may overwrite
 
 
+def _power(x, k: int):
+    """x**k for an integer k >= 1 by repeated squaring (Knuth, TAOCP vol. 2,
+    4.6.3) in place: overwrites x, returns x itself when k == 1, and gives a
+    numpy scalar for a numpy scalar or 0-d x."""
+    x = np.asarray(x)
+    while k % 2 == 0:
+        np.multiply(x, x, out=x)
+        k //= 2
+    acc = x if k == 1 else x.copy()
+    while k > 1:
+        k //= 2
+        np.multiply(x, x, out=x)
+        if k % 2:
+            np.multiply(acc, x, out=acc)
+    return acc if acc.ndim else acc[()]
+
+
 def polylog_deriv(n: int, m: int, t):
     """m-th derivative of the order -n polylogarithm at t, a complex scalar or
     a numpy array; returns a Python complex or a fresh array and never writes
-    to t.  Raises PoleProximity when any point lies within EPS_POLE of t = 1."""
+    to t.  Raises PoleProximity when any point lies within EPS_POLE of t = 1.
+    The pole power (1-t)^(n+m+1) is formed by repeated squaring (_power)."""
     _check_orders(n, m)
     tt, u = _guarded(n, t)
-    u **= n + m + 1
+    u = _power(u, n + m + 1)
     val = a_poly(n, m).eval(tt)
     val /= u
     return complex(val) if np.ndim(t) == 0 else val

@@ -232,7 +232,7 @@ def check_gram_psd(params, points, tol=None, seed=0) -> CheckReport:
     kind = "absolute (diagonal-normalized Gram)"
     _check_interior(params, points)
     z, zeta = points.z[..., None, :], points.zeta[..., None, :]  # rows; columns swap axes
-    s, t = _kernel_args(params, Point(z, zeta), z.swapaxes(-2, -3), zeta.swapaxes(-2, -3))
+    s, t, _ = _kernel_args(params, Point(z, zeta), z.swapaxes(-2, -3), zeta.swapaxes(-2, -3))
     npts = points.z[..., 0].size
     t, u = _guarded(params.n, t)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

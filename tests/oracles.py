@@ -10,18 +10,24 @@ suite: it shares the checks and the stacked draws, and checks them slice by
 slice.  The block metric
 is the reference for metric's one output array: it shares the log-derivative
 pieces, not the assembly.  The one-stream Haar draw is the reference for the
-draw order of random_automorphism at an int seed.
+draw order of random_automorphism at an int seed.  The kernel formula is
+the reference for the kernel core's powers by squaring; it shares only the
+Hermitian product.  The exact F_m evaluates a_poly's integer numerator in
+rational arithmetic and rounds once.
 """
 
+import math
 from dataclasses import astuple
+from fractions import Fraction
 from math import comb, factorial, prod
 
 import numpy as np
 
 from fbh import verify
 from fbh.autgroup import apply
-from fbh.bergman import _log_kernel_pieces, kernel, log_kernel_grad_wbar
+from fbh.bergman import _log_kernel_pieces, inner, kernel, log_kernel_grad_wbar
 from fbh.domain import Point, sample_interior_arrays
+from fbh.polylog import a_poly
 
 # Central-difference step balancing truncation against rounding for first
 # derivatives in double precision.
@@ -99,6 +105,41 @@ def eulerian_numerator(n, m):
     while poly and poly[-1] == 0:
         poly.pop()
     return tuple(poly)
+
+
+def kernel_formula(params, p, Z, Zeta):
+    """(K(p, q_i), t_i) against rows q_i = (Z_i, Zeta_i), written as in
+    README.md: mu^n exp(m mu s) / pi^(n+m) * A(t) / (1-t)^(n+m+1), with
+    s = <z_p, Z_i>, t = exp(mu s) <zeta_p, Zeta_i> and A the Eulerian
+    numerator evaluated by numpy's polyval.  Only s and the zeta product come
+    from bergman.inner, so that the conditioning of s does not enter."""
+    n, m, mu = params.n, params.m, params.mu
+    s = inner(p.z, Z)
+    t = np.exp(mu * s) * inner(p.zeta, Zeta)
+    A = np.polynomial.polynomial.polyval(t, [float(c) for c in eulerian_numerator(n, m)])
+    return mu**n * np.exp(m * mu * s) / math.pi ** (n + m) * A / (1 - t) ** (n + m + 1), t
+
+
+def exact_polylog_deriv(n, m, t):
+    """F_m(t) = A(t) / (1-t)^(n+m+1) at the binary value of the complex t, in
+    exact rational arithmetic on a_poly(n, m)'s integer coefficients, rounded
+    once to a complex float; None where that value overflows."""
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    x = (Fraction(t.real), Fraction(t.imag))
+    num = (Fraction(0), Fraction(0))
+    for c in reversed(a_poly(n, m).coeffs):
+        num = mul(num, x)
+        num = (num[0] + c, num[1])
+    den = (Fraction(1), Fraction(0))
+    for _ in range(n + m + 1):
+        den = mul(den, (1 - x[0], -x[1]))
+    norm = den[0] ** 2 + den[1] ** 2
+    re, im = mul(num, (den[0] / norm, -den[1] / norm))
+    if max(abs(re), abs(im)) > Fraction(np.finfo(float).max):
+        return None
+    return complex(float(re), float(im))
 
 
 def perturb(p: Point, index: int, delta: complex) -> Point:

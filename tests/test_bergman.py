@@ -17,7 +17,7 @@ from fbh.bergman import (
     representative_map,
     sqrt_pd,
 )
-from fbh.domain import DomainParams, Point, sample_interior
+from fbh.domain import DomainParams, Point, sample_interior, sample_interior_arrays
 from fbh.errors import (
     DimensionMismatch,
     DoesNotFixOrigin,
@@ -34,6 +34,7 @@ from oracles import (
     assert_rows_match,
     fd_grad_wbar_log_kernel,
     fd_metric,
+    kernel_formula,
     metric_block,
     singles,
     stack,
@@ -163,6 +164,53 @@ def test_kernel_batch_matches_scalar():
         # Hermitian symmetry of the arguments
         assert values[i] == pytest.approx(kv.value)
         assert t_args[i] == pytest.approx(kv.t_arg)
+
+
+@pytest.mark.parametrize("nm", [(1, 1), (3, 2), (32, 4), (64, 8), (8, 64), (2, 64), (64, 64)])
+def test_kernel_matches_the_formula_oracle(nm):
+    # exp(m mu s) and (1-t)^(n+m+1) by squaring against numpy's exp and **,
+    # on interior rows with Re t >= 0, |t| <= 0.9 and a finite, nonzero value
+    params = DomainParams(*nm, 1.0)
+    Z, Zeta = sample_interior_arrays(params, 7, 2000)
+    p = Point(Z[0], Zeta[0])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        want, t = kernel_formula(params, p, Z, Zeta)
+    keep = (t.real >= 0) & (np.abs(t) <= 0.9) & np.isfinite(want) & (np.abs(want) > 1e-300)
+    assert keep.sum() >= 500
+    Z, Zeta, want = Z[keep], Zeta[keep], want[keep]
+    batch = kernel_batch(params, p, Z, Zeta)[0]
+    stacked = kernel(params, Point(np.broadcast_to(p.z, Z.shape), np.broadcast_to(p.zeta, Zeta.shape)),
+                     Point(Z, Zeta)).value
+    for got in (batch, stacked):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    for z, zeta in zip(Z[:3], Zeta[:3]):  # one point: 0-d powers, and s from a dot product
+        got, one = kernel(params, p, Point(z, zeta)).value, kernel_formula(params, p, z, zeta)[0]
+        assert np.ndim(got) == 0 and abs(got - one) <= 1e-12 * abs(one)
+
+
+def test_kernel_takes_one_exponential_per_row(monkeypatch):
+    sizes, exp = [], np.exp
+
+    def counted(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    params = DomainParams(3, 2, 1.0)
+    Z, Zeta = sample_interior_arrays(params, 5, 40)
+    monkeypatch.setattr(np, "exp", counted)
+    kernel_batch(params, Point(Z[0], Zeta[0]), Z, Zeta)
+    assert sizes == [40]
+
+
+def test_kernel_batch_t_keeps_its_operand_order_on_large_batches():
+    # t = exp(mu s) times the zeta product, in that order, bit for bit: past
+    # numpy's 256 KiB temporary-elision size an operator form may swap them
+    params = DomainParams(3, 2, 1.0)
+    Z, Zeta = sample_interior_arrays(params, 5, 2**15)
+    p = Point(Z[0], Zeta[0])
+    want = np.exp(params.mu * inner(p.z, Z))
+    want *= inner(p.zeta, Zeta)
+    assert np.array_equal(kernel_batch(params, p, Z, Zeta)[1], want)
 
 
 STACK_CONFIGS = [P11, DomainParams(3, 2, 1.0), DomainParams(32, 4, 1.0)]

@@ -223,9 +223,9 @@ def test_verify_gram_non_finite_fails_with_exit_1(capsys, monkeypatch):
     real = verify._kernel_args
 
     def one_nan(params, p, Z, Zeta):
-        s, t = real(params, p, Z, Zeta)
+        s, t, E = real(params, p, Z, Zeta)
         t[..., 3, 5] = math.nan
-        return s, t
+        return s, t, E
 
     monkeypatch.setattr(verify, "_kernel_args", one_nan)
     argv = ["verify", "--suite", "gram", "--params", "1,1,1.0", "--json"]

@@ -45,6 +45,21 @@ def test_params_validation():
     assert DomainParams(64, 64, 1.0).mu == 1.0 and DomainParams(1, 1, 1e-300).mu == 1e-300
 
 
+@pytest.mark.parametrize("n, m", [(2.5, 1), (2, 1.0), (2, True), (True, 1), (np.float64(2), 1), ("2", 1)])
+def test_params_orders_must_be_integers(n, m):
+    # a float or bool order used to pass and crash in the samplers and suites
+    with pytest.raises(ValueError, match="integers"):
+        DomainParams(n, m, 1.0)
+
+
+def test_params_store_numpy_int_orders_as_int():
+    params = DomainParams(np.int64(3), np.uint8(2), 1.0)
+    assert type(params.n) is int and type(params.m) is int
+    assert params == DomainParams(3, 2, 1.0) and hash(params) == hash(DomainParams(3, 2, 1.0))
+    X = sample_interior(params, 0, 5)
+    assert X.z.shape == (5, 3) and X.zeta.shape == (5, 2)
+
+
 def test_point_arrays_are_readonly():
     p = Point([1.0], [0.5j])
     with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from fbh.polylog import (
     EPS_POLE,
     MAX_ORDER,
     PolyExact,
+    _power,
     a_poly,
     li_neg_rational,
     log_derivatives,
@@ -18,7 +19,13 @@ from fbh.polylog import (
     stirling2,
 )
 
-from oracles import a_poly_stirling, eulerian_numerator, series_polylog_deriv, stirling2_recursive
+from oracles import (
+    a_poly_stirling,
+    eulerian_numerator,
+    exact_polylog_deriv,
+    series_polylog_deriv,
+    stirling2_recursive,
+)
 
 
 # ------------------------------- stirling2 ---------------------------------
@@ -164,11 +171,23 @@ def test_non_integral_orders_raise_the_order_error(call, orders):
 @pytest.mark.parametrize("nm", [(3, 1), (32, 4), (MAX_ORDER, MAX_ORDER)])
 def test_numpy_int_orders_give_the_int_results(nm):
     n, m = nm
-    assert a_poly(np.int64(n), np.int64(m)).coeffs == a_poly(n, m).coeffs
+    assert a_poly(np.int64(n), np.int64(m)) is a_poly(n, m)  # one memo entry per order
     t = np.array([0.1, -0.5 + 0.3j])
     assert np.array_equal(polylog_deriv(np.int64(n), np.int64(m), t), polylog_deriv(n, m, t))
     for got, want in zip(log_derivatives(np.int64(n), np.int64(m), t), log_derivatives(n, m, t)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("orders", [(True, 1), (3, True), (3, False), (np.bool_(True), 1)])
+@pytest.mark.parametrize(
+    "call",
+    [a_poly, lambda n, m: polylog_deriv(n, m, 0.1), lambda n, m: log_derivatives(n, m, 0.1)],
+    ids=["a_poly", "polylog_deriv", "log_derivatives"],
+)
+def test_bool_orders_raise_the_order_error(call, orders):
+    # bool is an Integral, but True is no order
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(*orders)
 
 
 @pytest.mark.parametrize("orders", [(2, 65), (0, 1)])
@@ -252,3 +271,48 @@ def test_polylog_deriv_pole_guard():
         polylog_deriv(2, 1, np.array([0.5, 1.0 + 1e-14j]))
     # just outside the guard evaluates
     polylog_deriv(2, 1, 1.0 - 2 * EPS_POLE)
+
+
+# ------------------------------- _power ------------------------------------
+
+def _unit_annulus(rng, size):
+    """Random complex numbers with 0.5 <= |x| <= 2."""
+    return np.exp(rng.uniform(np.log(0.5), np.log(2.0), size) + 1j * rng.uniform(-np.pi, np.pi, size))
+
+
+@pytest.mark.parametrize("k", range(1, 130))
+def test_power_matches_numpy_power(k):
+    rng = np.random.default_rng(k)
+    x = _unit_annulus(rng, 64)
+    tol = 4 * k * np.finfo(float).eps
+    want = x**k
+    got = _power(x.copy(), k)
+    assert got.shape == x.shape and np.all(np.abs(got - want) <= tol * np.abs(want))
+    for one in (np.array(x[5]), x[7]):  # a 0-d array and a numpy scalar
+        got = _power(one.copy(), k)
+        assert type(got) is np.complex128 and abs(got - one**k) <= tol * abs(one**k)
+
+
+def test_power_overwrites_its_argument():
+    x = _unit_annulus(np.random.default_rng(0), 8)
+    assert _power(x, 1) is x
+    y = x.copy()
+    assert _power(y, 8) is y and np.allclose(y, x**8, rtol=1e-14)
+
+
+# near t = 1 at high pole order: (1-t)^(n+m+1) is formed by squaring at the
+# exponents 73, 73 and 129.  F_{64} of order -64 overflows for |1-t| <= 0.1
+# (A(1) = 128!), so |1-t| = 0.5 joins the distances to give (64, 64) finite values.
+@pytest.mark.parametrize("nm", [(64, 8), (8, 64), (64, 64)])
+def test_polylog_deriv_near_the_pole_matches_exact_arithmetic(nm):
+    n, m = nm
+    angles = np.linspace(-np.pi, np.pi, 8, endpoint=False)
+    t = (1 - np.array([0.5, 1e-1, 1e-2])[:, None] * np.exp(1j * angles)).ravel()
+    exact = [exact_polylog_deriv(n, m, x) for x in t]
+    finite = np.array([e is not None for e in exact])
+    assert finite.sum() >= 8
+    want = np.array([e for e in exact if e is not None])
+    got = polylog_deriv(n, m, t[finite])
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    one = polylog_deriv(n, m, t[finite][-1])
+    assert type(one) is complex and abs(one - want[-1]) <= 1e-12 * abs(want[-1])

@@ -467,6 +467,14 @@ def test_run_suite_deterministic():
         assert ra.to_dict() == rb.to_dict()
 
 
+def test_run_suite_takes_numpy_int_orders():
+    # they are stored as int; a float order is refused by DomainParams
+    params = DomainParams(np.int64(3), np.int64(2), 1.0)
+    got = run_suite(params, 0, ("kernel-law",))
+    assert got[0].passed
+    assert [r.to_dict() for r in got] == [r.to_dict() for r in run_suite(DomainParams(3, 2, 1.0), 0, ("kernel-law",))]
+
+
 def test_run_suite_tolerance_override_forces_failure():
     reports = run_suite(P11, 3, suites=("gram",), tolerances={"gram": -1.0})
     assert not reports[0].passed
