@@ -25,17 +25,12 @@ from .domain import DomainParams, Point, _norm2, check_point
 from .errors import (
     DimensionMismatch,
     DoesNotFixOrigin,
-    KernelZero,
     NotFinite,
     NotHermitian,
     NotPositiveDefinite,
     OutsideDomain,
 )
 from .polylog import _power, log_derivatives, polylog_deriv
-
-# |K| below this counts as a kernel zero: the transformation law for the
-# metric is only asserted where the kernel does not vanish.
-KERNEL_FLOOR = 1e-300
 
 HERMITIAN_TOL = 1e-10
 EIGEN_FLOOR = 1e-10
@@ -129,13 +124,11 @@ def kernel_batch(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray
 
 
 def _log_kernel_pieces(params: DomainParams, p: Point, q: Point):
-    """s, t and G = F_{m+1}/F_m, H = G' at t, broadcast like kernel(); raises
-    KernelZero if any |K| is below KERNEL_FLOOR."""
-    s, t, values = _kernel_rows(params, p, q.z, q.zeta)
-    if np.any(np.abs(values) < KERNEL_FLOOR):
-        raise KernelZero(f"|K| = {np.nanmin(np.abs(values)):.3e} below {KERNEL_FLOOR}")
-    G, H = log_derivatives(params.n, params.m, t)
-    return s, t, G, H
+    """t, E = exp(mu s), G = F_{m+1}/F_m and H = G' at t, broadcast like kernel();
+    K is never formed, so an underflow of exp(m mu s) is not a zero, and
+    KernelZero is raised only where F_m(t) = 0 (log_derivatives)."""
+    _, t, E = _kernel_args(params, p, q.z, q.zeta)
+    return (t, E) + log_derivatives(params.n, params.m, t)
 
 
 def log_kernel_grad_wbar(params: DomainParams, p: Point, q: Point) -> np.ndarray:
@@ -146,9 +139,9 @@ def log_kernel_grad_wbar(params: DomainParams, p: Point, q: Point) -> np.ndarray
         d/d conj(z'_i)    = mu z_i (m + t F_{m+1}(t)/F_m(t)),
         d/d conj(zeta'_i) = exp(mu s) zeta_i F_{m+1}(t)/F_m(t).
     """
-    s, t, G, _ = _log_kernel_pieces(params, p, q)
+    t, E, G, _ = _log_kernel_pieces(params, p, q)
     grad_z = params.mu * p.z * (params.m + t * G)[..., None]
-    grad_zeta = np.exp(params.mu * s)[..., None] * p.zeta * G[..., None]
+    grad_zeta = E[..., None] * p.zeta * G[..., None]
     return np.concatenate([grad_z, grad_zeta], axis=-1)
 
 
@@ -163,17 +156,16 @@ def metric(params: DomainParams, p: Point, q: Point) -> np.ndarray:
         [ mu E W zeta zbar'                        E G I_m + E^2 H zeta zetabar' ]
 
     Hermitian positive definite on the diagonal; at q = origin it collapses
-    to the constant diag(m mu I_n, (F_{m+1}(0)/F_m(0)) I_m).
+    to the constant diag(m mu I_n, (F_{m+1}(0)/F_m(0)) I_m).  Raises
+    KernelZero only where F_m(t) = 0, not where exp(m mu s) underflows.
     """
-    s, t, G, H = _log_kernel_pieces(params, p, q)
-    s, t, G, H = (x[..., None, None] for x in (s, t, G, H))
-    E = np.exp(params.mu * s)
+    t, E, G, H = (x[..., None, None] for x in _log_kernel_pieces(params, p, q))
     W = G + t * H
     mu, n = params.mu, params.n
     z, zeta = p.z[..., :, None], p.zeta[..., :, None]
     zbar, zetabar = q.z.conj()[..., None, :], q.zeta.conj()[..., None, :]
     # One output array, each block written into it bit for bit as above
-    T = np.empty(s.shape[:-2] + (params.dim, params.dim), dtype=complex)
+    T = np.empty(t.shape[:-2] + (params.dim, params.dim), dtype=complex)
     np.multiply(mu * mu * t * W, z * zbar, out=T[..., :n, :n])
     np.multiply(mu * E * W, z * zetabar, out=T[..., :n, n:])
     np.multiply(mu * E * W, zeta * zbar, out=T[..., n:, :n])

@@ -28,7 +28,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import PoleProximity
+from .errors import KernelZero, PoleProximity
 
 # Evaluation guard around the t = 1 singularity.
 EPS_POLE = 1e-12
@@ -208,12 +208,15 @@ def log_derivatives(n: int, m: int, t):
 
     Both come from A = a_poly(n, m) alone, so they stay defined at m = MAX_ORDER:
     G = A'/A + p/(1-t) and H = A''/A - (A'/A)^2 + p/(1-t)^2 with p = n+m+1.
-    Same pole guard and argument forms as polylog_deriv.
+    Same pole guard and argument forms as polylog_deriv.  Raises KernelZero
+    where A(t) == 0, the kernel's only zeros (an underflow of exp(m mu s) is not one).
     """
     A = a_poly(n, m)
     dA = A.derivative()
     tt, u = _guarded(n, t)
     a = A.eval(tt)
+    if not np.all(a):
+        raise KernelZero(f"F_{m}(t) = 0 for the order -{n} polylogarithm")
     r = dA.eval(tt) / a
     pole = (n + m + 1) / u
     return r + pole, dA.derivative().eval(tt) / a - r * r + pole / u

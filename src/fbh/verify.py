@@ -16,7 +16,6 @@ import numpy as np
 
 from .autgroup import Automorphism, _matvec, apply, haar_unitary, jacobian, jacobian_det, random_automorphism
 from .bergman import (
-    KERNEL_FLOOR,
     _check_interior,
     _kernel_args,
     _kernel_rows,
@@ -65,6 +64,9 @@ DEFAULT_TOLERANCES = {
     "gram": 1e-10,
     "boundary": 1e-12,
 }
+
+# Floor of the residual denominators, so a vanishing reference gives no NaN.
+KERNEL_FLOOR = 1e-300
 
 # Pair sampling for the law checks stays this far from the kernel pole;
 # a conditioning choice, not a correctness one.
@@ -154,32 +156,20 @@ def check_kernel_law(params, a: Automorphism, pairs, tolerance=None, seed=0) -> 
 
 def check_metric_law(params, a: Automorphism, pairs, tolerance=None, seed=0) -> CheckReport:
     """Max-norm residual of T(p,q) = conj(J(a,q)^T) T(a p, a q) J(a,p),
-    relative to the max-norm of T(p,q), over stacked pairs (P, Q) as in
-    check_kernel_law.  Pairs with |K| below KERNEL_FLOOR at (p, q) or at
-    (a p, a q), where metric() would raise KernelZero, are skipped and
-    counted, also when K is NaN at the other (hence fmin): they are
-    evaluated at the origin pair instead, which keeps every row aligned with
-    its automorphism, and their residual is zeroed.  Images are unchecked,
-    as in check_kernel_law.  At most three metric-sized stacks are live."""
+    relative to the max-norm of T(p,q), over stacked pairs (P, Q) checked
+    as in check_kernel_law; the images are not.  metric() never forms K, so
+    an underflow of exp(m mu s) is not a zero: it raises KernelZero only
+    where F_m(t) = 0.  At most three metric-sized stacks are live."""
     P, Q = pairs
+    _check_interior(params, P, Q)
     aP, aQ = apply(params, a, P), apply(params, a, Q)
-    image = _kernel_rows(params, aP, aQ.z, aQ.zeta)[2]
-    smaller = np.fmin(np.abs(kernel(params, P, Q).value), np.abs(image))
-    vanishing = smaller < KERNEL_FLOOR
-    at_origin = vanishing[..., None]
-    P, Q, aP, aQ = (Point(np.where(at_origin, 0.0, x.z), np.where(at_origin, 0.0, x.zeta))
-                    for x in (P, Q, aP, aQ))
     rhs = np.conj(jacobian(params, a, Q)).swapaxes(-1, -2) @ metric(params, aP, aQ)
     rhs = rhs @ jacobian(params, a, P)
     lhs = metric(params, P, Q)
     scale = np.max(np.abs(lhs), axis=(-2, -1))
     diff = np.subtract(lhs, rhs, out=rhs)
     residuals = np.max(np.abs(diff), axis=(-2, -1)) / np.maximum(scale, KERNEL_FLOOR)
-    residuals = np.where(vanishing, 0.0, residuals)
-    return _report(
-        "metric-law", _worst(residuals), tolerance, residuals.size, seed, "relative",
-        skipped=np.count_nonzero(vanishing),
-    )
+    return _report("metric-law", _worst(residuals), tolerance, residuals.size, seed, "relative")
 
 
 def check_cartan(params, a: Automorphism, points, tolerance=None, seed=0) -> CheckReport:
@@ -318,19 +308,20 @@ def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, to
     `suites` is an iterable of names from SUITE_NAMES, or ("all",), in which
     case the Monte-Carlo check is included only where it is defined
     (n = m = 1).  `samples` overrides the Monte-Carlo sample count, and a
-    run without that check rejects it; `tolerances` maps suite names to
-    tolerance overrides.  Each suite runs as its _SUITE_TABLE row says: its
-    parts are drawn together from the suite's own stream and checked in one
-    call, so the report holds the largest residual over all parts.  Every
-    report carries the root seed, which must be a non-negative int.
+    run without that check rejects it; `tolerances` maps the names of
+    DEFAULT_TOLERANCES to overrides, and any other name (mc derives its own
+    tolerance) raises ValueError.  Each suite runs as its _SUITE_TABLE row
+    says: its parts are drawn together from the suite's own stream and
+    checked in one call, so the report holds the largest residual over all
+    parts.  Every report carries the root seed, which must be a non-negative int.
     """
     tolerances = tolerances or {}
     wanted = list(SUITE_NAMES) if "all" in suites else list(suites)
     if "all" in suites and not (params.n == 1 and params.m == 1):
         wanted.remove("mc")
-    unknown = set(wanted) - set(SUITE_NAMES)
+    unknown = set(wanted) - set(SUITE_NAMES) | set(tolerances) - set(DEFAULT_TOLERANCES)
     if unknown:
-        raise ValueError(f"unknown suites: {sorted(unknown)}")
+        raise ValueError(f"unknown suites or tolerance overrides: {sorted(unknown)}")
     if samples is not None and "mc" not in wanted:
         raise ValueError("samples sizes the Monte-Carlo check, which this run does not include")
     seed = operator.index(seed)

@@ -25,7 +25,7 @@ import numpy as np
 
 from fbh import verify
 from fbh.autgroup import apply
-from fbh.bergman import _log_kernel_pieces, inner, kernel, log_kernel_grad_wbar
+from fbh.bergman import _kernel_args, _log_kernel_pieces, inner, kernel, log_kernel_grad_wbar
 from fbh.domain import Point, sample_interior_arrays
 from fbh.polylog import a_poly
 
@@ -200,7 +200,8 @@ def fd_metric(params, p, q, h=FD_STEP):
 def metric_block(params, p, q):
     """Reference for bergman.metric: the four blocks written as formulas and
     joined with np.block."""
-    s, t, G, H = _log_kernel_pieces(params, p, q)
+    _, _, G, H = _log_kernel_pieces(params, p, q)
+    s, t = _kernel_args(params, p, q.z, q.zeta)[:2]
     s, t, G, H = (x[..., None, None] for x in (s, t, G, H))
     E = np.exp(params.mu * s)
     W = G + t * H
@@ -284,15 +285,12 @@ def sample_pairs_per_pair(params, seed, count):
 
 def _merge_parts(reports, seed):
     """One report from per-part reports: the largest residual and detail
-    (NaN-propagating), the summed sample and skip counts."""
+    (NaN-propagating), the summed sample count."""
     first = reports[0]
     details = {}
     for r in reports:
         for k, v in r.details.items():
-            if k == "skipped":
-                details[k] = details.get(k, 0.0) + v
-            else:
-                details[k] = float(np.maximum(details.get(k, v), v))
+            details[k] = float(np.maximum(details.get(k, v), v))
     residual = float(np.max([r.max_residual for r in reports], initial=0.0))
     return verify.CheckReport(
         name=first.name,

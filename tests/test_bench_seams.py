@@ -83,3 +83,12 @@ def test_mc_streams_blocks_through_verify_attributes(monkeypatch):
     )
     assert report.samples == 131_073 and report.details["estimate"] == float(weights.mean())
     assert report.details["stderr"] == float(weights.std(ddof=1) / np.sqrt(131_073))
+
+
+def test_metric_law_and_cartan_call_metric_at_its_verify_attribute(monkeypatch):
+    # the bergman.metric shim and the metric mutants patch fbh.verify.metric:
+    # metric-law evaluates it at the images and at the pairs, cartan at the origin
+    calls = []
+    monkeypatch.setattr(verify, "metric", _spy(calls, "metric", verify.metric))
+    reports = verify.run_suite(DomainParams(3, 2, 1.0), 0, ("metric-law", "cartan"))
+    assert len(calls) == 3 and all(r.passed for r in reports)

@@ -1,6 +1,7 @@
 """Tests for kernel evaluation, derivatives, metric and the representative map."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from fbh.errors import (
     OutsideDomain,
     PoleProximity,
 )
-from fbh.polylog import a_poly
+from fbh import polylog
+from fbh.polylog import PolyExact, a_poly
 
 from oracles import (
     assert_rows_match,
@@ -245,16 +247,38 @@ def test_one_call_gram_matches_kernel_batch_rows(params):
     assert_rows_match(gram, rows, rtol=1e-11)
 
 
-def test_log_derivatives_raise_kernel_zero_if_any_row_vanishes():
+def test_metric_is_finite_where_the_exponential_factor_underflows():
     # at z = (40, 0), z' = (-40, 0) the factor exp(m mu <z, z'>) = exp(-1600)
-    # underflows, so the last pair of the stack has K = 0
+    # underflows, so K reads 0 in the last pair of the stack; it is not a
+    # zero of F_m, and the metric and gradient never form K
     params = DomainParams(2, 1, 1.0)
     pts = singles(sample_interior(params, 3, 6))
     P = stack(pts[:3] + [Point([40.0, 0.0], [0.0])])
     Q = stack(pts[3:] + [Point([-40.0, 0.0], [0.0])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernel(params, P, Q).value[-1] == 0.0
+        for fn in (log_kernel_grad_wbar, metric):
+            assert np.all(np.isfinite(fn(params, P, Q)))
+        assert metric(params, P, Q).tobytes() == metric_block(params, P, Q).tobytes()
+
+
+def test_metric_raises_kernel_zero_where_f_m_vanishes(monkeypatch):
+    # A = 1 + 4t vanishes at t = -1/4, exactly the t of (0; 1/2), (0; -1/2)
+    monkeypatch.setattr(polylog, "a_poly", lambda n, m: PolyExact((1, 4)))
     for fn in (log_kernel_grad_wbar, metric):
         with pytest.raises(KernelZero):
-            fn(params, P, Q)
+            fn(P11, Point([0.0], [0.5]), Point([0.0], [-0.5]))
+
+
+@pytest.mark.parametrize("fn", [metric, log_kernel_grad_wbar])
+def test_metric_path_takes_one_exponential_per_row(monkeypatch, fn):
+    params = DomainParams(3, 2, 1.0)
+    X = sample_interior(params, 5, 40)
+    sizes, exp = [], np.exp
+    monkeypatch.setattr(np, "exp", lambda x: sizes.append(np.size(x)) or exp(x))
+    fn(params, Point(X.z[:20], X.zeta[:20]), Point(X.z[20:], X.zeta[20:]))
+    assert sizes == [20]
 
 
 # ------------------------------- gradient ----------------------------------

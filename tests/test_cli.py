@@ -218,6 +218,14 @@ def test_bad_tol_flag_exits_2(capsys):
         assert captured.out == "" and captured.err.startswith("error: --tol")
 
 
+def test_verify_rejects_a_tolerance_for_mc(capsys):
+    # mc derives its own tolerance, so an override would be dropped
+    argv = ["verify", "--suite", "mc", "--params", "1,1,1.0", "--samples", "100000", "--tol", "mc=0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --tol")
+
+
 def test_verify_gram_non_finite_fails_with_exit_1(capsys, monkeypatch):
     # one NaN planted in the Gram's t values: a failed report, not a crash
     real = verify._kernel_args

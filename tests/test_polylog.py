@@ -1,11 +1,12 @@
 """Tests for the exact polylogarithm machinery."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from fbh.errors import PoleProximity
+from fbh.errors import KernelZero, PoleProximity
 from fbh.polylog import (
     EPS_POLE,
     MAX_ORDER,
@@ -298,6 +299,17 @@ def test_power_overwrites_its_argument():
     assert _power(x, 1) is x
     y = x.copy()
     assert _power(y, 8) is y and np.allclose(y, x**8, rtol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, MAX_ORDER])
+def test_log_derivatives_raise_kernel_zero_where_a_vanishes(n):
+    # A_{n,0} has constant term 0, so F_0(0) = 0: G = A'/A has no value there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KernelZero):
+            log_derivatives(n, 0, 0.0)
+        with pytest.raises(KernelZero):
+            log_derivatives(n, 0, np.array([0.5, 0.0]))
 
 
 # near t = 1 at high pole order: (1-t)^(n+m+1) is formed by squaring at the

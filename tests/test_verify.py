@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from fbh import autgroup, polylog, verify
 from fbh.autgroup import Automorphism, identity, random_automorphism
-from fbh.bergman import kernel, kernel_batch
+from fbh.bergman import kernel, kernel_batch, log_kernel_grad_wbar, metric
 from fbh.domain import (
     DomainParams,
     Point,
@@ -208,27 +209,27 @@ def test_metric_law_random(params):
     )
     assert report.passed
     assert report.max_residual <= 1e-7
-    assert report.details["skipped"] == 0
 
 
-def test_metric_law_skips_and_counts_vanishing_kernels():
-    # at (1, 1) K = exp(<z, z'>) / pi^2 at zeta = 0, below KERNEL_FLOOR once Re <z, z'> < -688:
-    # at (p, q) for the first pair, only at (a p, a q) for the second
+def test_metric_law_checks_pairs_whose_kernel_underflows():
+    # at (1, 1) K = exp(<z, z'>) / pi^2 at zeta = 0: exp(-750) underflows to 0
+    # at (p, q) of the first pair, and K is 1e-302 only at (a p, a q) of the
+    # second; the metric never forms K, so both pairs are checked
     ps = [Point([25.0], [0.0]), Point([-143.6], [0.0])]
     qs = [Point([-30.0], [0.0]), Point.origin(P11)]
     a = Automorphism(np.eye(1), np.eye(1), np.array([5.0]))
     report = check_metric_law(P11, a, (stack(ps), stack(qs)))
-    assert report.details["skipped"] == 2 and report.max_residual == 0.0
+    assert report.samples == 2 and 0.0 < report.max_residual <= 1e-15 and report.details == {}
     P, Q = sample_pairs(P11, 3, 4)
     P, Q = (stack(singles(x) + [y]) for x, y in ((P, ps[0]), (Q, qs[0])))
     report = check_metric_law(P11, identity(P11), (P, Q))
-    assert report.details["skipped"] == 1 and report.passed and report.samples == 5
+    assert report.passed and report.samples == 5
 
 
-def test_metric_law_skipped_pairs_keep_their_rows():
+def test_metric_law_underflowing_pairs_keep_their_rows():
     # two automorphisms stacked (2, 1) against two rows of three pairs: the
-    # second row vanishes only at (b p, b q) and is zeroed, the first row is
-    # still checked against a, its own automorphism
+    # second row's K is 1e-302 only at (b p, b q) and is checked against b, the
+    # first row against a, its own automorphism
     a = random_automorphism(P11, 3)
     b = Automorphism(np.eye(1), np.eye(1), np.array([5.0]))
     ab = Automorphism(*(np.stack([x, y])[:, None] for x, y in zip(astuple(a), astuple(b))))
@@ -237,8 +238,8 @@ def test_metric_law_skipped_pairs_keep_their_rows():
     o = Point(np.zeros((3, 1)), np.zeros((3, 1)))
     report = check_metric_law(P11, ab, (stack([P, far]), stack([Q, o])))
     alone = check_metric_law(P11, a, (P, Q))
-    assert report.details["skipped"] == 3 and report.samples == 6
-    assert report.max_residual == alone.max_residual > 0.0
+    assert report.samples == 6
+    assert report.max_residual == alone.max_residual > check_metric_law(P11, b, (far, o)).max_residual > 0.0
 
 
 def test_metric_law_peak_memory_at_large_order():
@@ -625,6 +626,13 @@ def test_run_suite_rejects_unknown_suite():
         run_suite(P11, 0, suites=("nonsense",))
 
 
+@pytest.mark.parametrize("name", ["boundry", "mc"])
+def test_run_suite_rejects_a_tolerance_it_would_drop(name):
+    # a misspelt suite, or mc, which derives its own tolerance
+    with pytest.raises(ValueError, match=name):
+        run_suite(P11, 0, ("boundary",), tolerances={name: 0.0})
+
+
 @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("nm", [(1, 1), (2, 1), (1, 2), (2, 2)])
 def test_run_suite_full_grid(nm, mu):
@@ -648,7 +656,10 @@ def test_run_suite_full_grid(nm, mu):
 _KERNEL_LAW_PASSES = {(1, 1), (1, 8), (1, 32), (1, 64), (8, 1), (8, 8), (8, 32), (32, 1), (32, 8), (64, 1)}
 
 
-@pytest.mark.parametrize("nm", [(n, m) for n in (1, 8, 32, 64) for m in (1, 8, 32, 64)])
+DECLARED_GRID = [(n, m) for n in (1, 8, 32, 64) for m in (1, 8, 32, 64)]
+
+
+@pytest.mark.parametrize("nm", DECLARED_GRID)
 def test_run_suite_over_the_declared_range(nm):
     with np.errstate(over="ignore", invalid="ignore"):
         reports = run_suite(DomainParams(nm[0], nm[1], 1.0), 0, ("all",))
@@ -665,6 +676,29 @@ def test_run_suite_metric_law_and_cartan_at_max_order(nm):
     reports = run_suite(DomainParams(nm[0], nm[1], 1.0), 0, suites=("metric-law", "cartan"))
     assert [r.name for r in reports] == ["metric-law", "cartan"]
     assert all(r.passed for r in reports)
+
+
+# exp(m mu <z, z'>) over- or underflows on some of these pairs at (32, 64) and
+# (64, 64); the metric path never forms it, so no KernelZero and no warning
+@pytest.mark.parametrize("nm", DECLARED_GRID)
+def test_metric_and_gradient_are_finite_over_the_declared_range(nm):
+    params = DomainParams(nm[0], nm[1], 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(3):
+            P, Q = sample_pairs(params, seed, 20)
+            for fn in (metric, log_kernel_grad_wbar):
+                assert np.all(np.isfinite(fn(params, P, Q)))
+
+
+@pytest.mark.parametrize("nm", DECLARED_GRID)
+def test_metric_law_and_cartan_pass_over_the_declared_range(nm):
+    params = DomainParams(nm[0], nm[1], 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(3):
+            reports = run_suite(params, seed, ("metric-law", "cartan"))
+            assert all(r.passed for r in reports), [r.to_dict() for r in reports]
 
 
 # ------------------------- NaN fails closed --------------------------------
