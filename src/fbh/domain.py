@@ -121,7 +121,7 @@ def from_pairs(obj) -> np.ndarray:
 # ------------------------------- geometry ----------------------------------
 
 def _norm2(x):  # squared Euclidean norm over the last axis
-    return np.sum(np.abs(x) ** 2, axis=-1)
+    return np.sum(x.real**2 + x.imag**2, axis=-1)
 
 
 def check_point(params: DomainParams, p: Point) -> None:
@@ -152,7 +152,7 @@ def project_to_boundary(params: DomainParams, z, direction) -> Point:
     """
     p = Point(z, direction)
     check_point(params, p)
-    nrm = np.linalg.norm(p.zeta, axis=-1)
+    nrm = np.sqrt(_norm2(p.zeta))
     if not np.all(np.abs(nrm - 1.0) <= 1e-12):
         raise NotUnit(f"direction norm off 1 by {np.max(np.abs(nrm - 1.0))}, not within 1e-12")
     radius = np.exp(-params.mu * _norm2(p.z) / 2.0)
@@ -181,18 +181,21 @@ def sample_interior_arrays(params: DomainParams, seed, count):
     z has independent complex-Gaussian coordinates with variance 1/(2 mu)
     per real coordinate, so the z-marginal density is (mu/pi)^n
     exp(-mu ||z||^2).  Given z, zeta is uniform in the ball of radius
-    exp(-mu ||z||^2 / 2): a normalized complex Gaussian direction scaled by
-    R u^(1/(2m)) with u uniform on [0, 1).  Every row is strictly interior.
+    exp(-mu ||z||^2 / 2): a complex Gaussian direction scaled by
+    R u^(1/(2m)) / |direction| with u uniform on [0, 1).  Every row is
+    strictly interior.  The draws are, in order, Re z, Im z, Re zeta,
+    Im zeta and u, each one call on the whole shape, written into the
+    real and imaginary parts of the returned arrays.
     """
     rng = np.random.default_rng(seed)
     lead = _leading(count)
-    zs, ws = lead + (params.n,), lead + (params.m,)
-    Z = (rng.standard_normal(zs) + 1j * rng.standard_normal(zs)) * math.sqrt(1.0 / (2.0 * params.mu))
-    Zeta = rng.standard_normal(ws) + 1j * rng.standard_normal(ws)
-    Zeta /= np.linalg.norm(Zeta, axis=-1, keepdims=True)
+    Z, Zeta = np.empty(lead + (params.n,), complex), np.empty(lead + (params.m,), complex)
+    for part in (Z.real, Z.imag, Zeta.real, Zeta.imag):
+        part[...] = rng.standard_normal(part.shape)
+    Z *= math.sqrt(1.0 / (2.0 * params.mu))
     u = rng.random(lead)
-    radius = np.exp(-params.mu * _norm2(Z) / 2.0) * u ** (1.0 / (2 * params.m))
-    Zeta *= radius[..., None]
+    scale = np.exp(-params.mu * _norm2(Z) / 2.0) * u ** (1.0 / (2 * params.m)) / np.sqrt(_norm2(Zeta))
+    Zeta *= scale[..., None]
     return Z, Zeta
 
 
@@ -208,13 +211,13 @@ def sample_density_arrays(params: DomainParams, Z: np.ndarray) -> np.ndarray:
 
         (mu/pi)^n exp(-mu ||z||^2) * m! / (pi^m R^(2m)),   R^2 = exp(-mu ||z||^2),
 
-    constant on each fiber ball.  Z has shape (count, n).
+    constant on each fiber ball, and evaluated as the one exponential
+    (mu/pi)^n m!/pi^m exp((m-1) mu ||z||^2), finite wherever the density is.
+    Z has shape (count, n).
     """
-    z2 = _norm2(np.asarray(Z, dtype=complex))
-    gauss = np.exp(-params.mu * z2)
-    gauss *= (params.mu / math.pi) ** params.n
-    gauss *= math.factorial(params.m) / (math.pi ** params.m * np.exp(-params.m * params.mu * z2))
-    return gauss
+    density = np.exp((params.m - 1) * params.mu * _norm2(np.asarray(Z, dtype=complex)))
+    density *= (params.mu / math.pi) ** params.n * math.factorial(params.m) / math.pi**params.m
+    return density
 
 
 def sample_density(params: DomainParams, p: Point):
@@ -234,5 +237,5 @@ def sample_boundary(params: DomainParams, seed, count) -> Point:
     g = np.random.default_rng(seed).standard_normal(_leading(count) + (2 * (n + m),))
     z = math.sqrt(1.0 / (2.0 * params.mu)) * (g[..., :n] + 1j * g[..., n : 2 * n])
     d = g[..., 2 * n : 2 * n + m] + 1j * g[..., 2 * n + m :]
-    d /= np.linalg.norm(d, axis=-1, keepdims=True)
+    d /= np.sqrt(_norm2(d))[..., None]
     return project_to_boundary(params, z, d)

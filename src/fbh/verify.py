@@ -72,8 +72,8 @@ KERNEL_FLOOR = 1e-300
 # a conditioning choice, not a correctness one.
 PAIR_POLE_DISTANCE = 1e-6
 
-# Monte-Carlo rows per block: above the 1e5 minimum, so runs up to 2^17 are one draw.
-_MC_BLOCK = 2**17
+# Monte-Carlo rows per block: the check's memory is one block's, whatever the sample count.
+_MC_BLOCK = 2**14
 
 
 @dataclass
@@ -251,23 +251,29 @@ def mc_reproduce_constant(params: DomainParams, seed, samples: int = 1_000_000) 
     and averages K((0,0), q) / density(q).  The integrand decays exactly
     like the proposal here, so the weights are constant up to rounding and
     the standard error sits at float-noise level.  Passes when
-    |estimate - 1| <= max(0.02, 4 stderr).  Drawn in 2^17-row blocks from
-    one default_rng(seed), which continues a Generator: memory is a block plus
-    8 bytes per sample, and runs of up to 2^17 are one sampler call, bit for bit.
+    |estimate - 1| <= max(0.02, 4 stderr).  Drawn in blocks of _MC_BLOCK
+    rows from one default_rng(seed), which continues a Generator; each
+    block's mean and centred sum of squares merge into running totals by
+    the pairwise update of Chan, Golub and LeVeque (1979), so memory is one
+    block's, whatever the sample count.  samples is an integer >= 1e5.
     """
     if params.n != 1 or params.m != 1:
         raise ValueError("the reproducing check is defined for n = m = 1")
-    if samples < 100_000:
-        raise ValueError("samples must be >= 1e5")
+    if isinstance(samples, bool) or not isinstance(samples, Integral) or samples < 100_000:
+        raise ValueError(f"samples must be an integer >= 1e5, got {samples!r}")
     rng = np.random.default_rng(seed)
+    mean = sum_sq = 0.0
     for start in range(0, samples, _MC_BLOCK):
         Z, Zeta = sample_interior_arrays(params, rng, min(_MC_BLOCK, samples - start))
         values, _ = kernel_batch(params, Point.origin(params), Z, Zeta)
-        if start == 0:  # past the block's peak, where the one-draw check allocated it
-            weights = np.empty(samples)
-        np.divide(values.real, sample_density_arrays(params, Z), out=weights[start : start + len(Z)])
-    estimate = float(weights.mean())
-    stderr = float(weights.std(ddof=1) / math.sqrt(samples))
+        weights = values.real / sample_density_arrays(params, Z)
+        block_mean, k = weights.mean(), len(weights)
+        weights -= block_mean
+        delta, total = block_mean - mean, start + k
+        mean += delta * (k / total)
+        sum_sq += weights @ weights + delta**2 * (start * k / total)
+    estimate = float(mean)
+    stderr = math.sqrt(sum_sq / (samples - 1)) / math.sqrt(samples)
     tolerance = max(0.02, 4.0 * stderr)
     return _report(
         "mc",

@@ -13,7 +13,10 @@ pieces, not the assembly.  The one-stream Haar draw is the reference for the
 draw order of random_automorphism at an int seed.  The kernel formula is
 the reference for the kernel core's powers by squaring; it shares only the
 Hermitian product.  The exact F_m evaluates a_poly's integer numerator in
-rational arithmetic and rounds once.
+rational arithmetic and rounds once.  The blockwise Monte-Carlo estimator
+is the reference for mc's streamed moments: it shares the block draws and
+weights, and takes their mean and standard deviation in two passes over the
+concatenated weights.
 """
 
 import math
@@ -281,6 +284,19 @@ def sample_pairs_per_pair(params, seed, count):
             if guarded and len(pairs) < count:
                 pairs.append((p, q))
     return pairs
+
+
+def mc_blockwise(params, seed, samples):
+    """Reference for verify.mc_reproduce_constant: the (estimate, stderr) of
+    the same _MC_BLOCK-row blocks of one stream, by a two-pass mean and
+    standard deviation over every block's weights kept in one array."""
+    rng, weights = np.random.default_rng(seed), []
+    for start in range(0, samples, verify._MC_BLOCK):
+        Z, Zeta = verify.sample_interior_arrays(params, rng, min(verify._MC_BLOCK, samples - start))
+        values, _ = verify.kernel_batch(params, Point.origin(params), Z, Zeta)
+        weights.append(values.real / verify.sample_density_arrays(params, Z))
+    weights = np.concatenate(weights)
+    return float(weights.mean()), float(weights.std(ddof=1) / math.sqrt(samples))
 
 
 def _merge_parts(reports, seed):

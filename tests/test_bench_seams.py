@@ -5,6 +5,7 @@ here rather than in every op of a benchmark run."""
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -55,11 +56,11 @@ def test_mc_looks_up_its_helpers_at_verify_attributes(monkeypatch):
     for name in names:
         monkeypatch.setattr(verify, name, _spy(calls, name, getattr(verify, name)))
     verify.mc_reproduce_constant(DomainParams(1, 1, 1.0), 0, samples=100_000)
-    assert [name for name, _ in calls] == list(names)
+    assert [name for name, _ in calls] == list(names) * math.ceil(100_000 / verify._MC_BLOCK)
 
 
 def test_mc_streams_blocks_through_verify_attributes(monkeypatch):
-    # 2^17 + 1 samples: two blocks of 2^17 and 1 rows, one generator stream
+    # full blocks of _MC_BLOCK rows and a last block of 1 row, one generator stream
     calls, results = [], []
     names = ("sample_interior_arrays", "kernel_batch", "sample_density_arrays")
     for name in names:
@@ -70,10 +71,13 @@ def test_mc_streams_blocks_through_verify_attributes(monkeypatch):
 
         monkeypatch.setattr(verify, name, spy)
     params = DomainParams(1, 1, 1.0)
-    report = verify.mc_reproduce_constant(params, 3, samples=131_073)
-    assert [name for name, _ in calls] == list(names) * 2
-    assert [args[2] for _, args in calls[0::3]] == [131_072, 1]
-    assert [len(args[-1]) for _, args in calls[1::3] + calls[2::3]] == [131_072, 1] * 2
+    full = 100_000 // verify._MC_BLOCK + 1
+    samples = full * verify._MC_BLOCK + 1
+    blocks = [verify._MC_BLOCK] * full + [1]
+    report = verify.mc_reproduce_constant(params, 3, samples=samples)
+    assert [name for name, _ in calls] == list(names) * len(blocks)
+    assert [args[2] for _, args in calls[0::3]] == blocks
+    assert [len(args[-1]) for _, args in calls[1::3] + calls[2::3]] == blocks * 2
     rng = np.random.default_rng(3)
     for Z, Zeta in results[0::3]:
         expected = sample_interior_arrays(params, rng, len(Z))
@@ -81,8 +85,8 @@ def test_mc_streams_blocks_through_verify_attributes(monkeypatch):
     weights = np.concatenate(
         [values.real / density for (values, _), density in zip(results[1::3], results[2::3])]
     )
-    assert report.samples == 131_073 and report.details["estimate"] == float(weights.mean())
-    assert report.details["stderr"] == float(weights.std(ddof=1) / np.sqrt(131_073))
+    assert report.samples == samples and report.details["estimate"] == float(weights.mean())
+    assert report.details["stderr"] == float(weights.std(ddof=1) / np.sqrt(samples))
 
 
 def test_metric_law_and_cartan_call_metric_at_its_verify_attribute(monkeypatch):

@@ -15,6 +15,7 @@ from fbh.domain import (
     project_to_boundary,
     sample_boundary,
     sample_density,
+    sample_density_arrays,
     sample_interior,
     sample_interior_arrays,
 )
@@ -192,6 +193,23 @@ def test_sample_density_matches_closed_form():
         / (math.pi * math.exp(-params.mu * z2))
     )
     assert sample_density(params, p) == pytest.approx(expected)
+
+
+@pytest.mark.parametrize(
+    "params, z2", [(P11, 900.0), (DomainParams(1, 2, 1.0), 400.0), (DomainParams(3, 2, 0.5), 1000.0)]
+)
+def test_sample_density_is_finite_far_out(params, z2):
+    # exp(-mu z2) and exp(-m mu z2) underflow here, so their quotient would be
+    # nan or inf; a RuntimeWarning fails the test (pytest filterwarnings)
+    Z = np.zeros((2, params.n), complex)
+    Z[:, 0] = [math.sqrt(z2), 1j * math.sqrt(z2)]
+    log_closed = (
+        params.n * math.log(params.mu / math.pi) - params.mu * z2
+        + math.log(math.factorial(params.m)) - params.m * math.log(math.pi) + params.m * params.mu * z2
+    )
+    density = sample_density_arrays(params, Z)
+    assert np.all(np.isfinite(density))
+    assert np.log(density) == pytest.approx([log_closed] * 2, rel=1e-14)
 
 
 def test_sample_interior_arrays_shapes():

@@ -11,7 +11,7 @@ import pytest
 
 from fbh import autgroup, polylog, verify
 from fbh.autgroup import Automorphism, identity, random_automorphism
-from fbh.bergman import kernel, kernel_batch, log_kernel_grad_wbar, metric
+from fbh.bergman import kernel, log_kernel_grad_wbar, metric
 from fbh.domain import (
     DomainParams,
     Point,
@@ -33,7 +33,7 @@ from fbh.verify import (
     sample_pairs,
 )
 
-from oracles import haar_one_stream, run_suite_per_part, sample_pairs_per_pair, singles, stack
+from oracles import haar_one_stream, mc_blockwise, run_suite_per_part, sample_pairs_per_pair, singles, stack
 
 P11 = DomainParams(1, 1, 1.0)
 CONFIGS = [P11, DomainParams(2, 1, 1.0), DomainParams(1, 2, 0.5), DomainParams(2, 2, 2.0)]
@@ -374,28 +374,55 @@ def test_mc_stderr_scaling():
     assert s2 <= s1 / np.sqrt(2) * 1.2 + 1e-12
 
 
-@pytest.mark.parametrize("samples", [100_000, 131_072])
-def test_mc_matches_one_draw_oracle_up_to_one_block(samples):
-    # the whole run fits one block, so it is the one-call estimator bit for bit
-    Z, Zeta = sample_interior_arrays(P11, 67, samples)
-    values, _ = kernel_batch(P11, Point.origin(P11), Z, Zeta)
-    weights = values.real / sample_density_arrays(P11, Z)
+def _distorted_density(params, Z):
+    # weights 1 / (1 + cos(Re z) / 2) vary by a factor of 3, so a dropped or
+    # misweighted term in the merge of block moments moves the result
+    return sample_density_arrays(params, Z) * (1.0 + 0.5 * np.cos(Z[:, 0].real))
+
+
+@pytest.mark.parametrize("distorted", [False, True])
+@pytest.mark.parametrize("samples", [100_000, 131_072, 200_003])
+def test_mc_streamed_moments_match_blockwise_two_pass_oracle(monkeypatch, samples, distorted):
+    if distorted:
+        monkeypatch.setattr(verify, "sample_density_arrays", _distorted_density)
+    estimate, stderr = mc_blockwise(P11, 67, samples)
     report = mc_reproduce_constant(P11, 67, samples)
-    assert report.details["estimate"] == float(weights.mean())
-    assert report.details["stderr"] == float(weights.std(ddof=1) / math.sqrt(samples))
+    assert report.details["estimate"] == pytest.approx(estimate, rel=1e-15, abs=0.0)
+    assert report.details["stderr"] == pytest.approx(stderr, rel=0.0, abs=1e-15)
+    assert distorted == (stderr > 1e-4)
 
 
-def test_mc_memory_is_bounded_by_blocks():
-    # one full-size draw of 1e6 samples peaks at about 112 MB
-    mc_reproduce_constant(P11, 71)
+@pytest.mark.parametrize("samples", [1e6, 100_000.0, True, "100000"])
+def test_mc_rejects_non_integer_samples(samples):
+    with pytest.raises(ValueError, match="samples"):
+        mc_reproduce_constant(P11, 0, samples=samples)
+    with pytest.raises(ValueError, match="samples"):
+        run_suite(P11, 0, ("mc",), samples=samples)
+
+
+def test_mc_takes_numpy_integer_samples():
+    report = mc_reproduce_constant(P11, 5, samples=np.int64(100_000))
+    assert report.samples == 100_000 and type(report.samples) is int
+    assert report.to_dict() == mc_reproduce_constant(P11, 5, samples=100_000).to_dict()
+
+
+def _mc_peak(samples):
     tracemalloc.start()
     try:
-        report = mc_reproduce_constant(P11, 71)
+        report = mc_reproduce_constant(P11, 71, samples)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert report.passed and abs(report.details["estimate"] - 1.0) <= 1e-15
-    assert peak < 40e6
+    return peak
+
+
+def test_mc_memory_is_bounded_by_blocks():
+    # streamed moments keep no samples-long array, so the peak is one block's
+    mc_reproduce_constant(P11, 71, 100_000)
+    small, large = _mc_peak(100_000), _mc_peak(1_000_000)
+    assert large <= 4e6
+    assert large <= 1.1 * small
 
 
 def test_run_suite_mc_zero_samples_rejected():
