@@ -163,6 +163,8 @@ def jacobian_det(params: DomainParams, a: Automorphism, p: Point):
 def haar_unitary(dim: int, rng, shape=()) -> np.ndarray:
     """Haar-distributed unitaries of leading shape `shape`: complex Ginibre,
     QR, R-diagonal phases absorbed.  `rng` is a seed as for the samplers."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
     rng = np.random.default_rng(rng)
     shape = _leading(shape) + (dim, dim)
     g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)

@@ -120,8 +120,9 @@ def from_pairs(obj) -> np.ndarray:
 
 # ------------------------------- geometry ----------------------------------
 
-def _norm2(x):  # squared Euclidean norm over the last axis
-    return np.sum(x.real**2 + x.imag**2, axis=-1)
+def _norm2(x):  # squared Euclidean norm over the last axis, squared into one buffer
+    sq = np.square(x.real)
+    return np.add.reduce(np.add(sq, np.square(x.imag), out=sq), axis=-1)
 
 
 def check_point(params: DomainParams, p: Point) -> None:
@@ -193,9 +194,10 @@ def sample_interior_arrays(params: DomainParams, seed, count):
     for part in (Z.real, Z.imag, Zeta.real, Zeta.imag):
         part[...] = rng.standard_normal(part.shape)
     Z *= math.sqrt(1.0 / (2.0 * params.mu))
-    u = rng.random(lead)
-    scale = np.exp(-params.mu * _norm2(Z) / 2.0) * u ** (1.0 / (2 * params.m)) / np.sqrt(_norm2(Zeta))
-    Zeta *= scale[..., None]
+    s, norm, u = _norm2(Z), _norm2(Zeta), rng.random(lead)  # the fibre scale, in place
+    np.exp(np.multiply(s, -params.mu / 2.0, out=s), out=s)
+    u **= 1.0 / (2 * params.m)  # in place; numpy takes sqrt for 0.5, as u ** 0.5 does
+    Zeta *= np.divide(np.multiply(s, u, out=s), np.sqrt(norm, out=norm), out=s)[..., None]
     return Z, Zeta
 
 
@@ -213,11 +215,12 @@ def sample_density_arrays(params: DomainParams, Z: np.ndarray) -> np.ndarray:
 
     constant on each fiber ball, and evaluated as the one exponential
     (mu/pi)^n m!/pi^m exp((m-1) mu ||z||^2), finite wherever the density is.
-    Z has shape (count, n).
+    Z has shape (..., n) and is never written to.
     """
-    density = np.exp((params.m - 1) * params.mu * _norm2(np.asarray(Z, dtype=complex)))
+    density = np.asarray(_norm2(np.asarray(Z, dtype=complex)))
+    np.exp(np.multiply(density, (params.m - 1) * params.mu, out=density), out=density)
     density *= (params.mu / math.pi) ** params.n * math.factorial(params.m) / math.pi**params.m
-    return density
+    return density[()]  # a float for one point, as numpy's own ufuncs return
 
 
 def sample_density(params: DomainParams, p: Point):

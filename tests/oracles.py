@@ -16,7 +16,9 @@ Hermitian product.  The exact F_m evaluates a_poly's integer numerator in
 rational arithmetic and rounds once.  The blockwise Monte-Carlo estimator
 is the reference for mc's streamed moments: it shares the block draws and
 weights, and takes their mean and standard deviation in two passes over the
-concatenated weights.
+concatenated weights.  The one-expression interior sampler and density are
+the references for the in-place fibre scale and exponential, bit for bit:
+same generator and draw order, full-size temporaries, and their own norm.
 """
 
 import math
@@ -297,6 +299,34 @@ def mc_blockwise(params, seed, samples):
         weights.append(values.real / verify.sample_density_arrays(params, Z))
     weights = np.concatenate(weights)
     return float(weights.mean()), float(weights.std(ddof=1) / math.sqrt(samples))
+
+
+def _norm2_reference(x):
+    return np.sum(x.real**2 + x.imag**2, axis=-1)
+
+
+def sample_interior_reference(params, seed, count):
+    """domain.sample_interior_arrays with its fibre scale as one expression."""
+    rng = np.random.default_rng(seed)
+    lead = tuple(count) if np.ndim(count) else (count,)
+    Z, Zeta = np.empty(lead + (params.n,), complex), np.empty(lead + (params.m,), complex)
+    for part in (Z.real, Z.imag, Zeta.real, Zeta.imag):
+        part[...] = rng.standard_normal(part.shape)
+    Z *= math.sqrt(1.0 / (2.0 * params.mu))
+    u = rng.random(lead)
+    scale = (
+        np.exp(-params.mu * _norm2_reference(Z) / 2.0)
+        * u ** (1.0 / (2 * params.m))
+        / np.sqrt(_norm2_reference(Zeta))
+    )
+    Zeta *= scale[..., None]
+    return Z, Zeta
+
+
+def density_reference(params, Z):
+    """domain.sample_density_arrays as one expression."""
+    density = np.exp((params.m - 1) * params.mu * _norm2_reference(np.asarray(Z, dtype=complex)))
+    return density * ((params.mu / math.pi) ** params.n * factorial(params.m) / math.pi**params.m)
 
 
 def _merge_parts(reports, seed):

@@ -305,6 +305,18 @@ def test_random_automorphism_deterministic_and_unitary():
     assert np.max(np.abs(a.Uprime.conj().T @ a.Uprime - np.eye(2))) <= 1e-10
 
 
+@pytest.mark.parametrize("dim", [0, -1, 1.5, 2.0, np.float64(2), True, "2"])
+def test_haar_unitary_rejects_a_bad_dimension(dim):
+    with pytest.raises(ValueError):
+        haar_unitary(dim, 1)
+
+
+def test_haar_unitary_takes_numpy_integer_dimensions():
+    U = haar_unitary(np.int64(3), 1)
+    assert U.shape == (3, 3) and np.allclose(U.conj().T @ U, np.eye(3))
+    assert np.array_equal(U, haar_unitary(3, 1))
+
+
 def test_haar_moment_of_trace():
     # E |tr U|^2 = 1 for the Haar measure on U(n)
     rng = np.random.default_rng(61)

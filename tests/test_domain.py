@@ -21,7 +21,7 @@ from fbh.domain import (
 )
 from fbh.errors import DimensionMismatch, NotFinite, NotUnit
 
-from oracles import assert_rows_match, singles, stack
+from oracles import assert_rows_match, density_reference, sample_interior_reference, singles, stack
 
 P11 = DomainParams(1, 1, 1.0)
 
@@ -228,6 +228,29 @@ def test_sample_interior_arrays_int_seed_equals_generator(params):
         strict=True,
     ):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [P11, DomainParams(3, 2, 0.7), DomainParams(2, 4, 0.7), DomainParams(32, 4, 1.0),
+     DomainParams(64, 64, 1.0)],
+    ids=["1,1", "3,2", "2,4", "32,4", "64,64"],
+)
+@pytest.mark.parametrize("seed", [19, [19, 7], "generator"], ids=["int", "sequence", "generator"])
+@pytest.mark.parametrize("count", [7, (3, 5), 2**13 + 1], ids=["7", "3x5", "8193"])
+def test_sampler_and_density_equal_the_reference_bit_for_bit(params, seed, count):
+    # pins the draws, their order and the rounding of the in-place fibre scale
+    def stream():
+        return np.random.default_rng([19, 3]) if seed == "generator" else seed
+
+    rng, ref_rng = stream(), stream()
+    Z, Zeta = sample_interior_arrays(params, rng, count)
+    Z_ref, Zeta_ref = sample_interior_reference(params, ref_rng, count)
+    assert np.array_equal(Z, Z_ref) and np.array_equal(Zeta, Zeta_ref)
+    if seed == "generator":  # the stream continues from the same state
+        assert rng.random() == ref_rng.random()
+    with np.errstate(over="ignore"):  # at (64,64) the density itself passes the float range
+        assert np.array_equal(sample_density_arrays(params, Z), density_reference(params, Z))
 
 
 def test_sample_boundary_points_lie_on_boundary():

@@ -421,7 +421,7 @@ def test_mc_memory_is_bounded_by_blocks():
     # streamed moments keep no samples-long array, so the peak is one block's
     mc_reproduce_constant(P11, 71, 100_000)
     small, large = _mc_peak(100_000), _mc_peak(1_000_000)
-    assert large <= 4e6
+    assert large <= 1.6e6
     assert large <= 1.1 * small
 
 
@@ -524,7 +524,6 @@ def test_run_suite_matches_the_per_part_oracle(params, seed):
         same = ("name", "samples", "tolerance", "passed", "seed", "residual_kind")
         assert [getattr(got, k) for k in same] == [getattr(ref, k) for k in same]
         assert got.details.keys() == ref.details.keys()
-        assert got.details.get("skipped") == ref.details.get("skipped")
         pairs = [(got.max_residual, ref.max_residual)]
         pairs += [(got.details[k], ref.details[k]) for k in ref.details]
         for x, y in pairs:
