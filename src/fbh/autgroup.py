@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainParams, Point, _frozen, _leading, check_point, from_pairs, to_pairs
+from .domain import DomainParams, Point, _frozen, _integer, _leading, check_point, from_pairs, to_pairs
 from .errors import DimensionMismatch, NotUnitary
 
 UNITARY_TOL = 1e-10
@@ -163,8 +163,7 @@ def jacobian_det(params: DomainParams, a: Automorphism, p: Point):
 def haar_unitary(dim: int, rng, shape=()) -> np.ndarray:
     """Haar-distributed unitaries of leading shape `shape`: complex Ginibre,
     QR, R-diagonal phases absorbed.  `rng` is a seed as for the samplers."""
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
+    dim = _integer(dim, "dim", 1)
     rng = np.random.default_rng(rng)
     shape = _leading(shape) + (dim, dim)
     g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)

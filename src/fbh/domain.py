@@ -10,7 +10,6 @@ Monte-Carlo checks, so its density is exposed in closed form.
 import math
 import sys
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -27,10 +26,7 @@ class DomainParams:
 
     def __post_init__(self):
         for name in ("n", "m"):  # stored as int, so numpy integers work everywhere
-            order = getattr(self, name)
-            if isinstance(order, bool) or not isinstance(order, Integral) or order < 1:
-                raise ValueError(f"n and m must be integers >= 1, got {name}={order!r}")
-            object.__setattr__(self, name, int(order))
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
         try:  # the sampler needs 1/mu and the kernel its prefactor mu^n / pi^(n+m)
             mu = float(self.mu)
             usable = 0 < mu < math.inf and math.isfinite(1 / mu)
@@ -167,12 +163,20 @@ def project_to_boundary(params: DomainParams, z, direction) -> Point:
 # Generator, which continues its stream), and a draw of leading shape (k, c)
 # is the draw of k * c reshaped: each component is one call on the whole shape.
 
+def _integer(value, name: str, low: int, high=math.inf) -> int:
+    """value as a plain int: a Python or numpy integer in low..high.  A bool,
+    a float, a string or a value out of range raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not low <= value <= high:
+        bound = f">= {low}" if high == math.inf else f"in {low}..{high}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return int(value)
+
+
 def _leading(shape) -> tuple:
-    """A draw's leading shape from an int or a tuple, each axis >= 1."""
-    shape = tuple(shape) if np.ndim(shape) else (shape,)
-    if not all(k >= 1 for k in shape):
-        raise ValueError(f"draw shapes need every axis >= 1, got {shape}")
-    return shape
+    """A draw's leading shape from an integer or a sequence of them, each axis >= 1."""
+    return tuple(_integer(k, "draw shape axis", 1) for k in (shape if np.ndim(shape) else (shape,)))
 
 
 def sample_interior_arrays(params: DomainParams, seed, count):
@@ -224,9 +228,16 @@ def sample_density_arrays(params: DomainParams, Z: np.ndarray) -> np.ndarray:
 
 
 def sample_density(params: DomainParams, p: Point):
-    """Proposal density at a Point, one value per point of a stack."""
+    """Proposal density at a Point, one value per point of a stack.  Raises
+    NotFinite where it is not a finite float: at large orders the density
+    itself passes the float range at ordinary interior points."""
     check_point(params, p)
-    return sample_density_arrays(params, p.z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        density = sample_density_arrays(params, p.z)
+    if not np.all(np.isfinite(density)):
+        raise NotFinite(f"the proposal density is not a finite float at {np.sum(~np.isfinite(density))} "
+                        f"of {np.size(density)} points for {params}")
+    return density
 
 
 def sample_boundary(params: DomainParams, seed, count) -> Point:

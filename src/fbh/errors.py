@@ -14,7 +14,7 @@ class PoleProximity(FbhError):
 
 
 class NotFinite(FbhError):
-    """Input holds a NaN or infinite entry."""
+    """An input or a result holds a NaN or infinite entry."""
 
 
 class OutsideDomain(FbhError):

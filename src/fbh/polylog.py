@@ -24,10 +24,10 @@ per polynomial, on its first evaluation.
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from numbers import Integral
 
 import numpy as np
 
+from .domain import _integer
 from .errors import KernelZero, PoleProximity
 
 # Evaluation guard around the t = 1 singularity.
@@ -37,13 +37,6 @@ EPS_POLE = 1e-12
 # arithmetic removes correctness risk beyond this, but the cap keeps
 # coefficient sizes bounded in practice.
 MAX_ORDER = 64
-
-
-def _check_orders(n: int, m: int) -> None:
-    if isinstance(n, bool) or not (isinstance(n, Integral) and 1 <= n <= MAX_ORDER):
-        raise ValueError(f"series order n must be an integer in 1..{MAX_ORDER}, got {n!r}")
-    if isinstance(m, bool) or not (isinstance(m, Integral) and 0 <= m <= MAX_ORDER):
-        raise ValueError(f"derivative order m must be an integer in 0..{MAX_ORDER}, got {m!r}")
 
 
 def _stirling2_row(n: int) -> list:
@@ -142,8 +135,7 @@ def a_poly(n: int, m: int) -> PolyExact:
     positive.  Built from A_{0,0} = t by n steps of the t d/dt recurrence,
     then m steps of the d/dt recurrence (module docstring).
     """
-    _check_orders(n, m)
-    return _a_poly(int(n), int(m))
+    return _a_poly(_integer(n, "series order n", 1, MAX_ORDER), _integer(m, "derivative order m", 0, MAX_ORDER))
 
 
 # At most MAX_ORDER * (MAX_ORDER + 1) immutable results, one per checked
@@ -161,7 +153,6 @@ def _a_poly(n: int, m: int) -> PolyExact:
 
 def li_neg_rational(n: int) -> RationalForm:
     """Closed form of the order -n polylogarithm as numerator / (1-t)^(n+1)."""
-    _check_orders(n, 0)
     return RationalForm(numerator=a_poly(n, 0), pole_order=n + 1)
 
 
@@ -195,10 +186,10 @@ def polylog_deriv(n: int, m: int, t):
     a numpy array; returns a Python complex or a fresh array and never writes
     to t.  Raises PoleProximity when any point lies within EPS_POLE of t = 1.
     The pole power (1-t)^(n+m+1) is formed by repeated squaring (_power)."""
-    _check_orders(n, m)
+    A = a_poly(n, m)  # checks the orders before the pole guard
     tt, u = _guarded(n, t)
     u = _power(u, n + m + 1)
-    val = a_poly(n, m).eval(tt)
+    val = A.eval(tt)
     val /= u
     return complex(val) if np.ndim(t) == 0 else val
 

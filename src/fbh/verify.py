@@ -30,6 +30,7 @@ from .bergman import (
 from .domain import (
     DomainParams,
     Point,
+    _integer,
     _leading,
     _norm2,
     defect,
@@ -259,8 +260,7 @@ def mc_reproduce_constant(params: DomainParams, seed, samples: int = 1_000_000) 
     """
     if params.n != 1 or params.m != 1:
         raise ValueError("the reproducing check is defined for n = m = 1")
-    if isinstance(samples, bool) or not isinstance(samples, Integral) or samples < 100_000:
-        raise ValueError(f"samples must be an integer >= 1e5, got {samples!r}")
+    samples = _integer(samples, "samples", 100_000)
     rng, origin = np.random.default_rng(seed), Point.origin(params)
     mean = sum_sq = 0.0
     for start in range(0, samples, _MC_BLOCK):
@@ -330,9 +330,7 @@ def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, to
         raise ValueError(f"unknown suites or tolerance overrides: {sorted(unknown)}")
     if samples is not None and "mc" not in wanted:
         raise ValueError("samples sizes the Monte-Carlo check, which this run does not include")
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    seed = _integer(seed, "seed", 0)
 
     names, reports = globals(), []
     for name in wanted:

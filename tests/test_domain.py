@@ -49,7 +49,7 @@ def test_params_validation():
 @pytest.mark.parametrize("n, m", [(2.5, 1), (2, 1.0), (2, True), (True, 1), (np.float64(2), 1), ("2", 1)])
 def test_params_orders_must_be_integers(n, m):
     # a float or bool order used to pass and crash in the samplers and suites
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match=r"^[nm] must be an integer, got "):
         DomainParams(n, m, 1.0)
 
 
@@ -210,6 +210,21 @@ def test_sample_density_is_finite_far_out(params, z2):
     density = sample_density_arrays(params, Z)
     assert np.all(np.isfinite(density))
     assert np.log(density) == pytest.approx([log_closed] * 2, rel=1e-14)
+
+
+@pytest.mark.parametrize("n, m, overflowing", [(64, 64, 1000), (32, 32, 962), (8, 64, 293)])
+def test_sample_density_raises_not_finite_past_the_float_range(n, m, overflowing):
+    # sample_density used to return inf with a RuntimeWarning at these ordinary interior points
+    params = DomainParams(n, m, 1.0)
+    X = sample_interior(params, 0, 1000)
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(sample_density_arrays(params, X.z))
+    assert np.sum(~finite) == overflowing
+    with pytest.raises(NotFinite, match=f"at {overflowing} of 1000 points"):
+        sample_density(params, X)
+    if finite.any():  # the rows in range still give their values, as the unchecked array path does
+        Y = Point(X.z[finite], X.zeta[finite])
+        assert np.array_equal(sample_density(params, Y), sample_density_arrays(params, Y.z))
 
 
 def test_sample_interior_arrays_shapes():

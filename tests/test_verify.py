@@ -100,7 +100,7 @@ DRAWS = {
 @pytest.mark.parametrize("params", [P11, DomainParams(3, 2, 1.0), DomainParams(32, 4, 1.0)])
 def test_draw_shape_is_the_flat_draw_reshaped(params, draw):
     flat = DRAWS[draw](params, 7, 12)
-    for shape in ((3, 4), (12, 1), (2, 3, 2)):
+    for shape in ((3, 4), (12, 1), (2, 3, 2), (np.int64(3), np.uint8(4))):
         for seed in (7, np.random.default_rng(7)):
             for got, ref in zip(DRAWS[draw](params, seed, shape), flat, strict=True):
                 assert got.shape == shape + ref.shape[1:] and got.tobytes() == ref.tobytes()
@@ -109,7 +109,11 @@ def test_draw_shape_is_the_flat_draw_reshaped(params, draw):
 @pytest.mark.parametrize("draw", DRAWS)
 def test_every_draw_rejects_an_empty_shape(draw):
     for shape in (0, (0,), (2, 0), -1):
-        with pytest.raises(ValueError, match="axis >= 1"):
+        with pytest.raises(ValueError, match=r"^draw shape axis must be >= 1, got -?\d+$"):
+            DRAWS[draw](P11, 3, shape)
+    # a float, bool or string axis used to crash inside numpy with a TypeError
+    for shape in (2.0, (2, 3.0), True, (True,), np.bool_(True), "2"):
+        with pytest.raises(ValueError, match="^draw shape axis must be an integer, got "):
             DRAWS[draw](P11, 3, shape)
 
 
@@ -622,9 +626,14 @@ def test_run_suite_at_neighbouring_seeds_shares_no_draw(params, monkeypatch):
     assert rows and not shared, f"{len(shared)} of {len(rows)} rows shared"
 
 
-@pytest.mark.parametrize("seed", [-1, -102])
-def test_run_suite_rejects_a_negative_seed(seed):
-    with pytest.raises(ValueError, match=f"seed must be >= 0, got {seed}"):
+@pytest.mark.parametrize(
+    "seed, message",
+    [(-1, "seed must be >= 0, got -1"), (-102, "seed must be >= 0, got -102")]
+    + [(seed, "seed must be an integer, got ") for seed in (True, np.bool_(True), 2.0, "3")],
+)
+def test_run_suite_rejects_a_negative_seed(seed, message):
+    # True used to run as seed 1
+    with pytest.raises(ValueError, match=f"^{message}"):
         run_suite(P11, seed, ("gram",))
 
 
