@@ -626,14 +626,16 @@ def test_run_suite_at_neighbouring_seeds_shares_no_draw(params, monkeypatch):
     assert rows and not shared, f"{len(shared)} of {len(rows)} rows shared"
 
 
-@pytest.mark.parametrize(
-    "seed, message",
-    [(-1, "seed must be >= 0, got -1"), (-102, "seed must be >= 0, got -102")]
-    + [(seed, "seed must be an integer, got ") for seed in (True, np.bool_(True), 2.0, "3")],
-)
-def test_run_suite_rejects_a_negative_seed(seed, message):
+@pytest.mark.parametrize("seed", [-1, -102])
+def test_run_suite_rejects_a_negative_seed(seed):
+    with pytest.raises(ValueError, match=f"^seed must be >= 0, got {seed}"):
+        run_suite(P11, seed, ("gram",))
+
+
+@pytest.mark.parametrize("seed", [True, np.bool_(True), 2.0, "3"])
+def test_run_suite_rejects_a_non_integer_seed(seed):
     # True used to run as seed 1
-    with pytest.raises(ValueError, match=f"^{message}"):
+    with pytest.raises(ValueError, match="^seed must be an integer, got "):
         run_suite(P11, seed, ("gram",))
 
 
