@@ -40,10 +40,7 @@ from .domain import (
 )
 from .polylog import (
     PolyExact,
-    RationalForm,
     a_poly,
-    li_neg_rational,
-    pochhammer,
     polylog_deriv,
     stirling2,
 )
@@ -67,7 +64,6 @@ __all__ = [
     "KernelValue",
     "Point",
     "PolyExact",
-    "RationalForm",
     "a_poly",
     "apply",
     "check_boundary_invariance",
@@ -88,11 +84,9 @@ __all__ = [
     "kernel",
     "kernel_batch",
     "l_matrix",
-    "li_neg_rational",
     "log_kernel_grad_wbar",
     "mc_reproduce_constant",
     "metric",
-    "pochhammer",
     "polylog_deriv",
     "project_to_boundary",
     "random_automorphism",

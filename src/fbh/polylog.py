@@ -47,6 +47,7 @@ def _stirling2_row(n: int) -> list:
     return row
 
 
+# Nothing in the package calls stirling2; it stays as the benchmark's tracing-shim target.
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind S(n, k), exact.
 
@@ -58,24 +59,14 @@ def stirling2(n: int, k: int) -> int:
     return _stirling2_row(n)[k]
 
 
-def pochhammer(x: int, j: int) -> int:
-    """Rising factorial x (x+1) ... (x+j-1); the empty product is 1."""
-    if j < 0:
-        raise ValueError("pochhammer needs j >= 0")
-    out = 1
-    for i in range(j):
-        out *= x + i
-    return out
-
-
 @dataclass(frozen=True)
 class PolyExact:
     """Dense polynomial with exact integer coefficients, lowest degree first.
 
     Trailing (highest-degree) zero coefficients are stripped on
     construction; the zero polynomial has an empty coefficient tuple.  The
-    float coefficients and the derivative are computed on first use and
-    kept on the instance, which never changes.
+    float coefficients are computed on first use and kept on the instance,
+    which never changes.
     """
 
     coeffs: tuple
@@ -91,34 +82,28 @@ class PolyExact:
         """Degree, or -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def derivative(self) -> "PolyExact":
-        return self._derivative
-
-    @cached_property
-    def _derivative(self) -> "PolyExact":
-        c = self.coeffs
-        return PolyExact(tuple(i * c[i] for i in range(1, len(c))))
-
     @cached_property
     def float_coeffs(self) -> tuple:
         """Coefficients rounded correctly to floats, lowest degree first."""
         return tuple(float(c) for c in self.coeffs)
 
-    def eval(self, t):
-        """Horner in complex floating point on a fresh array; never writes to t."""
-        acc = np.asarray(t, dtype=complex) * 0.0  # not zeros: NaN and inf in t propagate
+    def jet(self, t, k: int) -> list:
+        """Taylor coefficients [A(t), A'(t), ..., A^(k)(t)/k!] on fresh complex arrays by one
+        Horner pass with derivatives (Higham, Accuracy and Stability of Numerical Algorithms,
+        2nd ed., 5.1); never writes to t.  At k = 0 it is plain Horner."""
+        k = _integer(k, "jet order k", 0)
+        y = [np.asarray(t, dtype=complex) * 0.0 for _ in range(k + 1)]  # not zeros: NaN and inf in t propagate
         for c in reversed(self.float_coeffs):
-            acc *= t
-            acc += c
-        return acc
+            for j in range(k, 0, -1):
+                y[j] *= t
+                y[j] += y[j - 1]
+            y[0] *= t
+            y[0] += c
+        return y
 
-
-@dataclass(frozen=True)
-class RationalForm:
-    """numerator(t) / (1 - t)**pole_order with an exact integer numerator."""
-
-    numerator: PolyExact
-    pole_order: int
+    def eval(self, t):
+        """A(t) on a fresh array (jet at k = 0); never writes to t."""
+        return self.jet(t, 0)[0]
 
 
 def _step(c: list, p: int) -> list:
@@ -149,11 +134,6 @@ def _a_poly(n: int, m: int) -> PolyExact:
     for p in range(n + 1, n + m + 1):
         c = _step(c, p)
     return PolyExact(tuple(c))
-
-
-def li_neg_rational(n: int) -> RationalForm:
-    """Closed form of the order -n polylogarithm as numerator / (1-t)^(n+1)."""
-    return RationalForm(numerator=a_poly(n, 0), pole_order=n + 1)
 
 
 def _guarded(n: int, t):
@@ -197,17 +177,16 @@ def polylog_deriv(n: int, m: int, t):
 def log_derivatives(n: int, m: int, t):
     """G = F_{m+1}/F_m and H = G' = F_{m+2}/F_m - G^2 at t, F_m = polylog_deriv(n, m, .).
 
-    Both come from A = a_poly(n, m) alone, so they stay defined at m = MAX_ORDER:
-    G = A'/A + p/(1-t) and H = A''/A - (A'/A)^2 + p/(1-t)^2 with p = n+m+1.
-    Same pole guard and argument forms as polylog_deriv.  Raises KernelZero
+    Both come from the jet a, a1, a2 = A(t), A'(t), A''(t)/2 of A = a_poly(n, m) alone, so
+    they stay defined at m = MAX_ORDER: G = a1/a + p/(1-t), H = 2 a2/a - (a1/a)^2 + p/(1-t)^2,
+    p = n+m+1.  Same pole guard and argument forms as polylog_deriv.  Raises KernelZero
     where A(t) == 0, the kernel's only zeros (an underflow of exp(m mu s) is not one).
     """
     A = a_poly(n, m)
-    dA = A.derivative()
     tt, u = _guarded(n, t)
-    a = A.eval(tt)
+    a, a1, a2 = A.jet(tt, 2)
     if not np.all(a):
         raise KernelZero(f"F_{m}(t) = 0 for the order -{n} polylogarithm")
-    r = dA.eval(tt) / a
+    r = a1 / a
     pole = (n + m + 1) / u
-    return r + pole, dA.derivative().eval(tt) / a - r * r + pole / u
+    return r + pole, 2 * a2 / a - r * r + pole / u

@@ -58,6 +58,8 @@ _SUITE_TABLE = {
 }
 SUITE_NAMES = tuple(_SUITE_TABLE)
 
+MC_MIN_SAMPLES = 100_000  # fewest samples the Monte-Carlo check accepts
+
 DEFAULT_TOLERANCES = {
     "kernel-law": 1e-8,
     "metric-law": 1e-7,
@@ -256,11 +258,11 @@ def mc_reproduce_constant(params: DomainParams, seed, samples: int = 1_000_000) 
     rows from one default_rng(seed), which continues a Generator; each
     block's mean and centred sum of squares merge into running totals by
     the pairwise update of Chan, Golub and LeVeque (1979), so memory is one
-    block's, whatever the sample count.  samples is an integer >= 1e5.
+    block's, whatever the sample count.  samples is an integer >= MC_MIN_SAMPLES.
     """
     if params.n != 1 or params.m != 1:
         raise ValueError("the reproducing check is defined for n = m = 1")
-    samples = _integer(samples, "samples", 100_000)
+    samples = _integer(samples, "samples", MC_MIN_SAMPLES)
     rng, origin = np.random.default_rng(seed), Point.origin(params)
     mean = sum_sq = 0.0
     for start in range(0, samples, _MC_BLOCK):
@@ -328,8 +330,10 @@ def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, to
     unknown = set(wanted) - set(SUITE_NAMES) | set(tolerances) - set(DEFAULT_TOLERANCES)
     if unknown:
         raise ValueError(f"unknown suites or tolerance overrides: {sorted(unknown)}")
-    if samples is not None and "mc" not in wanted:
-        raise ValueError("samples sizes the Monte-Carlo check, which this run does not include")
+    if samples is not None:
+        if "mc" not in wanted:
+            raise ValueError("samples sizes the Monte-Carlo check, which this run does not include")
+        samples = _integer(samples, "samples", MC_MIN_SAMPLES)
     seed = _integer(seed, "seed", 0)
 
     names, reports = globals(), []

@@ -6,10 +6,12 @@ Runtime bounds are asserted where the criterion states one.
 
 import math
 import time
+import types
 
 import numpy as np
 import pytest
 
+import fbh
 from fbh.autgroup import (
     Automorphism,
     apply,
@@ -19,7 +21,7 @@ from fbh.autgroup import (
 )
 from fbh.bergman import kernel, metric, representative_map, sqrt_pd
 from fbh.domain import DomainParams, Point, defect, sample_boundary, sample_interior
-from fbh.polylog import a_poly, li_neg_rational, polylog_deriv
+from fbh.polylog import a_poly, polylog_deriv
 from fbh.verify import (
     check_boundary_invariance,
     check_cartan,
@@ -58,10 +60,12 @@ def test_criterion_01_printed_coefficient_reproduction():
         4: ((0, 1, 11, 11, 1), 5),
         5: ((0, 1, 26, 66, 26, 1), 6),
     }
-    ok = True
+    ok, t = True, 0.5
     for n, (coeffs, pole) in printed.items():
-        form = li_neg_rational(n)
-        ok = ok and form.numerator.coeffs == coeffs and form.pole_order == pole
+        # Li_{-n} = A_{n,0} / (1-t)^pole, the pole order checked against the series
+        A = a_poly(n, 0)
+        pole_ok = abs((1 - t) ** pole * series_polylog_deriv(n, 0, t) - A.eval(t)) <= 1e-12 * abs(A.eval(t))
+        ok = ok and A.coeffs == coeffs and pole_ok
     _criterion("01 printed-coefficients", ok, started, limit=1.0)
 
 
@@ -253,3 +257,11 @@ def test_criterion_10_monte_carlo_reproducing():
         "10 monte-carlo", ok, started, limit=60.0,
         detail=f"estimate={estimate:.6f} stderr={stderr:.3e}",
     )
+
+
+def test_exports_resolve_sorted_and_complete():
+    # a deletion must not leave a stale name in __all__, nor an addition miss it
+    assert all(hasattr(fbh, name) for name in fbh.__all__)
+    assert fbh.__all__ == sorted(set(fbh.__all__))
+    public = {k for k, v in vars(fbh).items() if not k.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert public <= set(fbh.__all__)

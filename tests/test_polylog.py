@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,9 +14,7 @@ from fbh.polylog import (
     PolyExact,
     _power,
     a_poly,
-    li_neg_rational,
     log_derivatives,
-    pochhammer,
     polylog_deriv,
     stirling2,
 )
@@ -50,21 +49,6 @@ def test_stirling2_matches_recursive_oracle(n):
         assert stirling2(n, k) == stirling2_recursive(n, k)
 
 
-# ------------------------------ pochhammer ---------------------------------
-
-def test_pochhammer_values():
-    assert pochhammer(3, 0) == 1
-    assert pochhammer(2, 1) == 2
-    assert pochhammer(2, 3) == 24
-    assert pochhammer(-2, 3) == 0
-    assert pochhammer(5, 4) == 5 * 6 * 7 * 8
-
-
-def test_pochhammer_rejects_negative_count():
-    with pytest.raises(ValueError):
-        pochhammer(2, -1)
-
-
 # ------------------------------- PolyExact ---------------------------------
 
 def test_polyexact_strips_trailing_zeros():
@@ -75,13 +59,42 @@ def test_polyexact_strips_trailing_zeros():
 
 
 def test_polyexact_arithmetic():
-    assert PolyExact((5, 0, 2)).derivative().coeffs == (0, 4)
+    # the jet of 5 + 2t^2 is [5 + 2t^2, 4t, 2], exact at these dyadic t
+    t = np.array([0.5 + 0.25j, -1.5, 0.0])
+    for x in (t, t[0]):
+        jet = PolyExact((5, 0, 2)).jet(x, 2)
+        assert len(jet) == 3
+        assert all(np.array_equal(got, want) for got, want in zip(jet, [5 + 2 * x * x, 4 * x, 2 + 0 * x]))
+
+
+@pytest.mark.parametrize("k", [-1, 1.0, True])
+def test_polyexact_jet_rejects_bad_order(k):
+    with pytest.raises(ValueError, match="jet order"):
+        PolyExact((1, 2)).jet(0.5, k)
 
 
 def test_polyexact_eval_is_horner_on_complex():
     p = PolyExact((1, 2, 3))
     t = 0.5 + 0.25j
     assert p.eval(t) == pytest.approx(1 + 2 * t + 3 * t * t)
+
+
+@pytest.mark.parametrize("nm", [(3, 2), (32, 4), (64, 8)])
+@pytest.mark.parametrize("t", [0.25, -0.5, 0.3 + 0.4j])
+def test_polyexact_jet_within_horner_bound_of_exact(nm, t):
+    # exact Taylor coefficients sum_i C(i, j) a_i t^(i-j) at the binary value
+    # of t, against Higham's bound gamma_2d sum_i C(i, j) |a_i| |t|^(i-j)
+    A, x = a_poly(*nm), (Fraction(t.real), Fraction(t.imag))
+    a, d, u = A.coeffs, A.degree, np.finfo(float).eps / 2
+    gamma = 2 * d * u / (1 - 2 * d * u)
+    jet = A.jet(t, 2)
+    for j in range(3):
+        re, im = Fraction(0), Fraction(0)
+        for i in range(d, j - 1, -1):  # Horner on the j-th Taylor coefficient
+            re, im = re * x[0] - im * x[1] + math.comb(i, j) * a[i], re * x[1] + im * x[0]
+        err = abs(complex(float(Fraction(jet[j].real) - re), float(Fraction(jet[j].imag) - im)))
+        bound = gamma * sum(math.comb(i, j) * abs(a[i]) * abs(t) ** (i - j) for i in range(j, d + 1))
+        assert err <= bound, (j, err, bound)
 
 
 # -------------------------------- a_poly -----------------------------------
@@ -105,7 +118,7 @@ def test_a_poly_derivative_consistency_exact(n, m):
     # d/dt [A/(1-t)^p] = [A'(1-t) + pA]/(1-t)^(p+1) with p = n+m+1, so
     # neighbouring numerators must satisfy this identity exactly.
     a = a_poly(n, m).coeffs
-    da = a_poly(n, m).derivative().coeffs + (0,)
+    da = tuple(i * a[i] for i in range(1, len(a))) + (0,)
     rhs = [da[i] - (da[i - 1] if i else 0) + (n + m + 1) * a[i] for i in range(n + 1)]
     assert a_poly(n, m + 1).coeffs == tuple(rhs)
 
@@ -154,7 +167,7 @@ def test_a_poly_order_guard():
 
 def test_a_poly_is_memoized():
     assert a_poly(7, 3) is a_poly(7, 3)
-    assert a_poly(7, 3).derivative() is a_poly(7, 3).derivative()
+    assert a_poly(7, 3).float_coeffs is a_poly(7, 3).float_coeffs
 
 
 @pytest.mark.parametrize("orders", [(3.0, 1), (2.5, 1), (3, 1.0), (3, 0.5), ("3", 1), (np.float64(3), 1)])
@@ -210,9 +223,10 @@ def test_a_poly_matches_eulerian_oracle_at_max_order(nm):
     assert all(math.isfinite(c) for c in poly.float_coeffs)
 
 
-# ---------------------------- li_neg_rational ------------------------------
+# ------------------------- Li_{-n} printed forms ---------------------------
 
 def test_li_neg_rational_printed_forms():
+    # Li_{-n}(t) = A_{n,0}(t) / (1-t)^(n+1): printed numerators and pole orders
     expected = {
         1: (0, 1),
         2: (0, 1, 1),
@@ -221,14 +235,9 @@ def test_li_neg_rational_printed_forms():
         5: (0, 1, 26, 66, 26, 1),
     }
     for n, coeffs in expected.items():
-        form = li_neg_rational(n)
-        assert form.numerator.coeffs == coeffs
-        assert form.pole_order == n + 1
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_li_neg_rational_numerator_matches_a_poly(n):
-    assert li_neg_rational(n).numerator.coeffs == a_poly(n, 0).coeffs
+        A, t = a_poly(n, 0), 0.5
+        assert A.coeffs == coeffs
+        assert (1 - t) ** (n + 1) * series_polylog_deriv(n, 0, t) == pytest.approx(A.eval(t), rel=1e-12)
 
 
 # ------------------------------ polylog_deriv ------------------------------

@@ -13,6 +13,7 @@ P32 = DomainParams(3, 2, 0.7)
 
 EVALUATORS = {
     "PolyExact.eval": lambda t: (a_poly(3, 2).eval(t),),
+    "PolyExact.jet": lambda t: a_poly(3, 2).jet(t, 2),
     "polylog_deriv": lambda t: (polylog_deriv(3, 2, t),),
     "log_derivatives": lambda t: log_derivatives(3, 2, t),
 }

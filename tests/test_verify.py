@@ -434,6 +434,15 @@ def test_run_suite_mc_zero_samples_rejected():
         run_suite(P11, 0, ("mc",), samples=0)
 
 
+@pytest.mark.parametrize("samples", [5, 2.0])
+def test_run_suite_checks_samples_before_any_suite(monkeypatch, samples):
+    calls = []
+    monkeypatch.setattr(verify, "check_kernel_law", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="samples"):
+        run_suite(P11, 0, ("all",), samples=samples)
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "params, suites",
     [(P11, ("gram", "boundary")), (DomainParams(3, 2, 1.0), ("all",)), (P11, ("kernel-law",))],
