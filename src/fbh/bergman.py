@@ -15,7 +15,6 @@ Wirtinger convention: d/dz treats conj(z) as constant.  The metric entry
 second argument and columns by the first argument.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,11 +76,11 @@ def _kernel_args(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray
 
 def _kernel_rows(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray):
     """(s, t, K(p, q)) against q = (Z, Zeta).  The kernel formula is written
-    down here, and only in logs elsewhere (verify.check_gram_psd).  One
-    complex exponential per row: exp(m mu s) is E^m, E squared in place."""
+    down here, and in logs, without its constant, in verify.check_gram_psd.
+    One complex exponential per row: exp(m mu s) is E^m, E squared in place."""
     s, t, E = _kernel_args(params, p, Z, Zeta)
     values = _power(E, params.m)
-    values *= params.mu ** params.n / math.pi ** params.dim
+    values *= params.kernel_constant
     values *= polylog_deriv(params.n, params.m, t)
     return s, t, values
 
@@ -103,10 +102,10 @@ def kernel(params: DomainParams, p: Point, q: Point) -> KernelValue:
 def _check_interior(params: DomainParams, *points: Point) -> None:
     for x in points:
         if not (np.isfinite(x.z).all() and np.isfinite(x.zeta).all()):
-            raise NotFinite("kernel takes finite coordinates")
+            raise NotFinite("kernel evaluations take finite coordinates")
         with np.errstate(divide="ignore"):
             if not np.all(np.log(_norm2(x.zeta)) < -params.mu * _norm2(x.z)):
-                raise OutsideDomain("kernel takes points strictly inside the domain")
+                raise OutsideDomain("kernel evaluations take points strictly inside the domain")
 
 
 def kernel_batch(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray):
@@ -124,9 +123,10 @@ def kernel_batch(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray
 
 
 def _log_kernel_pieces(params: DomainParams, p: Point, q: Point):
-    """t, E = exp(mu s), G = F_{m+1}/F_m and H = G' at t, broadcast like kernel();
-    K is never formed, so an underflow of exp(m mu s) is not a zero, and
-    KernelZero is raised only where F_m(t) = 0 (log_derivatives)."""
+    """t, E = exp(mu s), G = F_{m+1}/F_m and H = G' at t, broadcast and checked
+    like kernel(); K is never formed, so an underflow of exp(m mu s) is not a
+    zero, and KernelZero is raised only where F_m(t) = 0 (log_derivatives)."""
+    _check_interior(params, p, q)
     _, t, E = _kernel_args(params, p, q.z, q.zeta)
     return (t, E) + log_derivatives(params.n, params.m, t)
 
@@ -232,16 +232,13 @@ def representative_map(params: DomainParams, p: Point) -> np.ndarray:
 
 
 def l_matrix(params: DomainParams, phi: Automorphism) -> np.ndarray:
-    """The unitary T(0,0)^(-1/2) (J(phi, 0)^H)^(-1) T(0,0)^(1/2), one per
-    automorphism of a stack.
-
-    Requires phi to fix the origin (||v|| <= 1e-12); this matrix conjugates
-    the representative map of phi into a linear action; T(0,0) enters
-    through its closed-form diagonal.
+    """L = T(0,0)^(-1/2) (J^H)^(-1) T(0,0)^(1/2) with J = J(phi, 0), one per
+    automorphism of a stack: it conjugates the representative map of phi
+    into a linear action.  phi must fix the origin (||v|| <= 1e-12), so it
+    is the linear map U + U'; J = diag(U, U') is unitary and commutes with
+    the block-scalar T(0,0), so the factors cancel and L = J.
     """
     norm = np.max(np.linalg.norm(phi.v, axis=-1))
     if not norm <= 1e-12:
         raise DoesNotFixOrigin(f"translation part has norm {norm:.3e}")
-    J0 = jacobian(params, phi, Point.origin(params))
-    root = np.sqrt(_origin_metric_diagonal(params))
-    return np.linalg.inv(J0.conj().swapaxes(-1, -2)) * root / root[:, None]
+    return jacobian(params, phi, Point.origin(params))

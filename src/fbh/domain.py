@@ -9,7 +9,7 @@ Monte-Carlo checks, so its density is exposed in closed form.
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,23 +18,26 @@ from .errors import DimensionMismatch, NotFinite, NotUnit
 
 @dataclass(frozen=True)
 class DomainParams:
-    """Parameters (n, m, mu): block dimensions and the Gaussian decay rate."""
+    """Parameters (n, m, mu): block dimensions and the Gaussian decay rate.
+    kernel_constant, the kernel's prefactor mu^n / pi^(n+m), is derived."""
 
     n: int
     m: int
     mu: float
+    kernel_constant: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("n", "m"):  # stored as int, so numpy integers work everywhere
             object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
-        try:  # the sampler needs 1/mu and the kernel its prefactor mu^n / pi^(n+m)
+        try:  # the sampler needs 1/mu and the kernel its prefactor to be a normal float
             mu = float(self.mu)
             usable = 0 < mu < math.inf and math.isfinite(1 / mu)
-            usable = usable and mu**self.n / math.pi ** (self.n + self.m) >= sys.float_info.min
+            object.__setattr__(self, "kernel_constant", mu**self.n / math.pi**self.dim)
+            usable = usable and self.kernel_constant >= sys.float_info.min
         except OverflowError:
             usable = False
         if not usable:
-            raise ValueError(f"mu must be finite and > 0 with 1/mu finite and mu**n / pi**(n+m) "
+            raise ValueError(f"mu must be finite and > 0 with 1/mu finite and mu^n / pi^(n+m) "
                              f"a normal float, got {self.mu}")
 
     @property

@@ -8,9 +8,7 @@ precision error accumulation across determinants and matrix products.
 """
 
 import math
-import operator
 from dataclasses import asdict, dataclass, field
-from numbers import Integral
 
 import numpy as np
 
@@ -39,7 +37,7 @@ from .domain import (
     sample_interior,
     sample_interior_arrays,
 )
-from .errors import NotFinite
+from .errors import NotFinite, OutsideDomain
 from .polylog import _guarded, a_poly
 
 # One row per suite: (check, automorphism factory, sampler, sample count,
@@ -106,7 +104,7 @@ def _report(name, max_residual, tolerance, samples, seed, residual_kind, **detai
         tolerance=tolerance,
         samples=int(samples),
         passed=bool(max_residual <= tolerance),
-        seed=operator.index(seed) if isinstance(seed, Integral) else None,
+        seed=int(seed) if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) else None,
         residual_kind=residual_kind,
         details={k: float(v) for k, v in details.items()},
     )
@@ -160,13 +158,18 @@ def check_kernel_law(params, a: Automorphism, pairs, tolerance=None, seed=0) -> 
 def check_metric_law(params, a: Automorphism, pairs, tolerance=None, seed=0) -> CheckReport:
     """Max-norm residual of T(p,q) = conj(J(a,q)^T) T(a p, a q) J(a,p),
     relative to the max-norm of T(p,q), over stacked pairs (P, Q) checked
-    as in check_kernel_law; the images are not.  metric() never forms K, so
-    an underflow of exp(m mu s) is not a zero: it raises KernelZero only
-    where F_m(t) = 0.  At most three metric-sized stacks are live."""
+    as in check_kernel_law; an image outside the domain fails with residual
+    inf.  metric() never forms K, so an underflow of exp(m mu s) is not a
+    zero: it raises KernelZero only where F_m(t) = 0.  At most three
+    metric-sized stacks are live."""
     P, Q = pairs
     _check_interior(params, P, Q)
     aP, aQ = apply(params, a, P), apply(params, a, Q)
-    rhs = np.conj(jacobian(params, a, Q)).swapaxes(-1, -2) @ metric(params, aP, aQ)
+    try:  # no local holds the image metric: it is one of the three stacks
+        rhs = np.conj(jacobian(params, a, Q)).swapaxes(-1, -2) @ metric(params, aP, aQ)
+    except OutsideDomain:
+        pairs = np.broadcast(aP.z[..., 0], aQ.z[..., 0]).size
+        return _report("metric-law", math.inf, tolerance, pairs, seed, "relative")
     rhs = rhs @ jacobian(params, a, P)
     lhs = metric(params, P, Q)
     scale = np.max(np.abs(lhs), axis=(-2, -1))
@@ -217,10 +220,11 @@ def check_gram_psd(params, points, tol=None, seed=0) -> CheckReport:
     eigensolver's backward error scale-free; near-boundary points can push
     raw diagonal entries to 1e10, where an absolute floor on the raw
     spectrum would only measure rounding.  It is exp(L_ij - (L_ii + L_jj)/2)
-    with L = log G from log A(t), so it stays finite where G overflows.  The
-    details give the raw minimum eigenvalue, or G's count of overflowing
-    entries.  The points get kernel()'s checks.  A normalized Gram with
-    non-finite entries fails, with their count in the details, and no warning.
+    with L = log(G / kernel_constant) from log A(t), so it stays finite where
+    G overflows; G is never formed.  The details give the overflow headroom
+    log10_max_kernel = max_i log10 K(p_i, p_i), read off L.  The points get
+    kernel()'s checks; a normalized Gram with non-finite entries fails, with
+    their count in the details, and no warning.
     """
     kind = "absolute (diagonal-normalized Gram)"
     _check_interior(params, points)
@@ -233,17 +237,13 @@ def check_gram_psd(params, points, tol=None, seed=0) -> CheckReport:
         L -= (params.dim + 1) * np.log(u)
         half = np.diagonal(L, axis1=-2, axis2=-1).real / 2.0
         normalized = np.exp(L - half[..., :, None] - half[..., None, :])
-        G = np.exp(L + params.n * math.log(params.mu) - params.dim * math.log(math.pi))
     non_finite = np.count_nonzero(~np.isfinite(normalized))
     if non_finite:
         return _report("gram", math.inf, tol, npts, seed, kind, non_finite=non_finite)
     min_norm = float(np.linalg.eigvalsh(normalized).min())
-    raw = {"raw_non_finite": np.count_nonzero(~np.isfinite(G))}
-    if not raw["raw_non_finite"]:
-        raw = {"min_eigenvalue_raw": np.linalg.eigvalsh(G).min()}
-    return _report(
-        "gram", max(0.0, -min_norm), tol, npts, seed, kind, min_eigenvalue_normalized=min_norm, **raw
-    )
+    log10_max_kernel = (2.0 * np.max(half) + math.log(params.kernel_constant)) / math.log(10.0)
+    return _report("gram", max(0.0, -min_norm), tol, npts, seed, kind,
+                   min_eigenvalue_normalized=min_norm, log10_max_kernel=log10_max_kernel)
 
 
 def mc_reproduce_constant(params: DomainParams, seed, samples: int = 1_000_000) -> CheckReport:

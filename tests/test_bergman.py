@@ -131,21 +131,34 @@ def test_kernel_pole_guard_propagates():
         kernel_batch(P11, p, p.z[None], p.zeta[None])
 
 
-@pytest.mark.parametrize(
-    "z, zeta, error",
-    [
-        ([0.0], [1.0], OutsideDomain),  # on the boundary
-        ([0.0], [5.0], OutsideDomain),
-        ([5.0], [1e-3], OutsideDomain),  # exp(-25) < 1e-6
-        ([np.nan], [0.0], NotFinite),
-        ([0.0], [np.inf], NotFinite),
-    ],
-)
+NOT_STRICTLY_INSIDE = [
+    ([0.0], [1.0], OutsideDomain),  # on the boundary
+    ([0.0], [5.0], OutsideDomain),
+    ([5.0], [1e-3], OutsideDomain),  # exp(-25) < 1e-6
+    ([np.nan], [0.0], NotFinite),
+    ([0.0], [np.inf], NotFinite),
+]
+
+
+@pytest.mark.parametrize("z, zeta, error", NOT_STRICTLY_INSIDE)
 def test_kernel_rejects_points_not_strictly_inside(z, zeta, error):
     X = stack([Point.origin(P11), Point(z, zeta)])
     for p, q in ((X, Point.origin(P11)), (Point.origin(P11), X)):
         with pytest.raises(error):
             kernel(P11, p, q)
+
+
+@pytest.mark.parametrize("z, zeta, error", NOT_STRICTLY_INSIDE)
+def test_metric_path_rejects_points_not_strictly_inside(z, zeta, error):
+    # metric((0; 5), (0; 5)) used to return a diagonal entry of -1.16, the
+    # representative map [0, 10], and z = NaN only RuntimeWarnings
+    X, o = stack([Point.origin(P11), Point(z, zeta)]), Point.origin(P11)
+    for fn in (metric, log_kernel_grad_wbar):
+        for p, q in ((X, o), (o, X), (X, X)):
+            with pytest.raises(error):
+                fn(P11, p, q)
+    with pytest.raises(error):
+        representative_map(P11, X)
 
 
 def test_kernel_accepts_the_zeta_zero_slice_where_the_radius_underflows():
@@ -433,12 +446,15 @@ def test_l_matrix_identity():
     assert np.allclose(l_matrix(P11, identity(P11)), np.eye(2), atol=1e-12)
 
 
-@pytest.mark.parametrize("params", CONFIGS)
+@pytest.mark.parametrize("params", CONFIGS + [DomainParams(3, 2, 1.0), DomainParams(32, 4, 1.0)])
 def test_l_matrix_unitary_and_commutes(params):
     rot = random_automorphism(params, 41)
     fixing = Automorphism(rot.U, rot.Uprime, np.zeros(params.n))
     L = l_matrix(params, fixing)
     assert np.max(np.abs(L.conj().T @ L - np.eye(params.dim))) <= 1e-10
+    block = np.zeros((params.dim, params.dim), dtype=complex)
+    block[: params.n, : params.n], block[params.n :, params.n :] = rot.U, rot.Uprime
+    assert np.max(np.abs(L - block)) <= 1e-15  # the linear map U + U' itself
     from fbh.autgroup import apply
 
     for p in singles(sample_interior(params, 43, 20)):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import astuple
@@ -293,7 +294,7 @@ def test_cartan_random_rotation(params):
 def test_gram_single_point_positive():
     report = check_gram_psd(P11, sample_interior(P11, 41, 1))
     assert report.passed
-    assert report.details["min_eigenvalue_raw"] > 0.0
+    assert abs(report.details["min_eigenvalue_normalized"] - 1.0) <= 1e-15  # the 1 x 1 Gram [1]
 
 
 def test_gram_forty_points():
@@ -311,16 +312,15 @@ def test_gram_matches_the_normalized_kernel_gram_where_finite(params):
     expected = np.linalg.eigvalsh(G / np.outer(d, d)).min()
     report = check_gram_psd(params, X)
     assert abs(report.details["min_eigenvalue_normalized"] - expected) <= 1e-13
-    scale = np.max(np.abs(G))
-    assert abs(report.details["min_eigenvalue_raw"] - np.linalg.eigvalsh(G).min()) <= 1e-14 * scale
+    assert abs(report.details["log10_max_kernel"] - np.log10(np.max(np.abs(G)))) <= 1e-12
 
 
 def test_gram_reports_raw_overflow_and_stays_finite():
     # (32, 16): kernel values pass 1e308, the normalized Gram does not
     params = DomainParams(32, 16, 1.0)
     report = check_gram_psd(params, sample_interior(params, 0, 40))
-    assert report.passed and report.details["raw_non_finite"] > 0
-    assert "min_eigenvalue_raw" not in report.details
+    assert report.passed and report.details["log10_max_kernel"] > math.log10(sys.float_info.max)
+    assert all(math.isfinite(v) for v in report.details.values())
 
 
 GRAM_BAD_POINTS = [
@@ -658,13 +658,20 @@ def test_report_seeds_are_written_as_json():
     assert [type(r.seed) for r in reports] == [int, int, type(None)]
 
 
+@pytest.mark.parametrize("seed", [True, np.bool_(True)])
+def test_report_stores_no_seed_for_a_bool(seed):
+    # True used to be stored as seed 1, while np.bool_(True) gave None
+    report = check_gram_psd(P11, sample_interior(P11, 0, 3), seed=seed)
+    assert report.seed is None and report.to_dict()["seed"] is None
+
+
 @pytest.mark.parametrize("seed", [319, 9899, 22210, 27308])
 def test_run_suite_passes_where_the_gram_overflowed(seed):
     # at these op seeds the (32, 4) Gram has kernel values past 1e308
     reports = run_suite(DomainParams(32, 4, 1.0), seed, ("all",))
     assert all(r.passed for r in reports), [r.to_dict() for r in reports if not r.passed]
     [gram] = [r for r in reports if r.name == "gram"]
-    assert gram.details["raw_non_finite"] > 0
+    assert gram.details["log10_max_kernel"] > math.log10(sys.float_info.max)
 
 
 def test_run_suite_rejects_unknown_suite():
