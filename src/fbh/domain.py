@@ -8,6 +8,7 @@ Monte-Carlo checks, so its density is exposed in closed form.
 """
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -29,10 +30,12 @@ class DomainParams:
     def __post_init__(self):
         for name in ("n", "m"):  # stored as int, so numpy integers work everywhere
             object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
+        if isinstance(self.mu, bool) or not isinstance(self.mu, numbers.Real):
+            raise ValueError(f"mu must be a real number, got {self.mu!r}")
         try:  # the sampler needs 1/mu and the kernel its prefactor to be a normal float
-            mu = float(self.mu)
-            usable = 0 < mu < math.inf and math.isfinite(1 / mu)
-            object.__setattr__(self, "kernel_constant", mu**self.n / math.pi**self.dim)
+            object.__setattr__(self, "mu", float(self.mu))
+            usable = 0 < self.mu < math.inf and math.isfinite(1 / self.mu)
+            object.__setattr__(self, "kernel_constant", self.mu**self.n / math.pi**self.dim)
             usable = usable and self.kernel_constant >= sys.float_info.min
         except OverflowError:
             usable = False

@@ -240,7 +240,7 @@ def test_criterion_09_gram_psd():
     for n, m in LAW_CONFIGS:
         for mu in MUS:
             params = DomainParams(n, m, mu)
-            report = check_gram_psd(params, sample_interior(params, 23, 40), tol=1e-10)
+            report = check_gram_psd(params, sample_interior(params, 23, 40), tolerance=1e-10)
             worst = max(worst, report.max_residual)
     _criterion(
         "09 gram-psd", worst <= 1e-10, started, detail=f"max_violation={worst:.3e}"

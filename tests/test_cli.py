@@ -212,6 +212,9 @@ def test_verify_unusable_mu_exits_2_with_one_error_line(params, capsys):
 def test_bad_tol_flag_exits_2(capsys):
     assert main(["verify", "--suite", "gram", "--params", "1,1,1.0", "--tol", "gram"]) == 2
     assert "error:" in capsys.readouterr().err
+    # an override for a suite the run leaves out would be dropped
+    assert main(["verify", "--suite", "boundary", "--params", "1,1,1.0", "--tol", "gram=0"]) == 2
+    assert "error:" in capsys.readouterr().err
     # NaN or a negative tolerance is a usage error, not a failed check
     for tol in ["boundary=nan", "boundary=-1", "boundary=-inf"]:
         assert main(["verify", "--suite", "boundary", "--params", "1,1,1.0", "--tol", tol]) == 2

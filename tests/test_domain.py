@@ -2,10 +2,12 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from fbh.bergman import kernel
 from fbh.domain import (
     DomainParams,
     Point,
@@ -51,6 +53,23 @@ def test_params_orders_must_be_integers(n, m):
     # a float or bool order used to pass and crash in the samplers and suites
     with pytest.raises(ValueError, match=r"^[nm] must be an integer, got "):
         DomainParams(n, m, 1.0)
+
+
+@pytest.mark.parametrize("mu", ["1.0", np.array(1.0), 1 + 0j, None, True, np.bool_(True)])
+def test_params_mu_must_be_a_real_number(mu):
+    # a string or 0-d array used to be stored and crash later in kernel or in
+    # hash(); a complex number or None raised a bare TypeError from float()
+    with pytest.raises(ValueError, match=r"^mu must be a real number, got "):
+        DomainParams(1, 1, mu)
+
+
+@pytest.mark.parametrize("mu", [Fraction(1, 2), np.float32(0.5), np.int64(2), 2])
+def test_params_store_mu_as_float(mu):
+    # a Fraction used to be stored as given and crash the kernel
+    params = DomainParams(1, 1, mu)
+    assert type(params.mu) is float and params == DomainParams(1, 1, float(mu))
+    origin = Point.origin(params)
+    assert kernel(params, origin, origin).value == pytest.approx(params.mu / math.pi**2)
 
 
 def test_params_store_numpy_int_orders_as_int():

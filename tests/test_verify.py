@@ -277,7 +277,7 @@ def test_metric_diagonal_pairs_hermitian():
 def test_cartan_identity():
     report = check_cartan(P11, identity(P11), sample_interior(P11, 29, 10))
     assert report.max_residual <= 1e-12
-    assert report.details["block_residual"] <= 1e-12
+    assert report.details["block_residual"] == 0.0
 
 
 @pytest.mark.parametrize("params", CONFIGS)
@@ -286,7 +286,17 @@ def test_cartan_random_rotation(params):
     report = check_cartan(params, a, sample_interior(params, 37, 100), seed=37)
     assert report.passed
     assert report.max_residual <= 1e-7
-    assert report.details["block_residual"] <= 1e-8
+    assert report.details["block_residual"] == 0.0
+
+
+def test_cartan_takes_no_matrix_root_and_no_origin_metric(monkeypatch):
+    # l_matrix(a) is the linear map itself, so T(0, 0) and its roots never enter
+    calls = []
+    for name in ("metric", "sqrt_pd", "inv_sqrt_pd"):
+        fn = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *args, name=name, fn=fn: calls.append(name) or fn(*args))
+    [report] = run_suite(DomainParams(3, 2, 1.0), 0, ("cartan",))
+    assert calls == [] and report.passed
 
 
 # --------------------------------- gram ------------------------------------
@@ -679,9 +689,9 @@ def test_run_suite_rejects_unknown_suite():
         run_suite(P11, 0, suites=("nonsense",))
 
 
-@pytest.mark.parametrize("name", ["boundry", "mc"])
+@pytest.mark.parametrize("name", ["boundry", "mc", "gram"])
 def test_run_suite_rejects_a_tolerance_it_would_drop(name):
-    # a misspelt suite, or mc, which derives its own tolerance
+    # a misspelt suite, mc, which derives its own tolerance, or a suite the run leaves out
     with pytest.raises(ValueError, match=name):
         run_suite(P11, 0, ("boundary",), tolerances={name: 0.0})
 
