@@ -18,17 +18,21 @@ against the closed form
 S(.,.) the Stirling numbers of the second kind and (x)_j the rising
 factorial.  All coefficient arithmetic here is exact (Python integers).
 Each numerator is built once per (n, m) and kept (a_poly is memoized; the
-polynomials are immutable), and conversion to floating point happens once
-per polynomial, on its first evaluation.
+polynomials are immutable).  PolyExact.jet evaluates a polynomial of degree
+d and its Taylor coefficients in Paterson-Stockmeyer blocks of
+b = isqrt(d+1) powers: one real matrix product per block of rows gives
+every block of every order, and Horner in t^b combines them.  Its table of
+float coefficients is built once per polynomial, on its first evaluation.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .domain import _integer
-from .errors import KernelZero, PoleProximity
+from .errors import KernelZero, NotFinite, PoleProximity
 
 # Evaluation guard around the t = 1 singularity.
 EPS_POLE = 1e-12
@@ -37,6 +41,12 @@ EPS_POLE = 1e-12
 # arithmetic removes correctness risk beyond this, but the cap keeps
 # coefficient sizes bounded in practice.
 MAX_ORDER = 64
+
+# Rows of t that PolyExact.jet evaluates at a time when it forms powers.  At
+# the largest orders (b = 8, nine blocks) a row of A alone costs 304 bytes: t,
+# the powers t^1..t^7, T = t^8, the blocks and the result.  So 4096 rows take
+# 1.2 MiB and stay within a 2 MiB L2 cache.
+ROW_BLOCK = 4096
 
 
 def _stirling2_row(n: int) -> list:
@@ -63,16 +73,17 @@ def stirling2(n: int, k: int) -> int:
 class PolyExact:
     """Dense polynomial with exact integer coefficients, lowest degree first.
 
-    Trailing (highest-degree) zero coefficients are stripped on
-    construction; the zero polynomial has an empty coefficient tuple.  The
-    float coefficients are computed on first use and kept on the instance,
-    which never changes.
+    The coefficients go through the package's one integer rule (a float or a
+    bool raises ValueError), and trailing (highest-degree) zero coefficients
+    are stripped on construction; the zero polynomial has an empty
+    coefficient tuple.  The float coefficients and the block table of jet are
+    computed on first use and kept on the instance, which never changes.
     """
 
     coeffs: tuple
 
     def __post_init__(self):
-        c = tuple(int(v) for v in self.coeffs)
+        c = tuple(_integer(v, "polynomial coefficient", -math.inf) for v in self.coeffs)
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
@@ -84,26 +95,90 @@ class PolyExact:
 
     @cached_property
     def float_coeffs(self) -> tuple:
-        """Coefficients rounded correctly to floats, lowest degree first."""
-        return tuple(float(c) for c in self.coeffs)
+        """Coefficients rounded correctly to floats, lowest degree first.
+        Raises NotFinite for a coefficient past the float range."""
+        c = tuple(map(_float, self.coeffs))
+        if not all(map(math.isfinite, c)):
+            raise NotFinite(f"a coefficient of the degree-{self.degree} polynomial is past the float range")
+        return c
+
+    @cached_property
+    def _blocks(self) -> tuple:
+        """(b, heads, c, finite): the block size b = isqrt(degree + 1) and the block table of jet.
+
+        Taylor order j of A is sum_l c_l t^l with c_l = C(l+j, j) a_(l+j), each rounded once;
+        its block q is c_(qb) + sum_(r=1..b-1) c_(qb+r) t^r.  heads[j] holds the c_(qb) of the
+        blocks up to the degree, and row j Q + q of the read-only matrix c holds
+        c_(qb+1..qb+b-1), zero past the degree, for Q = ceil((degree + 1) / b) blocks per order.
+        Orders 0..finite-1 are in float range; an entry past it is inf.
+        """
+        a, d = self.coeffs, self.degree
+        b = math.isqrt(d + 1)
+        q = -(-(d + 1) // b)
+        table = np.zeros((d + 1, q * b))  # row j: the coefficients of order j, zero-padded
+        for j in range(d + 1):
+            table[j, : d + 1 - j] = [_float(math.comb(i, j) * a[i]) for i in range(j, d + 1)]
+        table = table.reshape(d + 1, q, b)
+        heads = tuple(tuple(table[j, : -(-(d + 1 - j) // b), 0].tolist()) for j in range(d + 1))
+        c = table[:, :, 1:].reshape((d + 1) * q, b - 1)
+        c.setflags(write=False)
+        bad = ~np.isfinite(table).all(axis=(1, 2))
+        return b, heads, c, int(bad.argmax()) if bad.any() else d + 1
 
     def jet(self, t, k: int) -> list:
-        """Taylor coefficients [A(t), A'(t), ..., A^(k)(t)/k!] on fresh complex arrays by one
-        Horner pass with derivatives (Higham, Accuracy and Stability of Numerical Algorithms,
-        2nd ed., 5.1); never writes to t.  At k = 0 it is plain Horner."""
+        """Taylor coefficients [A(t), A'(t), ..., A^(k)(t)/k!] on fresh complex arrays (a numpy
+        complex scalar each for a 0-d t); never writes to t.
+
+        Paterson-Stockmeyer evaluation (SIAM J. Comput. 2, 1973), ROW_BLOCK rows of t at a
+        time: the powers t^1..t^(b-1) are formed once, one real matrix product with the block
+        table (_blocks) gives every block of every order 0..k but its constant, and each order
+        combines its blocks by Horner in T = t^b, adding the constants as scalars.  At b = 1
+        (degree <= 2) there are no powers and no product, and this is plain Horner in t.
+        Raises NotFinite when a table entry of an order up to k is past the float range.  A
+        NaN or inf in t gives a NaN or inf in its row and leaves the other rows alone.
+        """
         k = _integer(k, "jet order k", 0)
-        y = [np.asarray(t, dtype=complex) * 0.0 for _ in range(k + 1)]  # not zeros: NaN and inf in t propagate
-        for c in reversed(self.float_coeffs):
-            for j in range(k, 0, -1):
-                y[j] *= t
-                y[j] += y[j - 1]
-            y[0] *= t
-            y[0] += c
-        return y
+        tt = np.asarray(t, dtype=complex)
+        x = tt.reshape(-1)
+        y = [x * 0.0 for _ in range(k + 1)]  # not zeros: NaN and inf in t propagate
+        orders = min(k, self.degree) + 1
+        if orders > 0:
+            b, heads, c, finite = self._blocks
+            if orders > finite:
+                raise NotFinite(f"a Taylor coefficient C(i, j) a_i of order j = {finite} is past the float range")
+            c = c[: orders * len(heads[0])]  # order 0 has all the blocks
+            rows = ROW_BLOCK if b > 1 else max(x.size, 1)  # Horner in t alone needs no blocks
+            for s in range(0, x.size, rows):
+                xs = x[s : s + rows]
+                big_t = xs
+                if b > 1:
+                    p = np.empty((b - 1, xs.size), dtype=complex)
+                    p[0] = xs
+                    for r in range(1, b - 1):
+                        np.multiply(p[r - 1], xs, out=p[r])
+                    big_t = p[-1] * xs
+                    g = (c @ p.view(float)).view(complex).reshape(orders, -1, xs.size)
+                for j in range(orders):
+                    acc, top = y[j][s : s + rows], len(heads[j]) - 1
+                    for i in range(top, -1, -1):
+                        if i < top:
+                            acc *= big_t
+                        acc += heads[j][i]
+                        if b > 1:
+                            acc += g[j, i]
+        return [v.reshape(tt.shape) if tt.ndim else v[0] for v in y]
 
     def eval(self, t):
         """A(t) on a fresh array (jet at k = 0); never writes to t."""
         return self.jet(t, 0)[0]
+
+
+def _float(c: int) -> float:
+    """c rounded to a float, or an infinity of its sign past the float range."""
+    try:
+        return float(c)
+    except OverflowError:
+        return math.inf if c > 0 else -math.inf
 
 
 def _step(c: list, p: int) -> list:

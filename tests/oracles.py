@@ -13,8 +13,10 @@ pieces, not the assembly.  The one-stream Haar draw is the reference for the
 draw order of random_automorphism at an int seed.  The kernel formula is
 the reference for the kernel core's powers by squaring; it shares only the
 Hermitian product.  The exact F_m evaluates a_poly's integer numerator in
-rational arithmetic and rounds once.  The blockwise Monte-Carlo estimator
-is the reference for mc's streamed moments: it shares the block draws and
+rational arithmetic and rounds once; the exact Taylor coefficient of any
+integer polynomial is computed in integers and never rounded.  The Horner jet
+is the loop that PolyExact.jet's blocks replaced, the reference for its
+shapes.  The blockwise Monte-Carlo estimator is the reference for mc's streamed moments: it shares the block draws and
 weights, and takes their mean and standard deviation in two passes over the
 concatenated weights.  The one-expression interior sampler and density are
 the references for the in-place fibre scale and exponential, bit for bit:
@@ -145,6 +147,37 @@ def exact_polylog_deriv(n, m, t):
     if max(abs(re), abs(im)) > Fraction(np.finfo(float).max):
         return None
     return complex(float(re), float(im))
+
+
+def exact_taylor(coeffs, t, j):
+    """The j-th Taylor coefficient sum_i C(i, j) a_i t^(i-j) of the polynomial
+    with integer coefficients `coeffs` (lowest degree first) at the binary
+    value of the complex t, exactly: (re, im) as Fractions.  Horner on
+    integers, with t = (x + iy) / 2^e, and one division at the end."""
+    c = [comb(i, j) * a for i, a in enumerate(coeffs)][j:]
+    if not c:
+        return Fraction(0), Fraction(0)
+    x, y = Fraction(t.real), Fraction(t.imag)
+    e = max(x.denominator, y.denominator).bit_length() - 1
+    X, Y, d = int(x * 2**e), int(y * 2**e), len(c) - 1
+    re = im = 0
+    for i in range(d, -1, -1):
+        re, im = re * X - im * Y + (c[i] << (e * (d - i))), re * Y + im * X
+    return Fraction(re, 1 << (e * d)), Fraction(im, 1 << (e * d))
+
+
+def horner_jet(coeffs, t, k):
+    """[A(t), A'(t), ..., A^(k)(t)/k!] for the integer polynomial `coeffs` by
+    one Horner pass with derivatives (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 5.1), on fresh complex arrays: the
+    coefficient-by-coefficient loop that PolyExact.jet's blocks replace."""
+    t = np.asarray(t, dtype=complex)
+    y = [t * 0.0 for _ in range(k + 1)]
+    for c in reversed(coeffs):
+        for j in range(k, 0, -1):
+            y[j] = y[j] * t + y[j - 1]
+        y[0] = y[0] * t + float(c)
+    return y
 
 
 def perturb(p: Point, index: int, delta: complex) -> Point:

@@ -1,5 +1,6 @@
 """Tests for the exact polylogarithm machinery."""
 
+import cmath
 import math
 import warnings
 from fractions import Fraction
@@ -7,10 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fbh.errors import KernelZero, PoleProximity
+from fbh.errors import KernelZero, NotFinite, PoleProximity
 from fbh.polylog import (
     EPS_POLE,
     MAX_ORDER,
+    ROW_BLOCK,
     PolyExact,
     _power,
     a_poly,
@@ -23,6 +25,8 @@ from oracles import (
     a_poly_stirling,
     eulerian_numerator,
     exact_polylog_deriv,
+    exact_taylor,
+    horner_jet,
     series_polylog_deriv,
     stirling2_recursive,
 )
@@ -79,22 +83,153 @@ def test_polyexact_eval_is_horner_on_complex():
     assert p.eval(t) == pytest.approx(1 + 2 * t + 3 * t * t)
 
 
-@pytest.mark.parametrize("nm", [(3, 2), (32, 4), (64, 8)])
-@pytest.mark.parametrize("t", [0.25, -0.5, 0.3 + 0.4j])
+@pytest.mark.parametrize("nm", [(3, 2), (32, 4), (64, 8), (1, 1), (2, 1), (64, 64)])
+@pytest.mark.parametrize("t", [0.25, -0.5, 0.3 + 0.4j, -0.99, 0.999, 0.999j, 0.9987 * cmath.exp(2j)])
 def test_polyexact_jet_within_horner_bound_of_exact(nm, t):
     # exact Taylor coefficients sum_i C(i, j) a_i t^(i-j) at the binary value
     # of t, against Higham's bound gamma_2d sum_i C(i, j) |a_i| |t|^(i-j)
     A, x = a_poly(*nm), (Fraction(t.real), Fraction(t.imag))
     a, d, u = A.coeffs, A.degree, np.finfo(float).eps / 2
     gamma = 2 * d * u / (1 - 2 * d * u)
-    jet = A.jet(t, 2)
-    for j in range(3):
+    jet = A.jet(t, 3)
+    for j in range(4):
         re, im = Fraction(0), Fraction(0)
         for i in range(d, j - 1, -1):  # Horner on the j-th Taylor coefficient
             re, im = re * x[0] - im * x[1] + math.comb(i, j) * a[i], re * x[1] + im * x[0]
         err = abs(complex(float(Fraction(jet[j].real) - re), float(Fraction(jet[j].imag) - im)))
         bound = gamma * sum(math.comb(i, j) * abs(a[i]) * abs(t) ** (i - j) for i in range(j, d + 1))
         assert err <= bound, (j, err, bound)
+
+
+def _disk(seed, shape, radius=1 - 1e-3):
+    """Seeded points uniform in the disk |t| <= radius."""
+    rng = np.random.default_rng(seed)
+    return radius * np.sqrt(rng.random(shape)) * np.exp(2j * np.pi * rng.random(shape))
+
+
+def _horner_bound(A, t, j):
+    """Higham's gamma_2d sum_i C(i, j) |a_i| |t|^(i-j) for the j-th Taylor coefficient, per row."""
+    d, u = A.degree, np.finfo(float).eps / 2
+    c = [float(math.comb(i, j) * abs(a)) for i, a in enumerate(A.coeffs)][j:] or [0.0]
+    return 2 * d * u / (1 - 2 * d * u) * np.polynomial.polynomial.polyval(np.abs(t), c)
+
+
+@pytest.mark.parametrize("nm", [(1, 1), (64, 8)])
+@pytest.mark.parametrize("size", [0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3])
+def test_polyexact_jet_sizes_around_the_row_block(nm, size):
+    # the blocked jet against the Horner loop it replaced: both lie within
+    # gamma_2d of the exact value, so within twice that of each other
+    A, t = a_poly(*nm), _disk(size, size)
+    jet = A.jet(t, 2)
+    for j, (got, want) in enumerate(zip(jet, horner_jet(A.coeffs, t, 2))):
+        assert got.shape == (size,) and got.dtype == complex
+        assert np.all(np.abs(got - want) <= 2 * _horner_bound(A, t, j)), j
+
+
+@pytest.mark.parametrize("nm", [(1, 1), (64, 8)])
+@pytest.mark.parametrize("shape", [(3, ROW_BLOCK + 1), (2, 0, 5), (ROW_BLOCK + 1, 1), (5, 2, 3)])
+def test_polyexact_jet_stacked_shapes_match_the_flat_rows(nm, shape):
+    A, t = a_poly(*nm), _disk(7, shape)
+    for stacked in (t, t.T):
+        for got, ref in zip(A.jet(stacked, 2), A.jet(stacked.reshape(-1), 2)):
+            assert got.shape == stacked.shape
+            assert np.array_equal(got.reshape(-1), ref)
+
+
+@pytest.mark.parametrize("nm", [(1, 1), (3, 2), (64, 8)])
+@pytest.mark.parametrize("t", [0.5, np.float64(-0.25), 0.3 + 0.4j, np.complex128(0.9j), np.array(0.7)])
+def test_polyexact_jet_of_a_0d_t_is_a_numpy_complex_scalar(nm, t):
+    A = a_poly(*nm)
+    jet = A.jet(t, 2)
+    assert all(type(v) is np.complex128 for v in jet)
+    assert [complex(v) for v in jet] == [complex(v[0]) for v in A.jet(np.array([t]), 2)]
+    assert type(A.eval(t)) is np.complex128
+
+
+@pytest.mark.parametrize("nm", [(1, 1), (3, 2), (64, 8), (64, 64)])
+def test_polyexact_jet_nan_and_inf_rows_stay_in_their_rows(nm):
+    A = a_poly(*nm)
+    t = _disk(3, ROW_BLOCK + 5)
+    bad = [0, 7, ROW_BLOCK - 1, ROW_BLOCK + 2]
+    clean = t.copy()
+    t[bad] = [np.nan, np.inf, complex(-np.inf, 1.0), complex(0.5, np.nan)]
+    with np.errstate(invalid="ignore", over="ignore"):  # the bad rows warn, as numpy does
+        jet = A.jet(t, 3)
+    for got, ref in zip(jet, A.jet(clean, 3)):
+        assert not np.any(np.isfinite(got[bad]))
+        keep = np.ones(t.size, dtype=bool)
+        keep[bad] = False
+        assert np.array_equal(got[keep], ref[keep])
+
+
+@pytest.mark.parametrize("coeffs", [(), (0,), (0, 0, 0)])
+def test_zero_polynomial_jet_is_t_times_zero(coeffs):
+    t = np.array([0.5 + 0.25j, np.nan, np.inf, -2.0])
+    with np.errstate(invalid="ignore"):  # inf * 0.0
+        for x in (t, t[0]):
+            jet = PolyExact(coeffs).jet(x, 2)
+            assert len(jet) == 3
+            assert all(np.array_equal(v, x * 0.0, equal_nan=True) for v in jet)
+    assert type(PolyExact(coeffs).eval(0.5)) is np.complex128
+
+
+@pytest.mark.parametrize("nm", [(32, 4), (64, 8)])
+def test_polyexact_jet_well_conditioned_rows_within_1e_10_of_exact(nm):
+    # seeded t in the disk; rows whose exact Horner condition number
+    # sum_i C(i, j) |a_i| |t|^(i-j) / |A_j(t)| is below 1e6 keep 1e-10
+    A, t = a_poly(*nm), _disk(20261020, 300)
+    jet = A.jet(t, 2)
+    checked = 0
+    for j in range(3):
+        scale = [math.comb(i, j) * a for i, a in enumerate(A.coeffs)][j:]
+        for x, got in zip(t, jet[j]):
+            re, im = exact_taylor(A.coeffs, complex(x), j)
+            value = abs(complex(float(re), float(im)))
+            if float(np.polynomial.polynomial.polyval(abs(x), [float(v) for v in scale])) >= 1e6 * value:
+                continue
+            checked += 1
+            err = abs(complex(float(Fraction(got.real) - re), float(Fraction(got.imag) - im)))
+            assert err <= 1e-10 * value, (j, x, err / value)
+    assert checked >= 600  # of 900 rows; the rest lie near t = -1
+
+
+# -------------------------- PolyExact coefficients ---------------------------
+
+@pytest.mark.parametrize("coeffs", [(1.5, 2), (True, 1), (1, np.float64(2.0)), ("3",), (1, np.bool_(False)), (None,)])
+def test_polyexact_rejects_coefficients_that_are_not_integers(coeffs):
+    # a float used to be truncated (1.5 -> 1) and True read as 1
+    with pytest.raises(ValueError, match="polynomial coefficient must be an integer"):
+        PolyExact(coeffs)
+
+
+def test_polyexact_takes_numpy_integers_as_int():
+    p = PolyExact((np.int64(3), np.int32(-1), np.uint8(0)))
+    assert p.coeffs == (3, -1) and all(type(c) is int for c in p.coeffs)
+
+
+@pytest.mark.parametrize("coeffs", [(10**400,), (1, -(10**400)), (2**1024 - 2**970,)])
+def test_polyexact_coefficient_past_float_range_raises_not_finite(coeffs):
+    # float(10**400) used to raise a bare OverflowError
+    p = PolyExact(coeffs)
+    with pytest.raises(NotFinite, match="past the float range"):
+        p.float_coeffs
+    with pytest.raises(NotFinite, match="past the float range"):
+        p.eval(0.5)
+
+
+def test_polyexact_jet_table_past_float_range_raises_not_finite():
+    # C(40, j) 1e300 is in float range up to j = 8 and past it from j = 9
+    p, t = PolyExact((0,) * 40 + (10**300,)), np.array([0.5, -0.25j])
+    assert all(np.all(np.isfinite(v)) for v in p.jet(t, 8))
+    for k in (9, 40, 41):
+        with pytest.raises(NotFinite, match="order j = 9"):
+            p.jet(t, k)
+
+
+@pytest.mark.parametrize("nm", [(64, 0), (64, 64), (1, 64), (MAX_ORDER, 8)])
+def test_a_poly_jet_table_is_in_float_range_at_every_order(nm):
+    A = a_poly(*nm)
+    assert all(np.isfinite(v) for v in A.jet(0.5, A.degree))
 
 
 # -------------------------------- a_poly -----------------------------------

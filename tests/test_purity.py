@@ -7,7 +7,7 @@ import pytest
 
 from fbh.bergman import inner, kernel, kernel_batch
 from fbh.domain import DomainParams, Point, sample_density_arrays, sample_interior_arrays
-from fbh.polylog import a_poly, log_derivatives, polylog_deriv
+from fbh.polylog import ROW_BLOCK, a_poly, log_derivatives, polylog_deriv
 
 P32 = DomainParams(3, 2, 0.7)
 
@@ -38,6 +38,23 @@ def test_evaluators_never_write_to_t(name, kind):
     for got, expected in zip(results, EVALUATORS[name](t.copy())):
         assert not np.shares_memory(got, frozen)
         assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("nm", [(1, 1), (64, 8)])
+def test_jet_never_writes_to_a_strided_read_only_t(nm):
+    # the blocked jet flattens t and slices it by rows; a strided or
+    # transposed read-only t must come through untouched
+    rng = np.random.default_rng(1)
+    shape = (2, 2 * ROW_BLOCK + 3)
+    base = _read_only(0.9 * np.sqrt(rng.random(shape)) * np.exp(2j * np.pi * rng.random(shape)))
+    A = a_poly(*nm)
+    for t in (base[0, ::2], base[:, 1::3].T, base[::-1, ::5]):
+        kept = t.copy()
+        results = A.jet(t, 2)
+        assert np.array_equal(t, kept)
+        for got, expected in zip(results, A.jet(kept, 2)):
+            assert not np.shares_memory(got, base)
+            assert np.array_equal(got, expected)
 
 
 def test_polylog_deriv_scalar_path_returns_complex():
