@@ -29,7 +29,7 @@ from .errors import (
     NotPositiveDefinite,
     OutsideDomain,
 )
-from .polylog import _power, log_derivatives, polylog_deriv
+from .polylog import _exp, _power, log_derivatives, polylog_deriv
 
 HERMITIAN_TOL = 1e-10
 EIGEN_FLOOR = 1e-10
@@ -65,11 +65,11 @@ class KernelValue:
 
 
 def _kernel_args(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray):
-    """s = <p.z, Z>, t = E <p.zeta, Zeta> and E = exp(mu s), broadcast over
-    leading axes; E is the one complex exponential of a kernel row."""
+    """s = <p.z, Z>, t = E <p.zeta, Zeta> and E = exp(mu s), broadcast over leading axes; E, the
+    one exponential of a kernel row, is exp(mu Re s) times a unit phase from tan(mu Im s / 2)."""
     check_point(params, p)
     s = inner(p.z, Z)
-    E = np.exp(params.mu * s)
+    E = _exp(s, params.mu)
     w = inner(p.zeta, Zeta)  # fresh, so t = E w (E first: bit for bit) may overwrite it
     return s, np.multiply(E, w, out=w if np.ndim(w) else None), E
 
@@ -77,7 +77,7 @@ def _kernel_args(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray
 def _kernel_rows(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray):
     """(s, t, K(p, q)) against q = (Z, Zeta).  The kernel formula is written
     down here, and in logs, without its constant, in verify.check_gram_psd.
-    One complex exponential per row: exp(m mu s) is E^m, E squared in place."""
+    One exponential per row (polylog._exp): exp(m mu s) is E^m, E squared in place."""
     s, t, E = _kernel_args(params, p, Z, Zeta)
     values = _power(E, params.m)
     values *= params.kernel_constant

@@ -76,8 +76,8 @@ class PolyExact:
     The coefficients go through the package's one integer rule (a float or a
     bool raises ValueError), and trailing (highest-degree) zero coefficients
     are stripped on construction; the zero polynomial has an empty
-    coefficient tuple.  The float coefficients and the block table of jet are
-    computed on first use and kept on the instance, which never changes.
+    coefficient tuple.  The block table of jet is computed on first use and
+    kept on the instance, which never changes.
     """
 
     coeffs: tuple
@@ -92,15 +92,6 @@ class PolyExact:
     def degree(self) -> int:
         """Degree, or -1 for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    @cached_property
-    def float_coeffs(self) -> tuple:
-        """Coefficients rounded correctly to floats, lowest degree first.
-        Raises NotFinite for a coefficient past the float range."""
-        c = tuple(map(_float, self.coeffs))
-        if not all(map(math.isfinite, c)):
-            raise NotFinite(f"a coefficient of the degree-{self.degree} polynomial is past the float range")
-        return c
 
     @cached_property
     def _blocks(self) -> tuple:
@@ -234,6 +225,27 @@ def _power(x, k: int):
         if k % 2:
             np.multiply(acc, x, out=acc)
     return acc if acc.ndim else acc[()]
+
+
+def _exp(w, scale: float):
+    """exp(scale w) for complex w and real scale on a fresh array (a numpy complex scalar for a 0-d w):
+    f (1 + i tau)^2 / (1 + tau^2), f = exp(scale Re w), tau = tan(scale Im w / 2), by arithmetic on
+    contiguous real arrays, f last so that the phase cannot underflow.  Exactly 1 at w = +-0 +-0j."""
+    x = np.asarray(w, dtype=complex).reshape(-1)
+    E = np.empty(np.shape(w), dtype=complex)  # before the scratch: a heap layout that peaks lower
+    tau = np.multiply(x.real, scale)
+    f = np.exp(tau)
+    np.tan(np.multiply(x.imag, scale / 2, out=tau), out=tau)
+    g = E.reshape(-1).view(float)[: x.size]  # 2 / (1 + tau^2) = 1 + cos(scale Im w), until E is filled
+    np.multiply(tau, tau, out=g)
+    g += 1
+    np.divide(2, g, out=g)
+    tau *= g
+    tau *= f
+    g -= 1
+    f *= g
+    E.real, E.imag = f.reshape(E.shape), tau.reshape(E.shape)
+    return E if E.ndim else E[()]
 
 
 def polylog_deriv(n: int, m: int, t):

@@ -34,7 +34,7 @@ from fbh import verify
 from fbh.autgroup import apply
 from fbh.bergman import _kernel_args, _log_kernel_pieces, inner, kernel, log_kernel_grad_wbar
 from fbh.domain import Point, sample_interior_arrays
-from fbh.polylog import a_poly
+from fbh.polylog import _exp, a_poly
 
 # Central-difference step balancing truncation against rounding for first
 # derivatives in double precision.
@@ -241,7 +241,7 @@ def metric_block(params, p, q):
     _, _, G, H = _log_kernel_pieces(params, p, q)
     s, t = _kernel_args(params, p, q.z, q.zeta)[:2]
     s, t, G, H = (x[..., None, None] for x in (s, t, G, H))
-    E = np.exp(params.mu * s)
+    E = _exp(s, params.mu)
     W = G + t * H
     mu = params.mu
     z, zeta = p.z[..., :, None], p.zeta[..., :, None]

@@ -12,7 +12,7 @@ import pytest
 
 from fbh import autgroup, polylog, verify
 from fbh.autgroup import Automorphism, identity, random_automorphism
-from fbh.bergman import kernel, log_kernel_grad_wbar, metric
+from fbh.bergman import kernel, kernel_batch, log_kernel_grad_wbar, metric
 from fbh.domain import (
     DomainParams,
     Point,
@@ -437,6 +437,25 @@ def test_mc_memory_is_bounded_by_blocks():
     small, large = _mc_peak(100_000), _mc_peak(1_000_000)
     assert large <= 1.6e6
     assert large <= 1.1 * small
+
+
+def test_kernel_batch_memory_is_bounded_per_row():
+    # 2^16 rows at (64, 8) peak at 6.63 MiB, 106 B a row: one more full-size
+    # complex temporary live at the peak adds 1 MiB.  Row 0 is p itself, and
+    # K(p, p) overflows at these orders
+    params = DomainParams(64, 8, 1.0)
+    Z, Zeta = sample_interior_arrays(params, 0, 2**16)
+    p = Point(Z[0], Zeta[0])
+    kernel_batch(params, p, Z[1:100], Zeta[1:100])
+    tracemalloc.start()
+    try:
+        with np.errstate(over="ignore"):
+            values, t = kernel_batch(params, p, Z, Zeta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == t.shape == (2**16,)
+    assert peak <= 6.63 * 2**20, peak
 
 
 def test_run_suite_mc_zero_samples_rejected():
