@@ -218,25 +218,22 @@ def inv_sqrt_pd(M) -> np.ndarray:
 
 
 def representative_map(params: DomainParams, p: Point) -> np.ndarray:
-    """Origin-normalized representative of p, one row per point of a stack:
-
-        T(0,0)^(-1/2) grad_wbar log [K(p, w) / K(0, w)] at w = 0.
-
-    grad_wbar log K(0, w) is proportional to the coordinates of 0, so only
-    the first gradient is evaluated, scaled by the closed-form diagonal of
-    T(0,0).  On this domain the result coincides with T(0,0)^(1/2) p, which
-    the test-suite verifies rather than assumes.
+    """Origin-normalized representative T(0,0)^(-1/2) grad_wbar log [K(p, w) / K(0, w)]
+    at w = 0, one row per point of a stack.  There t = 0 and exp(mu s) = 1, so it is
+    T(0,0)^(1/2) p, taken in closed form; the test-suite checks it against the gradient.
+    p is checked like kernel()'s points, and its block sizes too.
     """
-    g = log_kernel_grad_wbar(params, p, Point.origin(params))
-    return g / np.sqrt(_origin_metric_diagonal(params))
+    check_point(params, p)
+    _check_interior(params, p)
+    return p.coords() * np.sqrt(_origin_metric_diagonal(params))
 
 
 def l_matrix(params: DomainParams, phi: Automorphism) -> np.ndarray:
-    """L = T(0,0)^(-1/2) (J^H)^(-1) T(0,0)^(1/2) with J = J(phi, 0), one per
-    automorphism of a stack: it conjugates the representative map of phi
-    into a linear action.  phi must fix the origin (||v|| <= 1e-12), so it
-    is the linear map U + U'; J = diag(U, U') is unitary and commutes with
-    the block-scalar T(0,0), so the factors cancel and L = J.
+    """L = J(phi, 0), one per automorphism of a stack: the linear map that
+    an origin-fixing phi is, by Cartan's theorem.  phi must fix the origin
+    (||v|| <= 1e-12), so it is U + U' and J = diag(U, U').  This equals
+    T(0,0)^(-1/2) (J^H)^(-1) T(0,0)^(1/2): J is unitary and commutes with
+    the block-scalar T(0,0), so the factors cancel.
     """
     norm = np.max(np.linalg.norm(phi.v, axis=-1))
     if not norm <= 1e-12:

@@ -26,7 +26,7 @@ class NotUnit(FbhError):
 
 
 class KernelZero(FbhError):
-    """Kernel value too small to divide by."""
+    """A(t) = 0, so F_m(t) = 0: a zero of the kernel, where its log-derivatives are undefined."""
 
 
 class NotHermitian(FbhError):

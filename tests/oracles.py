@@ -21,6 +21,9 @@ weights, and takes their mean and standard deviation in two passes over the
 concatenated weights.  The one-expression interior sampler and density are
 the references for the in-place fibre scale and exponential, bit for bit:
 same generator and draw order, full-size temporaries, and their own norm.
+The representative map by gradient is the reference for its closed form:
+it evaluates the kernel gradient and the metric at the origin, never the
+closed-form origin metric.
 """
 
 import math
@@ -32,7 +35,7 @@ import numpy as np
 
 from fbh import verify
 from fbh.autgroup import apply
-from fbh.bergman import _kernel_args, _log_kernel_pieces, inner, kernel, log_kernel_grad_wbar
+from fbh.bergman import _kernel_args, _log_kernel_pieces, inner, kernel, log_kernel_grad_wbar, metric
 from fbh.domain import Point, sample_interior_arrays
 from fbh.polylog import _exp, a_poly
 
@@ -178,6 +181,13 @@ def horner_jet(coeffs, t, k):
             y[j] = y[j] * t + y[j - 1]
         y[0] = y[0] * t + float(c)
     return y
+
+
+def representative_map_by_gradient(params, p):
+    """T(0,0)^(-1/2) grad_wbar log K(p, w) at w = 0: the kernel gradient at
+    the origin over the square root of metric(o, o)'s diagonal."""
+    o = Point.origin(params)
+    return log_kernel_grad_wbar(params, p, o) / np.sqrt(np.diagonal(metric(params, o, o)).real)
 
 
 def perturb(p: Point, index: int, delta: complex) -> Point:

@@ -38,6 +38,7 @@ from oracles import (
     fd_metric,
     kernel_formula,
     metric_block,
+    representative_map_by_gradient,
     singles,
     stack,
 )
@@ -428,6 +429,21 @@ def test_representative_map_origin_and_example():
     assert np.all(representative_map(P11, Point.origin(P11)) == 0.0)
     sigma = representative_map(P11, Point([0.5], [0.1]))
     assert np.allclose(sigma, [0.5, 0.2], atol=1e-12)
+
+
+@pytest.mark.parametrize("n, m, mu", [(1, 1, 1.0), (3, 2, 0.7), (2, 4, 0.7), (32, 4, 1.0), (64, 8, 1.0),
+                                       (64, 64, 1.0), (8, 64, 2.0)])
+def test_representative_map_matches_the_gradient_oracle(n, m, mu):
+    params = DomainParams(n, m, mu)
+    P = sample_interior(params, 53, 200)
+    closed, oracle = representative_map(params, P), representative_map_by_gradient(params, P)
+    assert np.all(np.abs(closed - oracle) <= 1e-15 * np.abs(oracle))
+
+
+def test_representative_map_rejects_swapped_block_sizes():
+    # z of length m and zeta of length n: the right total length n + m
+    with pytest.raises(DimensionMismatch):
+        representative_map(DomainParams(3, 2, 1.0), Point([0.1, 0.2], [0.1, 0.0, 0.0]))
 
 
 @pytest.mark.parametrize("params", CONFIGS)

@@ -10,7 +10,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from fbh import autgroup, polylog, verify
+from fbh import autgroup, bergman, polylog, verify
 from fbh.autgroup import Automorphism, identity, random_automorphism
 from fbh.bergman import kernel, kernel_batch, log_kernel_grad_wbar, metric
 from fbh.domain import (
@@ -277,6 +277,7 @@ def test_metric_diagonal_pairs_hermitian():
 def test_cartan_identity():
     report = check_cartan(P11, identity(P11), sample_interior(P11, 29, 10))
     assert report.max_residual <= 1e-12
+    assert set(report.details) == {"linearity_residual", "block_residual"}
     assert report.details["block_residual"] == 0.0
 
 
@@ -290,11 +291,14 @@ def test_cartan_random_rotation(params):
 
 
 def test_cartan_takes_no_matrix_root_and_no_origin_metric(monkeypatch):
-    # l_matrix(a) is the linear map itself, so T(0, 0) and its roots never enter
+    # l_matrix(a) is the linear map itself, so T(0, 0) and its roots never
+    # enter, and no residual goes through the representative map or a kernel
     calls = []
-    for name in ("metric", "sqrt_pd", "inv_sqrt_pd"):
-        fn = getattr(verify, name)
-        monkeypatch.setattr(verify, name, lambda *args, name=name, fn=fn: calls.append(name) or fn(*args))
+    for module, name in ((verify, "metric"), (verify, "sqrt_pd"), (verify, "inv_sqrt_pd"),
+                         (verify, "representative_map"), (bergman, "log_kernel_grad_wbar"),
+                         (bergman, "log_derivatives")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, name=name, fn=fn: calls.append(name) or fn(*args))
     [report] = run_suite(DomainParams(3, 2, 1.0), 0, ("cartan",))
     assert calls == [] and report.passed
 
@@ -891,10 +895,8 @@ def test_mutation_a_poly_constant_term_after_warm_caches(monkeypatch):
 @pytest.mark.parametrize("params", [DomainParams(3, 2, 1.0), DomainParams(32, 4, 1.0)])
 def test_mutation_action_by_the_transposed_z_rotation(params, monkeypatch):
     # apply and the Jacobian behind l_matrix both act with U^T: a consistent
-    # but wrong action, which the commutation and linearity residuals pass and
-    # only the block residual sees (at n = 1, U^T = U, so (1, 1) cannot show it)
-    from fbh import bergman
-
+    # but wrong action, which the linearity residual passes and only the
+    # block residual sees (at n = 1, U^T = U, so (1, 1) cannot show it)
     def transposed(fn):
         return lambda params, a, p: fn(params, Automorphism(a.U.swapaxes(-1, -2), a.Uprime, a.v), p)
 
@@ -902,7 +904,21 @@ def test_mutation_action_by_the_transposed_z_rotation(params, monkeypatch):
     monkeypatch.setattr(bergman, "jacobian", transposed(bergman.jacobian))
     [report] = run_suite(params, 0, suites=("cartan",))
     assert not report.passed and report.max_residual == report.details["block_residual"] > 0.1
-    assert report.details["commutation_residual"] <= 1e-7 and report.details["linearity_residual"] <= 1e-7
+    assert report.details["linearity_residual"] <= 1e-7
+
+
+@pytest.mark.parametrize("params", [DomainParams(3, 2, 1.0), DomainParams(32, 4, 1.0)])
+def test_mutation_action_zeta_part_scaled(params, monkeypatch):
+    # at (32, 4) zeta is about e^-16 beside z, so only a linearity residual
+    # taken block by block sees this
+    real = verify.apply
+
+    def scaled(params, a, p):
+        image = real(params, a, p)
+        return Point(image.z, image.zeta * (1.0 + 1e-6))
+
+    monkeypatch.setattr(verify, "apply", scaled)
+    assert _failed_suites(params, ("cartan",)) == {"cartan"}
 
 
 @pytest.mark.parametrize("params", MUTATION_CONFIGS)
