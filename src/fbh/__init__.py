@@ -20,14 +20,12 @@ from .autgroup import (
 from .bergman import (
     KernelValue,
     inner,
-    inv_sqrt_pd,
     kernel,
     kernel_batch,
     l_matrix,
     log_kernel_grad_wbar,
     metric,
     representative_map,
-    sqrt_pd,
 )
 from .domain import (
     DomainParams,
@@ -38,12 +36,7 @@ from .domain import (
     sample_density,
     sample_interior,
 )
-from .polylog import (
-    PolyExact,
-    a_poly,
-    polylog_deriv,
-    stirling2,
-)
+from .polylog import PolyExact, a_poly, polylog_deriv
 from .verify import (
     CheckReport,
     check_boundary_invariance,
@@ -77,7 +70,6 @@ __all__ = [
     "haar_unitary",
     "identity",
     "inner",
-    "inv_sqrt_pd",
     "inverse",
     "jacobian",
     "jacobian_det",
@@ -95,6 +87,4 @@ __all__ = [
     "sample_boundary",
     "sample_density",
     "sample_interior",
-    "sqrt_pd",
-    "stirling2",
 ]

@@ -20,15 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autgroup import Automorphism, jacobian
-from .domain import DomainParams, Point, _norm2, check_point
-from .errors import (
-    DimensionMismatch,
-    DoesNotFixOrigin,
-    NotFinite,
-    NotHermitian,
-    NotPositiveDefinite,
-    OutsideDomain,
-)
+from .domain import DomainParams, Point, _check_interior, check_point
+from .errors import DimensionMismatch, DoesNotFixOrigin, NotHermitian, NotPositiveDefinite
 from .polylog import _exp, _power, log_derivatives, polylog_deriv
 
 HERMITIAN_TOL = 1e-10
@@ -88,24 +81,13 @@ def _kernel_rows(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray
 def kernel(params: DomainParams, p: Point, q: Point) -> KernelValue:
     """Evaluate K(p, q), broadcast over stacked points; Hermitian in its arguments.
 
-    Raises NotFinite for non-finite coordinates and OutsideDomain unless
-    every point lies strictly inside the domain, ||zeta||^2 < exp(-mu ||z||^2),
-    compared in logs so that the slice zeta = 0 passes even where
-    exp(-mu ||z||^2) underflows.  Raises PoleProximity when t falls inside
-    the guard band around 1.
+    Every point passes the domain's one interior check, domain._check_interior
+    (DimensionMismatch, NotFinite, or OutsideDomain unless strictly inside).
+    Raises PoleProximity when t falls inside the guard band around 1.
     """
     _check_interior(params, p, q)
     _, t, values = _kernel_rows(params, p, q.z, q.zeta)
     return KernelValue(value=values, t_arg=t)
-
-
-def _check_interior(params: DomainParams, *points: Point) -> None:
-    for x in points:
-        if not (np.isfinite(x.z).all() and np.isfinite(x.zeta).all()):
-            raise NotFinite("kernel evaluations take finite coordinates")
-        with np.errstate(divide="ignore"):
-            if not np.all(np.log(_norm2(x.zeta)) < -params.mu * _norm2(x.z)):
-                raise OutsideDomain("kernel evaluations take points strictly inside the domain")
 
 
 def kernel_batch(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray):
@@ -221,9 +203,8 @@ def representative_map(params: DomainParams, p: Point) -> np.ndarray:
     """Origin-normalized representative T(0,0)^(-1/2) grad_wbar log [K(p, w) / K(0, w)]
     at w = 0, one row per point of a stack.  There t = 0 and exp(mu s) = 1, so it is
     T(0,0)^(1/2) p, taken in closed form; the test-suite checks it against the gradient.
-    p is checked like kernel()'s points, and its block sizes too.
+    p is checked like kernel()'s points.
     """
-    check_point(params, p)
     _check_interior(params, p)
     return p.coords() * np.sqrt(_origin_metric_diagonal(params))
 

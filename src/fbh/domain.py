@@ -1,10 +1,11 @@
 """Geometry of the domain { (z, zeta) : ||zeta||^2 < exp(-mu ||z||^2) }.
 
 The domain lives in C^n x C^m and is unbounded: the whole slice zeta = 0 is
-contained in it for every z.  Membership is expressed through the defect
-exp(-mu ||z||^2) - ||zeta||^2, whose sign classifies interior / boundary /
-exterior.  The interior sampler doubles as the importance proposal for the
-Monte-Carlo checks, so its density is exposed in closed form.
+contained in it for every z.  Membership has one test, _check_interior,
+which compares in logs; the defect exp(-mu ||z||^2) - ||zeta||^2 measures
+how far a point lies from the boundary.  The interior sampler doubles as the
+importance proposal for the Monte-Carlo checks, so its density is exposed
+in closed form.
 """
 
 import math
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotFinite, NotUnit
+from .errors import DimensionMismatch, NotFinite, NotUnit, OutsideDomain
 
 
 @dataclass(frozen=True)
@@ -136,13 +137,33 @@ def check_point(params: DomainParams, p: Point) -> None:
         )
 
 
-def defect(params: DomainParams, p: Point):
-    """exp(-mu ||z||^2) - ||zeta||^2, one value per point of a stack.
+def _check_interior(params: DomainParams, *points: Point) -> None:
+    """The domain's one membership test, log ||zeta||^2 < -mu ||z||^2 at every
+    point: in logs, so zeta = 0 passes where exp(-mu ||z||^2) underflows.  Raises,
+    with no warning, DimensionMismatch as check_point does, NotFinite for a
+    non-finite coordinate or at zeta = 0 where mu ||z||^2 passes the float
+    range (a point of the domain no float evaluation reaches), else OutsideDomain."""
+    for p in points:
+        check_point(params, p)
+        if not (np.isfinite(p.z).all() and np.isfinite(p.zeta).all()):
+            raise NotFinite("kernel evaluations take finite coordinates")
+        with np.errstate(over="ignore", divide="ignore"):
+            bound, log_r2 = -params.mu * _norm2(p.z), np.log(_norm2(p.zeta))
+        if np.any(np.isinf(bound) & ~p.zeta.any(axis=-1)):
+            raise NotFinite("mu ||z||^2 is not a finite float at a point of the slice zeta = 0")
+        if not np.all(log_r2 < bound):
+            raise OutsideDomain("kernel evaluations take points strictly inside the domain")
 
-    Positive iff p is interior, zero on the boundary, negative outside.
+
+def defect(params: DomainParams, p: Point):
+    """exp(-mu ||z||^2) - ||zeta||^2, one value per point of a stack, with no
+    warning: positive inside, zero on the boundary, negative outside, but only
+    while exp(-mu ||z||^2) is a nonzero float (mu ||z||^2 below about 745); past
+    that an interior point reads 0 or less.  _check_interior is the membership test.
     """
     check_point(params, p)
-    return np.exp(-params.mu * _norm2(p.z)) - _norm2(p.zeta)
+    with np.errstate(over="ignore"):
+        return np.exp(-params.mu * _norm2(p.z)) - _norm2(p.zeta)
 
 
 def project_to_boundary(params: DomainParams, z, direction) -> Point:

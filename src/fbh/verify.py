@@ -1,13 +1,16 @@
 """Numerical verification suites.
 
-Each check samples deterministically from a seed, measures a residual and
-reports pass/fail against its tolerance.  Residuals are relative wherever
-the reference magnitude is nonzero and absolute otherwise; every report
+Each check measures a residual on the inputs it is given and reports
+pass/fail against its tolerance; run_suite draws those inputs from a seed
+and checks its own run inputs.  Residuals are relative wherever the
+reference magnitude is nonzero and absolute otherwise; every report
 records which convention it used.  Default tolerances reflect double
 precision error accumulation across determinants and matrix products.
 """
 
 import math
+import numbers
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -15,7 +18,6 @@ import numpy as np
 from .autgroup import Automorphism, _matvec, apply, haar_unitary, jacobian, jacobian_det, random_automorphism
 # representative_map, sqrt_pd and inv_sqrt_pd have no caller here; the benchmark's tracing shims patch them.
 from .bergman import (
-    _check_interior,
     _kernel_args,
     _kernel_rows,
     inv_sqrt_pd,
@@ -29,6 +31,7 @@ from .bergman import (
 from .domain import (
     DomainParams,
     Point,
+    _check_interior,
     _integer,
     _leading,
     _norm2,
@@ -87,7 +90,7 @@ class CheckReport:
     tolerance: float
     samples: int
     passed: bool
-    seed: int | None  # None when drawn from a Generator or an entropy sequence
+    seed: int | None  # run_suite's root seed; None for a direct check call, or mc drawn from a Generator
     residual_kind: str = "relative"
     details: dict = field(default_factory=dict)
 
@@ -95,8 +98,8 @@ class CheckReport:
         return asdict(self)
 
 
-def _report(name, max_residual, tolerance, samples, seed, residual_kind, **details):
-    """A CheckReport; tolerance None means DEFAULT_TOLERANCES[name]."""
+def _report(name, max_residual, tolerance, samples, residual_kind, seed=None, **details):
+    """A CheckReport; tolerance None means DEFAULT_TOLERANCES[name].  Only mc passes a seed."""
     max_residual = float(max_residual)
     tolerance = float(DEFAULT_TOLERANCES[name] if tolerance is None else tolerance)
     return CheckReport(
@@ -140,12 +143,12 @@ def sample_pairs(params: DomainParams, seed, count):
 
 # ------------------------------ law checks ---------------------------------
 
-def check_kernel_law(params, a: Automorphism, pairs, tolerance=None, seed=0) -> CheckReport:
+def check_kernel_law(params, a: Automorphism, pairs, tolerance=None) -> CheckReport:
     """Residual of K(p,q) = conj(det J(a,q)) K(a p, a q) det J(a,p), relative
     to |K(p,q)| per pair.  `pairs` is a tuple (P, Q) of stacked Points, whose
     leading shape broadcasts against that of a stacked `a`.  K at the images
     comes from the unchecked kernel core, so an action that leaves the
-    domain fails the law instead of raising OutsideDomain."""
+    domain fails the law instead of raising OutsideDomain.  Reports seed None."""
     P, Q = pairs
     kv = kernel(params, P, Q).value
     det_p, det_q = jacobian_det(params, a, P), jacobian_det(params, a, Q)
@@ -153,16 +156,16 @@ def check_kernel_law(params, a: Automorphism, pairs, tolerance=None, seed=0) -> 
     image = _kernel_rows(params, aP, aQ.z, aQ.zeta)[2]
     rhs = np.conj(det_q) * image * det_p
     residuals = np.abs(kv - rhs) / np.maximum(np.abs(kv), KERNEL_FLOOR)
-    return _report("kernel-law", _worst(residuals), tolerance, residuals.size, seed, "relative")
+    return _report("kernel-law", _worst(residuals), tolerance, residuals.size, "relative")
 
 
-def check_metric_law(params, a: Automorphism, pairs, tolerance=None, seed=0) -> CheckReport:
+def check_metric_law(params, a: Automorphism, pairs, tolerance=None) -> CheckReport:
     """Max-norm residual of T(p,q) = conj(J(a,q)^T) T(a p, a q) J(a,p),
     relative to the max-norm of T(p,q), over stacked pairs (P, Q) checked
     as in check_kernel_law; an image outside the domain fails with residual
     inf.  metric() never forms K, so an underflow of exp(m mu s) is not a
     zero: it raises KernelZero only where F_m(t) = 0.  At most three
-    metric-sized stacks are live."""
+    metric-sized stacks are live.  Reports seed None."""
     P, Q = pairs
     _check_interior(params, P, Q)
     aP, aQ = apply(params, a, P), apply(params, a, Q)
@@ -170,16 +173,16 @@ def check_metric_law(params, a: Automorphism, pairs, tolerance=None, seed=0) -> 
         rhs = np.conj(jacobian(params, a, Q)).swapaxes(-1, -2) @ metric(params, aP, aQ)
     except OutsideDomain:
         pairs = np.broadcast(aP.z[..., 0], aQ.z[..., 0]).size
-        return _report("metric-law", math.inf, tolerance, pairs, seed, "relative")
+        return _report("metric-law", math.inf, tolerance, pairs, "relative")
     rhs = rhs @ jacobian(params, a, P)
     lhs = metric(params, P, Q)
     scale = np.max(np.abs(lhs), axis=(-2, -1))
     diff = np.subtract(lhs, rhs, out=rhs)
     residuals = np.max(np.abs(diff), axis=(-2, -1)) / np.maximum(scale, KERNEL_FLOOR)
-    return _report("metric-law", _worst(residuals), tolerance, residuals.size, seed, "relative")
+    return _report("metric-law", _worst(residuals), tolerance, residuals.size, "relative")
 
 
-def check_cartan(params, a: Automorphism, points, tolerance=None, seed=0) -> CheckReport:
+def check_cartan(params, a: Automorphism, points, tolerance=None) -> CheckReport:
     """Origin-fixing automorphisms act linearly: L = l_matrix(a), the
     Jacobian at the origin, must be exactly the block-diagonal (U, U') and
     reproduce the action on the interior `points`, whose leading shape
@@ -188,7 +191,7 @@ def check_cartan(params, a: Automorphism, points, tolerance=None, seed=0) -> Che
     zeta parts, each relative to that part of a p: it sees a zeta far
     smaller than z, and it bounds the residual of D a p = L D p for every
     block-scalar D, such as T(0,0)^(1/2) in the representative map.  No
-    kernel is evaluated.
+    kernel is evaluated.  Reports seed None.
     """
     n, L = params.n, l_matrix(params, a)
     block = np.zeros(L.shape, dtype=complex)
@@ -200,10 +203,10 @@ def check_cartan(params, a: Automorphism, points, tolerance=None, seed=0) -> Che
         for x, y in ((image.z, linear[..., :n]), (image.zeta, linear[..., n:]))
     ))
     worst = {"linearity_residual": _worst(lin), "block_residual": float(np.max(np.abs(L - block)))}
-    return _report("cartan", _worst(list(worst.values())), tolerance, lin.size, seed, "relative", **worst)
+    return _report("cartan", _worst(list(worst.values())), tolerance, lin.size, "relative", **worst)
 
 
-def check_gram_psd(params, points, tolerance=None, seed=0) -> CheckReport:
+def check_gram_psd(params, points, tolerance=None) -> CheckReport:
     """The kernel Gram matrix [K(p_i, p_j)] must be positive semidefinite,
     over the last axis of the stacked `points`; leading axes give one Gram
     matrix each.
@@ -217,7 +220,7 @@ def check_gram_psd(params, points, tolerance=None, seed=0) -> CheckReport:
     G overflows; G is never formed.  The details give the overflow headroom
     log10_max_kernel = max_i log10 K(p_i, p_i), read off L.  The points get
     kernel()'s checks; a normalized Gram with non-finite entries fails, with
-    their count in the details, and no warning.
+    their count in the details, and no warning.  Reports seed None.
     """
     kind = "absolute (diagonal-normalized Gram)"
     _check_interior(params, points)
@@ -232,10 +235,10 @@ def check_gram_psd(params, points, tolerance=None, seed=0) -> CheckReport:
         normalized = np.exp(L - half[..., :, None] - half[..., None, :])
     non_finite = np.count_nonzero(~np.isfinite(normalized))
     if non_finite:
-        return _report("gram", math.inf, tolerance, npts, seed, kind, non_finite=non_finite)
+        return _report("gram", math.inf, tolerance, npts, kind, non_finite=non_finite)
     min_norm = float(np.linalg.eigvalsh(normalized).min())
     log10_max_kernel = (2.0 * np.max(half) + math.log(params.kernel_constant)) / math.log(10.0)
-    return _report("gram", max(0.0, -min_norm), tolerance, npts, seed, kind,
+    return _report("gram", max(0.0, -min_norm), tolerance, npts, kind,
                    min_eigenvalue_normalized=min_norm, log10_max_kernel=log10_max_kernel)
 
 
@@ -252,6 +255,7 @@ def mc_reproduce_constant(params: DomainParams, seed, samples: int = 1_000_000) 
     block's mean and centred sum of squares merge into running totals by
     the pairwise update of Chan, Golub and LeVeque (1979), so memory is one
     block's, whatever the sample count.  samples is an integer >= MC_MIN_SAMPLES.
+    The report keeps an integer seed, and None for any other seed (a bool too).
     """
     if params.n != 1 or params.m != 1:
         raise ValueError("the reproducing check is defined for n = m = 1")
@@ -270,28 +274,20 @@ def mc_reproduce_constant(params: DomainParams, seed, samples: int = 1_000_000) 
     estimate = float(mean)
     stderr = math.sqrt(sum_sq / (samples - 1)) / math.sqrt(samples)
     tolerance = max(0.02, 4.0 * stderr)
-    return _report(
-        "mc",
-        abs(estimate - 1.0),
-        tolerance,
-        samples,
-        seed,
-        "absolute",
-        estimate=estimate,
-        stderr=stderr,
-    )
+    return _report("mc", abs(estimate - 1.0), tolerance, samples, "absolute", seed,
+                   estimate=estimate, stderr=stderr)
 
 
-def check_boundary_invariance(params, a: Automorphism, boundary_points, tolerance=None, seed=0) -> CheckReport:
+def check_boundary_invariance(params, a: Automorphism, boundary_points, tolerance=None) -> CheckReport:
     """Boundary points must stay on the boundary: max |defect(a p)| relative
     to exp(-mu ||z||^2) at a p, the squared zeta-radius of the boundary
     there.  An image whose radius underflows to 0 gives an infinite
-    residual."""
+    residual.  Reports seed None."""
     image = apply(params, a, boundary_points)
     radius2 = np.exp(-params.mu * _norm2(image.z))
     with np.errstate(divide="ignore", invalid="ignore"):
         residuals = np.where(radius2 > 0, np.abs(defect(params, image)) / radius2, math.inf)
-    return _report("boundary", _worst(residuals), tolerance, residuals.size, seed, "relative")
+    return _report("boundary", _worst(residuals), tolerance, residuals.size, "relative")
 
 
 # ------------------------------ suite runner --------------------------------
@@ -312,10 +308,13 @@ def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, to
     run without that check rejects it; `tolerances` maps the names of
     DEFAULT_TOLERANCES to overrides, and any other name (mc derives its own
     tolerance), or one of a suite this run leaves out, raises ValueError.
-    Each suite runs as its _SUITE_TABLE row says: its parts are drawn
-    together from the suite's own stream and checked in one call, so the
-    report holds the largest residual over all parts.  Every report carries
-    the root seed, which must be a non-negative int.
+    An override must be a real number, not a bool, finite as a float and
+    >= 0, else ValueError.  Each suite runs as its
+    _SUITE_TABLE row says: its parts are drawn together from the suite's
+    own stream and checked in one call, so the report holds the largest
+    residual over all parts.  Every report carries the root seed, which
+    must be a non-negative int.  All of these inputs are checked before
+    any suite runs; the checks themselves check none of them.
     """
     tolerances = tolerances or {}
     wanted = list(SUITE_NAMES) if "all" in suites else list(suites)
@@ -324,6 +323,9 @@ def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, to
     unknown = set(wanted) - set(SUITE_NAMES) | set(tolerances) - set(DEFAULT_TOLERANCES).intersection(wanted)
     if unknown:
         raise ValueError(f"unknown suites, or tolerance overrides this run would drop: {sorted(unknown)}")
+    for name, value in tolerances.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value <= sys.float_info.max:
+            raise ValueError(f"tolerance for {name} must be a finite real number >= 0, got {value!r}")
     if samples is not None:
         if "mc" not in wanted:
             raise ValueError("samples sizes the Monte-Carlo check, which this run does not include")
@@ -338,7 +340,7 @@ def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, to
         if sampler is None:
             args += [rng, count if samples is None else samples]
         else:
-            args += [names[sampler](params, rng, (parts, count)), tolerances.get(name), seed]
+            args += [names[sampler](params, rng, (parts, count)), tolerances.get(name)]
         reports.append(names[check](params, *args))
         reports[-1].seed = seed
     return reports

@@ -417,6 +417,6 @@ def run_suite_per_part(params, seed, suites):
         part_reports = []
         for j in range(parts):
             args = [params] if auts is None else [params, _part(auts, (j, 0))]
-            part_reports.append(fn(*args, _part(draws, j), None, seed))
+            part_reports.append(fn(*args, _part(draws, j), None))
         reports.append(_merge_parts(part_reports, seed))
     return reports

@@ -18,7 +18,7 @@ from fbh.bergman import (
     representative_map,
     sqrt_pd,
 )
-from fbh.domain import DomainParams, Point, sample_interior, sample_interior_arrays
+from fbh.domain import DomainParams, Point, defect, sample_interior, sample_interior_arrays
 from fbh.errors import (
     DimensionMismatch,
     DoesNotFixOrigin,
@@ -160,6 +160,26 @@ def test_metric_path_rejects_points_not_strictly_inside(z, zeta, error):
                 fn(P11, p, q)
     with pytest.raises(error):
         representative_map(P11, X)
+
+
+@pytest.mark.parametrize("params", [DomainParams(1, 1, 1.0), DomainParams(3, 2, 1.0)])
+def test_interior_rule_is_typed_and_warning_free_where_the_norm_overflows(params):
+    # ||z||^2 = 1e400 is no float.  At zeta = 0 the point lies in the domain, so
+    # the error is NotFinite, never OutsideDomain; with zeta != 0 it lies outside.
+    # These raised "overflow encountered in square" first.
+    z = np.zeros(params.n)
+    z[0] = 1e200
+    on_slice, off_slice, o = Point(z, np.zeros(params.m)), Point(z, np.full(params.m, 0.1)), Point.origin(params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p, error in ((on_slice, NotFinite), (off_slice, OutsideDomain)):
+            for fn in (kernel, metric, log_kernel_grad_wbar):
+                for args in ((p, o), (o, p)):
+                    with pytest.raises(error):
+                        fn(params, *args)
+            with pytest.raises(error):
+                representative_map(params, p)
+        assert defect(params, on_slice) == 0.0 and defect(params, off_slice) < 0.0
 
 
 def test_kernel_accepts_the_zeta_zero_slice_where_the_radius_underflows():

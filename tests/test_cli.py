@@ -215,11 +215,11 @@ def test_bad_tol_flag_exits_2(capsys):
     # an override for a suite the run leaves out would be dropped
     assert main(["verify", "--suite", "boundary", "--params", "1,1,1.0", "--tol", "gram=0"]) == 2
     assert "error:" in capsys.readouterr().err
-    # NaN or a negative tolerance is a usage error, not a failed check
+    # NaN or a negative tolerance is a usage error, not a failed check; run_suite rejects it
     for tol in ["boundary=nan", "boundary=-1", "boundary=-inf"]:
         assert main(["verify", "--suite", "boundary", "--params", "1,1,1.0", "--tol", tol]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: --tol")
+        assert captured.out == "" and captured.err.startswith("error: tolerance for boundary must be")
 
 
 def test_verify_rejects_a_tolerance_for_mc(capsys):
@@ -227,7 +227,8 @@ def test_verify_rejects_a_tolerance_for_mc(capsys):
     argv = ["verify", "--suite", "mc", "--params", "1,1,1.0", "--samples", "100000", "--tol", "mc=0"]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: --tol")
+    assert captured.out == "" and captured.err.startswith("error: unknown suites, or tolerance overrides")
+    assert "['mc']" in captured.err
 
 
 def test_verify_gram_non_finite_fails_with_exit_1(capsys, monkeypatch):
@@ -281,6 +282,8 @@ BAD_INPUTS = {
     # t = 25 lies outside the disk where the kernel series converges
     "outside-domain": ("kernel-eval", {"z": [[0.0, 0.0]], "zeta": [[5.0, 0.0]]}, "inside"),
     "on-boundary": ("kernel-eval", {"z": [[0.0, 0.0]], "zeta": [[1.0, 0.0]]}, "inside"),
+    # ||z||^2 overflows on the slice zeta = 0, which lies in the domain: no warning, no "inside"
+    "z-norm-overflows": ("kernel-eval", {"z": [[1e200, 0.0]], "zeta": [[0.0, 0.0]]}, "not a finite float"),
 }
 
 

@@ -90,9 +90,15 @@ def test_point_arrays_are_readonly():
 def test_defect_values():
     assert defect(P11, Point([0.0], [0.0])) == pytest.approx(1.0)
     assert defect(P11, Point([0.0], [1.0])) == pytest.approx(0.0)
-    # any zeta = 0 slice point is interior, however large z is
+    # any zeta = 0 slice point is interior, and defect says so while
+    # exp(-mu ||z||^2) is a nonzero float (mu ||z||^2 below about 745)
     for z in (0.0, 3.0, 10.0, 7.0 + 5.0j):
         assert defect(P11, Point([z], [0.0])) > 0.0
+    # past that defect reads 0.0, yet the interior check, which compares in
+    # logs, accepts the point
+    p = Point([math.sqrt(746.0)], [0.0])
+    assert defect(P11, p) == 0.0
+    assert kernel(P11, p, Point.origin(P11)).value > 0.0
 
 
 def test_defect_dimension_mismatch():

@@ -1,5 +1,6 @@
 """Tests for the verification harness itself."""
 
+import inspect
 import json
 import math
 import sys
@@ -13,6 +14,7 @@ import pytest
 from fbh import autgroup, bergman, polylog, verify
 from fbh.autgroup import Automorphism, identity, random_automorphism
 from fbh.bergman import kernel, kernel_batch, log_kernel_grad_wbar, metric
+from fbh.cli import main
 from fbh.domain import (
     DomainParams,
     Point,
@@ -47,7 +49,7 @@ def origin_fixing(params, seed):
 
 def test_report_invariant_passed_iff_within_tolerance():
     pairs = sample_pairs(P11, 0, 5)
-    report = check_kernel_law(P11, random_automorphism(P11, 1), pairs, seed=0)
+    report = check_kernel_law(P11, random_automorphism(P11, 1), pairs)
     assert report.passed == (report.max_residual <= report.tolerance)
     forced = check_kernel_law(P11, random_automorphism(P11, 1), pairs, tolerance=-1.0)
     assert not forced.passed
@@ -194,7 +196,7 @@ def test_kernel_law_translation_at_origin():
 @pytest.mark.parametrize("params", CONFIGS)
 def test_kernel_law_random(params):
     report = check_kernel_law(
-        params, random_automorphism(params, 7), sample_pairs(params, 11, 25), seed=11
+        params, random_automorphism(params, 7), sample_pairs(params, 11, 25)
     )
     assert report.passed
     assert report.max_residual <= 1e-8
@@ -210,7 +212,7 @@ def test_metric_law_identity_residual_zero():
 @pytest.mark.parametrize("params", CONFIGS)
 def test_metric_law_random(params):
     report = check_metric_law(
-        params, random_automorphism(params, 17), sample_pairs(params, 19, 15), seed=19
+        params, random_automorphism(params, 17), sample_pairs(params, 19, 15)
     )
     assert report.passed
     assert report.max_residual <= 1e-7
@@ -284,7 +286,7 @@ def test_cartan_identity():
 @pytest.mark.parametrize("params", CONFIGS)
 def test_cartan_random_rotation(params):
     a = origin_fixing(params, 31)
-    report = check_cartan(params, a, sample_interior(params, 37, 100), seed=37)
+    report = check_cartan(params, a, sample_interior(params, 37, 100))
     assert report.passed
     assert report.max_residual <= 1e-7
     assert report.details["block_residual"] == 0.0
@@ -513,7 +515,7 @@ def test_boundary_radius_underflow_fails_closed():
 @pytest.mark.parametrize("params", CONFIGS)
 def test_boundary_random(params):
     report = check_boundary_invariance(
-        params, random_automorphism(params, 79), sample_boundary(params, 83, 200), seed=83
+        params, random_automorphism(params, 79), sample_boundary(params, 83, 200)
     )
     assert report.passed
     assert report.max_residual <= 1e-12
@@ -550,8 +552,10 @@ def test_run_suite_takes_numpy_int_orders():
 
 
 def test_run_suite_tolerance_override_forces_failure():
-    reports = run_suite(P11, 3, suites=("gram",), tolerances={"gram": -1.0})
-    assert not reports[0].passed
+    # run_suite rejects a negative override; 0 fails a residual of rounding size
+    assert run_suite(P11, 3, suites=("kernel-law",))[0].passed
+    [report] = run_suite(P11, 3, suites=("kernel-law",), tolerances={"kernel-law": 0.0})
+    assert report.tolerance == 0.0 and 0.0 < report.max_residual and not report.passed
 
 
 ORACLE_PARAMS = [P11, DomainParams(3, 2, 1.0), DomainParams(32, 4, 1.0), DomainParams(2, 64, 1.0)]
@@ -693,9 +697,72 @@ def test_report_seeds_are_written_as_json():
 
 @pytest.mark.parametrize("seed", [True, np.bool_(True)])
 def test_report_stores_no_seed_for_a_bool(seed):
-    # True used to be stored as seed 1, while np.bool_(True) gave None
-    report = check_gram_psd(P11, sample_interior(P11, 0, 3), seed=seed)
-    assert report.seed is None and report.to_dict()["seed"] is None
+    # True used to be stored as seed 1, while np.bool_(True) gave None.  mc is
+    # the one check that keeps its seed; numpy draws from True but rejects np.bool_
+    assert verify._report("mc", 0.0, 0.02, 1, "absolute", seed).seed is None
+    if seed is True:
+        report = mc_reproduce_constant(P11, seed, samples=100_000)
+        assert report.seed is None and report.to_dict()["seed"] is None
+
+
+def test_checks_take_no_seed_and_report_none():
+    # the seed only labelled a report, and run_suite overwrote that label
+    checks = (check_kernel_law, check_metric_law, check_cartan, check_gram_psd, check_boundary_invariance)
+    assert not [c.__name__ for c in checks if "seed" in inspect.signature(c).parameters]
+    a, pairs = random_automorphism(P11, 1), sample_pairs(P11, 0, 5)
+    reports = [
+        check_kernel_law(P11, a, pairs),
+        check_metric_law(P11, a, pairs),
+        check_cartan(P11, origin_fixing(P11, 2), sample_interior(P11, 3, 5)),
+        check_gram_psd(P11, sample_interior(P11, 4, 5)),
+        check_boundary_invariance(P11, a, sample_boundary(P11, 5, 5)),
+    ]
+    assert [r.seed for r in reports] == [None] * 5
+    assert {r.seed for r in run_suite(DomainParams(3, 2, 1.0), 7, ("all",))} == {7}
+
+
+# One table of tolerance overrides that must be rejected before any suite runs:
+# (run_suite value, --tol text).  The CLI turns a text into a float and no more,
+# so run_suite rejects what float() reads (nan, inf, -inf, -1).
+BAD_TOLERANCES = [
+    (math.nan, "nan"),
+    (math.inf, "inf"),  # a check that cannot fail
+    (10**400, "1e400"),  # no float
+    (-math.inf, "-inf"),
+    (-1, "-1"),
+    (True, "True"),  # used to run as 1.0
+    ("1e-3", "'1e-3'"),
+    ([1e-3], "[1e-3]"),  # used to raise a bare TypeError
+]
+
+
+def _no_suite_runs(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(verify, "check_boundary_invariance", boom)
+
+
+@pytest.mark.parametrize("value, text", BAD_TOLERANCES)
+def test_run_suite_rejects_a_bad_tolerance_before_any_suite_runs(value, text, monkeypatch):
+    _no_suite_runs(monkeypatch)
+    with pytest.raises(ValueError, match="^tolerance for boundary must be a finite real number >= 0"):
+        run_suite(P11, 0, ("boundary",), tolerances={"boundary": value})
+
+
+@pytest.mark.parametrize("value, text", BAD_TOLERANCES)
+def test_verify_tol_rejects_a_bad_tolerance_before_any_suite_runs(value, text, monkeypatch, capsys):
+    _no_suite_runs(monkeypatch)
+    assert main(["verify", "--suite", "boundary", "--params", "1,1,1.0", "--tol", f"boundary={text}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("value", [0, 1e-9, np.float64(1e-3)])
+def test_run_suite_passes_a_good_tolerance_through(value):
+    [report] = run_suite(P11, 0, ("boundary",), tolerances={"boundary": value})
+    assert report.tolerance == value and type(report.tolerance) is float
 
 
 @pytest.mark.parametrize("seed", [319, 9899, 22210, 27308])
