@@ -22,7 +22,7 @@ import numpy as np
 from .autgroup import Automorphism, jacobian
 from .domain import DomainParams, Point, _check_interior, check_point
 from .errors import DimensionMismatch, DoesNotFixOrigin, NotHermitian, NotPositiveDefinite
-from .polylog import _exp, _power, log_derivatives, polylog_deriv
+from .polylog import _exp, _guarded, _power, a_poly, log_derivatives, polylog_deriv
 
 HERMITIAN_TOL = 1e-10
 EIGEN_FLOOR = 1e-10
@@ -68,14 +68,24 @@ def _kernel_args(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray
 
 
 def _kernel_rows(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray):
-    """(s, t, K(p, q)) against q = (Z, Zeta).  The kernel formula is written
-    down here, and in logs, without its constant, in verify.check_gram_psd.
-    One exponential per row (polylog._exp): exp(m mu s) is E^m, E squared in place."""
-    s, t, E = _kernel_args(params, p, Z, Zeta)
+    """(t, K(p, q)) against q = (Z, Zeta).  The kernel formula is written down
+    here; _log_kernel is its log form.  One exponential per row
+    (polylog._exp): exp(m mu s) is E^m, E squared in place."""
+    _, t, E = _kernel_args(params, p, Z, Zeta)
     values = _power(E, params.m)
     values *= params.kernel_constant
     values *= polylog_deriv(params.n, params.m, t)
-    return s, t, values
+    return t, values
+
+
+def _log_kernel(params: DomainParams, s, t):
+    """log(K / kernel_constant) = m mu s + log A(t) - (n+m+1) log(1-t) from _kernel_args' s, t:
+    finite where K overflows, with no warning, behind polylog_deriv's pole guard (PoleProximity)."""
+    t, u = _guarded(params.n, t)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        L = params.m * params.mu * s + np.log(a_poly(params.n, params.m).eval(t))
+        L -= (params.dim + 1) * np.log(u)
+    return L
 
 
 def kernel(params: DomainParams, p: Point, q: Point) -> KernelValue:
@@ -86,7 +96,7 @@ def kernel(params: DomainParams, p: Point, q: Point) -> KernelValue:
     Raises PoleProximity when t falls inside the guard band around 1.
     """
     _check_interior(params, p, q)
-    _, t, values = _kernel_rows(params, p, q.z, q.zeta)
+    t, values = _kernel_rows(params, p, q.z, q.zeta)
     return KernelValue(value=values, t_arg=t)
 
 
@@ -100,7 +110,7 @@ def kernel_batch(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray
     """
     if np.ndim(Z) != 2 or np.shape(Z)[1] != params.n or np.shape(Zeta) != (len(Z), params.m):
         raise DimensionMismatch("batch shapes must be (count, n) and (count, m)")
-    _, t, values = _kernel_rows(params, p, Z, Zeta)
+    t, values = _kernel_rows(params, p, Z, Zeta)
     return values, t
 
 

@@ -59,38 +59,39 @@ def build_parser() -> argparse.ArgumentParser:
         "of the Fock-Bargmann-Hartogs domain",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    params = argparse.ArgumentParser(add_help=False)
+    params.add_argument("--params", required=True, metavar="N,M,MU")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=FORMATS, default="text")
 
-    p = sub.add_parser("a-poly", help="exact derivative-numerator coefficients")
+    def command(name, run, summary, *parents):  # one subparser, its handler and its shared flags
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("a-poly", _cmd_a_poly, "exact derivative-numerator coefficients", fmt)
     p.add_argument("--n", type=int, required=True, help="series order, 1..64")
     p.add_argument("--m", type=int, required=True, help="derivative order, 0..64")
-    p.add_argument("--format", choices=FORMATS, default="text")
 
-    p = sub.add_parser("kernel-eval", help="evaluate the kernel at a point pair")
-    p.add_argument("--params", required=True, metavar="N,M,MU")
+    p = command("kernel-eval", _cmd_kernel_eval, "evaluate the kernel at a point pair", params, fmt)
     p.add_argument("--p", required=True, help="path to a point JSON file")
     p.add_argument("--q", required=True, help="path to a point JSON file")
-    p.add_argument("--format", choices=FORMATS, default="text")
 
-    p = sub.add_parser("metric-origin", help="diagonal blocks of the metric at 0")
-    p.add_argument("--params", required=True, metavar="N,M,MU")
-    p.add_argument("--format", choices=FORMATS, default="text")
+    command("metric-origin", _cmd_metric_origin, "diagonal blocks of the metric at 0", params, fmt)
 
-    p = sub.add_parser("apply", help="apply an automorphism to a point")
-    p.add_argument("--params", required=True, metavar="N,M,MU")
+    p = command("apply", _cmd_apply, "apply an automorphism to a point", params)
     p.add_argument("--aut", required=True, help="path to an automorphism JSON file")
     p.add_argument("--p", required=True, help="path to a point JSON file")
 
-    p = sub.add_parser("compose", help="canonical form of a after b")
-    p.add_argument("--params", required=True, metavar="N,M,MU")
+    p = command("compose", _cmd_compose, "canonical form of a after b", params)
     p.add_argument("--a", required=True, help="path to an automorphism JSON file")
     p.add_argument("--b", required=True, help="path to an automorphism JSON file")
 
-    p = sub.add_parser("inverse", help="group inverse of an automorphism")
+    p = command("inverse", _cmd_inverse, "group inverse of an automorphism")
     p.add_argument("--a", required=True, help="path to an automorphism JSON file")
 
-    p = sub.add_parser("verify", help="run the verification suites")
+    p = command("verify", _cmd_verify, "run the verification suites", params)
     p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
-    p.add_argument("--params", required=True, metavar="N,M,MU")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=None, help="mc sample count")
     p.add_argument("--json", action="store_true", help="emit a JSON report array")
@@ -191,27 +192,16 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-_DISPATCH = {
-    "a-poly": _cmd_a_poly,
-    "kernel-eval": _cmd_kernel_eval,
-    "metric-origin": _cmd_metric_origin,
-    "apply": _cmd_apply,
-    "compose": _cmd_compose,
-    "inverse": _cmd_inverse,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # validate the shared flags in place before dispatch
+        # validate the shared flags in place before the handler runs
         if getattr(args, "params", None):
             args.params = _parse_params(args.params)
         if getattr(args, "tol", None):
             args.tol = _parse_tolerances(args.tol)
-        return _DISPATCH[args.subcommand](args)
+        return args.run(args)
     except (FbhError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

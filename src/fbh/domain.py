@@ -139,17 +139,22 @@ def check_point(params: DomainParams, p: Point) -> None:
 
 def _check_interior(params: DomainParams, *points: Point) -> None:
     """The domain's one membership test, log ||zeta||^2 < -mu ||z||^2 at every
-    point: in logs, so zeta = 0 passes where exp(-mu ||z||^2) underflows.  Raises,
-    with no warning, DimensionMismatch as check_point does, NotFinite for a
-    non-finite coordinate or at zeta = 0 where mu ||z||^2 passes the float
-    range (a point of the domain no float evaluation reaches), else OutsideDomain."""
+    point: in logs, so zeta = 0 passes where exp(-mu ||z||^2) underflows, and as
+    2 log r + log ||zeta / r||^2, r = max |zeta_i|, so a ||zeta||^2 that underflows
+    is not read as 0.  Raises, with no warning, DimensionMismatch as check_point
+    does, NotFinite for a non-finite coordinate or at zeta = 0 where mu ||z||^2
+    passes the float range (a point of the domain no float evaluation reaches),
+    else OutsideDomain."""
     for p in points:
         check_point(params, p)
         if not (np.isfinite(p.z).all() and np.isfinite(p.zeta).all()):
             raise NotFinite("kernel evaluations take finite coordinates")
-        with np.errstate(over="ignore", divide="ignore"):
-            bound, log_r2 = -params.mu * _norm2(p.z), np.log(_norm2(p.zeta))
-        if np.any(np.isinf(bound) & ~p.zeta.any(axis=-1)):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            bound, a = -params.mu * _norm2(p.z), np.abs(p.zeta)
+            r = np.max(a, axis=-1, keepdims=True)
+            a /= np.where(r > 0, r, 1)  # real: numpy's complex division by a subnormal r overflows
+            log_r2 = 2 * np.log(r[..., 0]) + np.log(np.add.reduce(np.square(a, out=a), axis=-1))
+        if np.any(np.isinf(bound) & (r[..., 0] == 0)):
             raise NotFinite("mu ||z||^2 is not a finite float at a point of the slice zeta = 0")
         if not np.all(log_r2 < bound):
             raise OutsideDomain("kernel evaluations take points strictly inside the domain")

@@ -49,24 +49,15 @@ MAX_ORDER = 64
 ROW_BLOCK = 4096
 
 
-def _stirling2_row(n: int) -> list:
-    """Row S(n, 0..n), built bottom-up from S(i, j) = j S(i-1, j) + S(i-1, j-1)."""
-    row = [1]  # S(0, .)
-    for i in range(1, n + 1):
-        row = [0] + [j * (row[j] if j < i else 0) + row[j - 1] for j in range(1, i + 1)]
-    return row
-
-
 # Nothing in the package calls stirling2; it stays as the benchmark's tracing-shim target.
 def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind S(n, k), exact.
-
-    Read from the row S(n, .).  Returns 0 outside 0 <= k <= n, so the
-    function is total.
+    """Stirling number of the second kind S(n, k), exact, from its closed form
+    sum_(j=0..k) (-1)^(k-j) C(k, j) j^n / k!.  Returns 0 outside 0 <= k <= n,
+    so the function is total.
     """
     if n < 0 or k < 0 or k > n:
         return 0
-    return _stirling2_row(n)[k]
+    return sum((-1) ** (k - j) * math.comb(k, j) * j**n for j in range(k + 1)) // math.factorial(k)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ precision error accumulation across determinants and matrix products.
 import math
 import numbers
 import sys
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -20,6 +21,7 @@ from .autgroup import Automorphism, _matvec, apply, haar_unitary, jacobian, jaco
 from .bergman import (
     _kernel_args,
     _kernel_rows,
+    _log_kernel,
     inv_sqrt_pd,
     kernel,
     kernel_batch,
@@ -42,7 +44,6 @@ from .domain import (
     sample_interior_arrays,
 )
 from .errors import NotFinite, OutsideDomain
-from .polylog import _guarded, a_poly
 
 # One row per suite: (check, automorphism factory, sampler, sample count,
 # parts, stream key).  Each suite draws from one default_rng([seed, key]):
@@ -153,7 +154,7 @@ def check_kernel_law(params, a: Automorphism, pairs, tolerance=None) -> CheckRep
     kv = kernel(params, P, Q).value
     det_p, det_q = jacobian_det(params, a, P), jacobian_det(params, a, Q)
     aP, aQ = apply(params, a, P), apply(params, a, Q)
-    image = _kernel_rows(params, aP, aQ.z, aQ.zeta)[2]
+    image = _kernel_rows(params, aP, aQ.z, aQ.zeta)[1]
     rhs = np.conj(det_q) * image * det_p
     residuals = np.abs(kv - rhs) / np.maximum(np.abs(kv), KERNEL_FLOOR)
     return _report("kernel-law", _worst(residuals), tolerance, residuals.size, "relative")
@@ -216,7 +217,7 @@ def check_gram_psd(params, points, tolerance=None) -> CheckReport:
     eigensolver's backward error scale-free; near-boundary points can push
     raw diagonal entries to 1e10, where an absolute floor on the raw
     spectrum would only measure rounding.  It is exp(L_ij - (L_ii + L_jj)/2)
-    with L = log(G / kernel_constant) from log A(t), so it stays finite where
+    with L = log(G / kernel_constant) from bergman._log_kernel, finite where
     G overflows; G is never formed.  The details give the overflow headroom
     log10_max_kernel = max_i log10 K(p_i, p_i), read off L.  The points get
     kernel()'s checks; a normalized Gram with non-finite entries fails, with
@@ -227,10 +228,8 @@ def check_gram_psd(params, points, tolerance=None) -> CheckReport:
     z, zeta = points.z[..., None, :], points.zeta[..., None, :]  # rows; columns swap axes
     s, t, _ = _kernel_args(params, Point(z, zeta), z.swapaxes(-2, -3), zeta.swapaxes(-2, -3))
     npts = points.z[..., 0].size
-    t, u = _guarded(params.n, t)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        L = params.m * params.mu * s + np.log(a_poly(params.n, params.m).eval(t))
-        L -= (params.dim + 1) * np.log(u)
+    L = _log_kernel(params, s, t)
+    with np.errstate(over="ignore", invalid="ignore"):
         half = np.diagonal(L, axis1=-2, axis2=-1).real / 2.0
         normalized = np.exp(L - half[..., :, None] - half[..., None, :])
     non_finite = np.count_nonzero(~np.isfinite(normalized))
@@ -255,11 +254,12 @@ def mc_reproduce_constant(params: DomainParams, seed, samples: int = 1_000_000) 
     block's mean and centred sum of squares merge into running totals by
     the pairwise update of Chan, Golub and LeVeque (1979), so memory is one
     block's, whatever the sample count.  samples is an integer >= MC_MIN_SAMPLES.
-    The report keeps an integer seed, and None for any other seed (a bool too).
+    A seed is a Generator (reported as None) or, as for run_suite, an integer >= 0.
     """
     if params.n != 1 or params.m != 1:
         raise ValueError("the reproducing check is defined for n = m = 1")
     samples = _integer(samples, "samples", MC_MIN_SAMPLES)
+    seed = seed if isinstance(seed, np.random.Generator) else _integer(seed, "seed", 0)
     rng, origin = np.random.default_rng(seed), Point.origin(params)
     mean = sum_sq = 0.0
     for start in range(0, samples, _MC_BLOCK):
@@ -305,18 +305,20 @@ def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, to
     `suites` is an iterable of names from SUITE_NAMES, or ("all",), in which
     case the Monte-Carlo check is included only where it is defined
     (n = m = 1).  `samples` overrides the Monte-Carlo sample count, and a
-    run without that check rejects it; `tolerances` maps the names of
-    DEFAULT_TOLERANCES to overrides, and any other name (mc derives its own
-    tolerance), or one of a suite this run leaves out, raises ValueError.
-    An override must be a real number, not a bool, finite as a float and
-    >= 0, else ValueError.  Each suite runs as its
-    _SUITE_TABLE row says: its parts are drawn together from the suite's
+    run without that check rejects it.  `tolerances` must be a Mapping from
+    the names of DEFAULT_TOLERANCES to overrides; any other name (mc derives
+    its own tolerance), or one of a suite this run leaves out, raises
+    ValueError.  An override must be a real number, not a bool, finite as a
+    float and >= 0, else ValueError.  Each suite runs as its _SUITE_TABLE
+    row says: its parts are drawn together from the suite's
     own stream and checked in one call, so the report holds the largest
     residual over all parts.  Every report carries the root seed, which
     must be a non-negative int.  All of these inputs are checked before
     any suite runs; the checks themselves check none of them.
     """
-    tolerances = tolerances or {}
+    tolerances = {} if tolerances is None else tolerances
+    if not isinstance(tolerances, Mapping):
+        raise ValueError(f"tolerances must be a mapping of suite names to overrides, got {tolerances!r}")
     wanted = list(SUITE_NAMES) if "all" in suites else list(suites)
     if "all" in suites and not (params.n == 1 and params.m == 1):
         wanted.remove("mc")

@@ -23,7 +23,8 @@ the references for the in-place fibre scale and exponential, bit for bit:
 same generator and draw order, full-size temporaries, and their own norm.
 The representative map by gradient is the reference for its closed form:
 it evaluates the kernel gradient and the metric at the origin, never the
-closed-form origin metric.
+closed-form origin metric.  The log kernel reference is the two lines the
+Gram check once held, the reference for bergman._log_kernel bit for bit.
 """
 
 import math
@@ -37,7 +38,7 @@ from fbh import verify
 from fbh.autgroup import apply
 from fbh.bergman import _kernel_args, _log_kernel_pieces, inner, kernel, log_kernel_grad_wbar, metric
 from fbh.domain import Point, sample_interior_arrays
-from fbh.polylog import _exp, a_poly
+from fbh.polylog import _exp, _guarded, a_poly
 
 # Central-difference step balancing truncation against rounding for first
 # derivatives in double precision.
@@ -128,6 +129,16 @@ def kernel_formula(params, p, Z, Zeta):
     t = np.exp(mu * s) * inner(p.zeta, Zeta)
     A = np.polynomial.polynomial.polyval(t, [float(c) for c in eulerian_numerator(n, m)])
     return mu**n * np.exp(m * mu * s) / math.pi ** (n + m) * A / (1 - t) ** (n + m + 1), t
+
+
+def log_kernel_reference(params, s, t):
+    """log(K / kernel_constant) from the s and t of _kernel_args, as
+    verify.check_gram_psd wrote it: m mu s + log A(t) - (n+m+1) log(1-t)."""
+    t, u = _guarded(params.n, t)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        L = params.m * params.mu * s + np.log(a_poly(params.n, params.m).eval(t))
+        L -= (params.dim + 1) * np.log(u)
+    return L
 
 
 def exact_polylog_deriv(n, m, t):

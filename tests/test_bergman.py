@@ -1,6 +1,7 @@
 """Tests for kernel evaluation, derivatives, metric and the representative map."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 
 from fbh.autgroup import Automorphism, identity, random_automorphism
 from fbh.bergman import (
+    _kernel_args,
+    _log_kernel,
     inner,
     inv_sqrt_pd,
     kernel,
@@ -37,6 +40,7 @@ from oracles import (
     fd_grad_wbar_log_kernel,
     fd_metric,
     kernel_formula,
+    log_kernel_reference,
     metric_block,
     representative_map_by_gradient,
     singles,
@@ -124,6 +128,24 @@ def test_kernel_diagonal_real_positive(params):
         assert abs(kv.t_arg.imag) <= 1e-14
 
 
+def test_log_kernel_equals_the_reference_bit_for_bit():
+    # the Gram check's two formula lines, moved into bergman, on the pairwise s, t
+    # of 40 interior points; some K pass 1e308, where only the log form is finite
+    past_float_range = False
+    for params in (P11, DomainParams(3, 2, 0.7), DomainParams(32, 4, 1.0), DomainParams(64, 8, 1.0),
+                   DomainParams(64, 64, 1.0)):
+        X = sample_interior(params, 0, 40)
+        z, zeta = X.z[:, None, :], X.zeta[:, None, :]
+        s, t, _ = _kernel_args(params, Point(z, zeta), z.swapaxes(0, 1), zeta.swapaxes(0, 1))
+        got, ref = _log_kernel(params, s, t), log_kernel_reference(params, s, t)
+        assert got.dtype == ref.dtype and got.shape == ref.shape == (40, 40)
+        assert got.tobytes() == ref.tobytes()
+        past_float_range |= np.max(got.real) + math.log(params.kernel_constant) > math.log(sys.float_info.max)
+    assert past_float_range
+    with pytest.raises(PoleProximity):
+        _log_kernel(P11, np.zeros(2), np.array([0.5, 1.0 - 1e-13]))
+
+
 def test_kernel_pole_guard_propagates():
     # a boundary-diagonal pair has t -> 1; force it with an exact boundary
     # point through kernel_batch, which leaves membership unchecked
@@ -180,6 +202,17 @@ def test_interior_rule_is_typed_and_warning_free_where_the_norm_overflows(params
             with pytest.raises(error):
                 representative_map(params, p)
         assert defect(params, on_slice) == 0.0 and defect(params, off_slice) < 0.0
+
+
+def test_interior_rule_sees_a_zeta_whose_square_underflows():
+    # ||zeta||^2 = 1e-400 underflows to 0, yet it exceeds exp(-1000) = 5e-435:
+    # log(0) = -inf passed every bound, and kernel returned 0.101
+    o = Point.origin(P11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutsideDomain):
+            kernel(P11, Point([math.sqrt(1000.0)], [1e-200]), o)
+        assert kernel(P11, Point([0.0], [1e-200]), o).value == pytest.approx(1.0 / math.pi**2)
 
 
 def test_kernel_accepts_the_zeta_zero_slice_where_the_radius_underflows():

@@ -5,7 +5,7 @@ scalar path still returns a Python complex."""
 import numpy as np
 import pytest
 
-from fbh.bergman import inner, kernel, kernel_batch
+from fbh.bergman import _log_kernel, inner, kernel, kernel_batch
 from fbh.domain import DomainParams, Point, sample_density_arrays, sample_interior_arrays
 from fbh.polylog import ROW_BLOCK, _exp, a_poly, log_derivatives, polylog_deriv
 
@@ -17,6 +17,7 @@ EVALUATORS = {
     "polylog_deriv": lambda t: (polylog_deriv(3, 2, t),),
     "log_derivatives": lambda t: log_derivatives(3, 2, t),
     "_exp": lambda t: (_exp(t, P32.mu),),
+    "_log_kernel": lambda t: (_log_kernel(P32, 0.5j, t),),
 }
 
 

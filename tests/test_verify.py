@@ -672,17 +672,36 @@ def test_run_suite_at_neighbouring_seeds_shares_no_draw(params, monkeypatch):
     assert rows and not shared, f"{len(shared)} of {len(rows)} rows shared"
 
 
-@pytest.mark.parametrize("seed", [-1, -102])
+# Seeds that run_suite and a direct mc call reject with the same ValueError
+NEGATIVE_SEEDS = [-1, -102]
+NON_INTEGER_SEEDS = [True, np.bool_(True), 2.0, "3", 1.5, "abc"]
+
+
+@pytest.mark.parametrize("seed", NEGATIVE_SEEDS)
 def test_run_suite_rejects_a_negative_seed(seed):
     with pytest.raises(ValueError, match=f"^seed must be >= 0, got {seed}"):
         run_suite(P11, seed, ("gram",))
 
 
-@pytest.mark.parametrize("seed", [True, np.bool_(True), 2.0, "3"])
+@pytest.mark.parametrize("seed", NON_INTEGER_SEEDS)
 def test_run_suite_rejects_a_non_integer_seed(seed):
     # True used to run as seed 1
     with pytest.raises(ValueError, match="^seed must be an integer, got "):
         run_suite(P11, seed, ("gram",))
+
+
+@pytest.mark.parametrize("seed", NEGATIVE_SEEDS)
+def test_mc_rejects_a_negative_seed(seed):
+    # numpy's own "expected non-negative integer" used to come out of the first draw
+    with pytest.raises(ValueError, match=f"^seed must be >= 0, got {seed}"):
+        mc_reproduce_constant(P11, seed, samples=100_000)
+
+
+@pytest.mark.parametrize("seed", NON_INTEGER_SEEDS)
+def test_mc_rejects_a_non_integer_seed(seed):
+    # True used to draw as seed 1, and the others raised numpy's bare TypeError
+    with pytest.raises(ValueError, match="^seed must be an integer, got "):
+        mc_reproduce_constant(P11, seed, samples=100_000)
 
 
 def test_report_seeds_are_written_as_json():
@@ -698,11 +717,11 @@ def test_report_seeds_are_written_as_json():
 @pytest.mark.parametrize("seed", [True, np.bool_(True)])
 def test_report_stores_no_seed_for_a_bool(seed):
     # True used to be stored as seed 1, while np.bool_(True) gave None.  mc is
-    # the one check that keeps its seed; numpy draws from True but rejects np.bool_
+    # the one check that keeps its seed, and it rejects a bool as run_suite does
     assert verify._report("mc", 0.0, 0.02, 1, "absolute", seed).seed is None
     if seed is True:
-        report = mc_reproduce_constant(P11, seed, samples=100_000)
-        assert report.seed is None and report.to_dict()["seed"] is None
+        with pytest.raises(ValueError, match="^seed must be an integer, got True"):
+            mc_reproduce_constant(P11, seed, samples=100_000)
 
 
 def test_checks_take_no_seed_and_report_none():
@@ -757,6 +776,15 @@ def test_verify_tol_rejects_a_bad_tolerance_before_any_suite_runs(value, text, m
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines() == [captured.err.strip()]
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("tolerances", [["gram"], 5, "gram", [("boundary", 1e-3)]])
+def test_run_suite_rejects_tolerances_that_are_no_mapping(tolerances, monkeypatch):
+    # ["gram"] used to raise a bare AttributeError, 5 a TypeError, and "gram"
+    # an unknown-suites error naming its letters
+    _no_suite_runs(monkeypatch)
+    with pytest.raises(ValueError, match="^tolerances must be a mapping of suite names to overrides"):
+        run_suite(P11, 0, ("boundary",), tolerances=tolerances)
 
 
 @pytest.mark.parametrize("value", [0, 1e-9, np.float64(1e-3)])
