@@ -151,6 +151,33 @@ def jacobian(params: DomainParams, a: Automorphism, p: Point) -> np.ndarray:
     return J
 
 
+def _jacobian_times(params: DomainParams, a: Automorphism, p: Point, X) -> np.ndarray:
+    """J(a, p) X for column blocks X of shape (..., N, k), J never formed:
+
+        [ U X_z                                  ]
+        [ s(z) U' (X_zeta - mu zeta (v* U X_z))  ]
+
+    O(n^2 + m^2) per column; leading axes broadcast as in jacobian()."""
+    n = params.n
+    UX = a.U @ X[..., :n, :]
+    W = X[..., n:, :] - params.mu * p.zeta[..., :, None] * (a.v.conj()[..., None, :] @ UX)
+    return np.concatenate([UX, scale_factor(params, a, p.z)[..., None, None] * (a.Uprime @ W)], axis=-2)
+
+
+def _jacobian_h_times(params: DomainParams, a: Automorphism, p: Point, Y) -> np.ndarray:
+    """J(a, p)^H Y for column blocks Y of shape (..., N, k), J never formed:
+    with W = U'^H Y_zeta and s = s(z),
+
+        [ U^H (Y_z - mu conj(s) v (zeta^H W)) ]
+        [ conj(s) W                          ]
+    """
+    n = params.n
+    s = np.conj(scale_factor(params, a, p.z))[..., None, None]
+    W = a.Uprime.conj().swapaxes(-1, -2) @ Y[..., n:, :]
+    Y_z = Y[..., :n, :] - params.mu * s * a.v[..., :, None] * (p.zeta.conj()[..., None, :] @ W)
+    return np.concatenate([a.U.conj().swapaxes(-1, -2) @ Y_z, s * W], axis=-2)
+
+
 def jacobian_det(params: DomainParams, a: Automorphism, p: Point):
     """det J(a, p) = det U * det U' * s(z)^m in closed form (J is block
     lower-triangular), one value per point of a stack."""

@@ -137,6 +137,41 @@ def log_kernel_grad_wbar(params: DomainParams, p: Point, q: Point) -> np.ndarray
     return np.concatenate([grad_z, grad_zeta], axis=-1)
 
 
+def _metric_parts(params: DomainParams, p: Point, q: Point):
+    """(alpha, beta, C) of the metric in structured form,
+
+        T(p, q) = diag(alpha I_n, beta I_m) + B_p C B_q^H,   B = [[z, 0], [0, zeta]] (N x 2),
+
+    with alpha = mu (m + t G), beta = E G and C = [[mu^2 t W, mu E W], [mu E W, E^2 H]]
+    in the notation of metric().  alpha and beta have the broadcast leading
+    shape of the pairs and C that shape plus (2, 2); checked like metric()."""
+    # a trailing axis keeps even one pair's products in numpy's array loops,
+    # whose complex rounding metric()'s bytes follow, not in scalar arithmetic
+    t, E, G, H = (x[..., None] for x in _log_kernel_pieces(params, p, q))
+    W = G + t * H
+    mu = params.mu
+    C = np.empty(t.shape + (2, 2), dtype=complex)
+    C[..., 0, 0] = mu * mu * t * W
+    C[..., 0, 1] = C[..., 1, 0] = mu * E * W
+    C[..., 1, 1] = E * E * H
+    return (mu * (params.m + t * G))[..., 0], (E * G)[..., 0], C[..., 0, :, :]
+
+
+def _metric_times(params: DomainParams, p: Point, q: Point, X) -> np.ndarray:
+    """T(p, q) X for column blocks X of shape (..., N, k), T never formed: the
+    diagonal scales X, and B_p C B_q^H X costs two inner products per column.
+    X's leading axes broadcast against those of the pairs."""
+    alpha, beta, C = _metric_parts(params, p, q)
+    n = params.n
+    X_z, X_zeta = X[..., :n, :], X[..., n:, :]
+    Bq_X = np.concatenate([q.z.conj()[..., None, :] @ X_z, q.zeta.conj()[..., None, :] @ X_zeta], axis=-2)
+    D = C @ Bq_X  # (..., 2, k)
+    return np.concatenate([
+        alpha[..., None, None] * X_z + p.z[..., :, None] * D[..., :1, :],
+        beta[..., None, None] * X_zeta + p.zeta[..., :, None] * D[..., 1:, :],
+    ], axis=-2)
+
+
 def metric(params: DomainParams, p: Point, q: Point) -> np.ndarray:
     """Mixed Wirtinger Hessian of log K: entry (i, k) is
     d^2 log K / (d conj(w_i) d z_k) evaluated at (p, q), in the last two axes.
@@ -147,23 +182,25 @@ def metric(params: DomainParams, p: Point, q: Point) -> np.ndarray:
         [ mu (m + t G) I_n + mu^2 t W z zbar'      mu E W z zetabar'        ]
         [ mu E W zeta zbar'                        E G I_m + E^2 H zeta zetabar' ]
 
-    Hermitian positive definite on the diagonal; at q = origin it collapses
-    to the constant diag(m mu I_n, (F_{m+1}(0)/F_m(0)) I_m).  Raises
-    KernelZero only where F_m(t) = 0, not where exp(m mu s) underflows.
+    That is a diagonal plus a rank-2 term, assembled here from _metric_parts;
+    _metric_times applies the same parts without forming T.  Hermitian
+    positive definite on the diagonal; at q = origin it collapses to the
+    constant diag(m mu I_n, (F_{m+1}(0)/F_m(0)) I_m).  Raises KernelZero only
+    where F_m(t) = 0, not where exp(m mu s) underflows.
     """
-    t, E, G, H = (x[..., None, None] for x in _log_kernel_pieces(params, p, q))
-    W = G + t * H
-    mu, n = params.mu, params.n
+    alpha, beta, C = _metric_parts(params, p, q)
+    n = params.n
     z, zeta = p.z[..., :, None], p.zeta[..., :, None]
     zbar, zetabar = q.z.conj()[..., None, :], q.zeta.conj()[..., None, :]
     # One output array, each block written into it bit for bit as above
-    T = np.empty(t.shape[:-2] + (params.dim, params.dim), dtype=complex)
-    np.multiply(mu * mu * t * W, z * zbar, out=T[..., :n, :n])
-    np.multiply(mu * E * W, z * zetabar, out=T[..., :n, n:])
-    np.multiply(mu * E * W, zeta * zbar, out=T[..., n:, :n])
-    np.multiply(E * E * H, zeta * zetabar, out=T[..., n:, n:])
-    T[..., :n, :n] += mu * (params.m + t * G) * np.eye(n)
-    T[..., n:, n:] += E * G * np.eye(params.m)
+    T = np.empty(np.shape(alpha) + (params.dim, params.dim), dtype=complex)
+    C = C[..., None, None]
+    np.multiply(C[..., 0, 0, :, :], z * zbar, out=T[..., :n, :n])
+    np.multiply(C[..., 0, 1, :, :], z * zetabar, out=T[..., :n, n:])
+    np.multiply(C[..., 1, 0, :, :], zeta * zbar, out=T[..., n:, :n])
+    np.multiply(C[..., 1, 1, :, :], zeta * zetabar, out=T[..., n:, n:])
+    T[..., :n, :n] += alpha[..., None, None] * np.eye(n)
+    T[..., n:, n:] += beta[..., None, None] * np.eye(params.m)
     return T
 
 

@@ -197,7 +197,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # validate the shared flags in place before the handler runs
-        if getattr(args, "params", None):
+        if getattr(args, "params", None) is not None:
             args.params = _parse_params(args.params)
         if getattr(args, "tol", None):
             args.tol = _parse_tolerances(args.tol)

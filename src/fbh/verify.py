@@ -16,12 +16,24 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autgroup import Automorphism, _matvec, apply, haar_unitary, jacobian, jacobian_det, random_automorphism
-# representative_map, sqrt_pd and inv_sqrt_pd have no caller here; the benchmark's tracing shims patch them.
+from .autgroup import (
+    Automorphism,
+    _jacobian_h_times,
+    _jacobian_times,
+    _matvec,
+    apply,
+    haar_unitary,
+    jacobian,
+    jacobian_det,
+    random_automorphism,
+)
+# jacobian, metric, representative_map, sqrt_pd and inv_sqrt_pd have no caller here;
+# the benchmark's tracing shims patch them.
 from .bergman import (
     _kernel_args,
     _kernel_rows,
     _log_kernel,
+    _metric_times,
     inv_sqrt_pd,
     kernel,
     kernel_batch,
@@ -53,7 +65,7 @@ from .errors import NotFinite, OutsideDomain
 # whatever the module attribute holds then gets called.
 _SUITE_TABLE = {
     "kernel-law": ("check_kernel_law", "random_automorphism", "sample_pairs", 10, 10, 101),
-    "metric-law": ("check_metric_law", "random_automorphism", "sample_pairs", 5, 10, 501),
+    "metric-law": ("check_metric_law", "random_automorphism", "_probed_pairs", 5, 10, 501),
     "cartan": ("check_cartan", "_rotation", "sample_interior", 10, 10, 901),
     "gram": ("check_gram_psd", None, "sample_interior", 40, 1, 1301),
     "mc": ("mc_reproduce_constant", None, None, 1_000_000, 1, 1501),
@@ -73,6 +85,9 @@ DEFAULT_TOLERANCES = {
 
 # Floor of the residual denominators, so a vanishing reference gives no NaN.
 KERNEL_FLOOR = 1e-300
+
+# Random probe columns per pair that metric-law applies both sides of its law to.
+METRIC_PROBES = 2
 
 # Pair sampling for the law checks stays this far from the kernel pole;
 # a conditioning choice, not a correctness one.
@@ -142,6 +157,16 @@ def sample_pairs(params: DomainParams, seed, count):
     return Point(*sides[:2]), Point(*sides[2:])
 
 
+def _probed_pairs(params: DomainParams, seed, count):
+    """(P, Q, X) for check_metric_law: sample_pairs' pairs, then METRIC_PROBES
+    complex Gaussian probe columns per pair, X of shape lead + (N, METRIC_PROBES),
+    drawn from the same stream."""
+    rng = np.random.default_rng(seed)
+    P, Q = sample_pairs(params, rng, count)
+    shape = P.z.shape[:-1] + (params.dim, METRIC_PROBES)
+    return P, Q, (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
+
+
 # ------------------------------ law checks ---------------------------------
 
 def check_kernel_law(params, a: Automorphism, pairs, tolerance=None) -> CheckReport:
@@ -160,26 +185,28 @@ def check_kernel_law(params, a: Automorphism, pairs, tolerance=None) -> CheckRep
     return _report("kernel-law", _worst(residuals), tolerance, residuals.size, "relative")
 
 
-def check_metric_law(params, a: Automorphism, pairs, tolerance=None) -> CheckReport:
-    """Max-norm residual of T(p,q) = conj(J(a,q)^T) T(a p, a q) J(a,p),
-    relative to the max-norm of T(p,q), over stacked pairs (P, Q) checked
-    as in check_kernel_law; an image outside the domain fails with residual
-    inf.  metric() never forms K, so an underflow of exp(m mu s) is not a
-    zero: it raises KernelZero only where F_m(t) = 0.  At most three
-    metric-sized stacks are live.  Reports seed None."""
-    P, Q = pairs
-    _check_interior(params, P, Q)
+def check_metric_law(params, a: Automorphism, probed_pairs, tolerance=None) -> CheckReport:
+    """Residual of T(p,q) = J(a,q)^H T(a p, a q) J(a,p) on probe vectors: for
+    each pair, the largest over its probes x of max |T(p,q) x - J_q^H T(ap,aq) J_p x|
+    relative to max |T(p,q) x|.  `probed_pairs` is (P, Q, X): stacked Points
+    as in check_kernel_law and probe columns X of shape lead + (N, k), whose
+    leading shape broadcasts against theirs and a's.  T and J are applied in
+    their structured forms and never formed, so a pair costs O(n^2 + m^2);
+    a random probe misses a nonzero difference matrix with probability 0
+    (Freivalds, 1977).  An image outside the domain fails with residual inf.
+    The metric never forms K, so an underflow of exp(m mu s) is not a zero:
+    it raises KernelZero only where F_m(t) = 0.  Reports seed None."""
+    P, Q, X = probed_pairs
+    lhs = _metric_times(params, P, Q, X)
     aP, aQ = apply(params, a, P), apply(params, a, Q)
-    try:  # no local holds the image metric: it is one of the three stacks
-        rhs = np.conj(jacobian(params, a, Q)).swapaxes(-1, -2) @ metric(params, aP, aQ)
+    try:
+        rhs = _metric_times(params, aP, aQ, _jacobian_times(params, a, P, X))
     except OutsideDomain:
-        pairs = np.broadcast(aP.z[..., 0], aQ.z[..., 0]).size
+        pairs = np.broadcast(aP.z[..., 0], aQ.z[..., 0], X[..., 0, 0]).size
         return _report("metric-law", math.inf, tolerance, pairs, "relative")
-    rhs = rhs @ jacobian(params, a, P)
-    lhs = metric(params, P, Q)
-    scale = np.max(np.abs(lhs), axis=(-2, -1))
-    diff = np.subtract(lhs, rhs, out=rhs)
-    residuals = np.max(np.abs(diff), axis=(-2, -1)) / np.maximum(scale, KERNEL_FLOOR)
+    rhs = _jacobian_h_times(params, a, Q, rhs)
+    scale = np.maximum(np.max(np.abs(lhs), axis=-2), KERNEL_FLOOR)
+    residuals = np.max(np.max(np.abs(lhs - rhs), axis=-2) / scale, axis=-1)
     return _report("metric-law", _worst(residuals), tolerance, residuals.size, "relative")
 
 

@@ -405,9 +405,12 @@ def _merge_parts(reports, seed):
 
 
 def _part(draw, j):
-    """Part j of a stacked draw: an Automorphism, a Point or a (P, Q) pair."""
+    """Part j of a stacked draw: an Automorphism, a Point, an array, or a tuple
+    of them such as (P, Q) pairs or metric-law's (P, Q, X)."""
     if isinstance(draw, tuple):
         return tuple(_part(x, j) for x in draw)
+    if isinstance(draw, np.ndarray):
+        return draw[j]
     return type(draw)(*(x[j] for x in astuple(draw)))
 
 

@@ -23,13 +23,13 @@ from fbh.bergman import kernel, metric, representative_map, sqrt_pd
 from fbh.domain import DomainParams, Point, defect, sample_boundary, sample_interior
 from fbh.polylog import a_poly, polylog_deriv
 from fbh.verify import (
+    _probed_pairs,
     check_boundary_invariance,
     check_cartan,
     check_gram_psd,
     check_kernel_law,
     check_metric_law,
     mc_reproduce_constant,
-    sample_pairs,
 )
 
 from oracles import fd_metric, series_polylog_deriv, singles
@@ -147,12 +147,12 @@ def test_criterion_06_transformation_laws():
             base = 10_000 * n + 1_000 * m + int(10 * mu)
             for j in range(10):  # 10 automorphisms x 10 pairs = 100 draws per law
                 a = random_automorphism(params, base + j)
-                pairs = sample_pairs(params, base + 100 + j, 10)
+                P, Q, X = _probed_pairs(params, base + 100 + j, 10)  # sample_pairs' pairs, then probes
                 worst_kernel = max(
-                    worst_kernel, check_kernel_law(params, a, pairs).max_residual
+                    worst_kernel, check_kernel_law(params, a, (P, Q)).max_residual
                 )
                 worst_metric = max(
-                    worst_metric, check_metric_law(params, a, pairs).max_residual
+                    worst_metric, check_metric_law(params, a, (P, Q, X)).max_residual
                 )
     ok = worst_kernel <= 1e-8 and worst_metric <= 1e-7
     _criterion(

@@ -89,10 +89,18 @@ def test_mc_streams_blocks_through_verify_attributes(monkeypatch):
     assert report.details["stderr"] == float(weights.std(ddof=1) / np.sqrt(samples))
 
 
-def test_metric_law_and_cartan_call_metric_at_its_verify_attribute(monkeypatch):
-    # the bergman.metric shim and the metric mutants patch fbh.verify.metric:
-    # only metric-law calls it, at the images and at the pairs
+def test_metric_law_calls_the_structured_operators_at_their_module_attributes(monkeypatch):
+    # metric-law applies T and J to probes through verify's _metric_times,
+    # _jacobian_times and _jacobian_h_times, and _metric_times reads its
+    # (alpha, beta, C) from bergman._metric_parts: the metric mutants patch
+    # these.  The dense metric and jacobian stay verify attributes only for
+    # the benchmark's shims, and neither suite calls them there
     calls = []
-    monkeypatch.setattr(verify, "metric", _spy(calls, "metric", verify.metric))
+    for name in ("_metric_times", "_jacobian_times", "_jacobian_h_times", "metric", "jacobian"):
+        monkeypatch.setattr(verify, name, _spy(calls, name, getattr(verify, name)))
+    monkeypatch.setattr(bergman, "_metric_parts", _spy(calls, "_metric_parts", bergman._metric_parts))
     reports = verify.run_suite(DomainParams(3, 2, 1.0), 0, ("metric-law", "cartan"))
-    assert len(calls) == 2 and all(r.passed for r in reports)
+    names = [name for name, _ in calls]
+    assert names == ["_metric_times", "_metric_parts", "_jacobian_times", "_metric_times", "_metric_parts",
+                     "_jacobian_h_times"]
+    assert all(r.passed for r in reports)

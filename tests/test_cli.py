@@ -199,6 +199,14 @@ def test_bad_params_string_exits_2(capsys):
     assert "--params" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["metric-origin", "verify"])
+def test_empty_params_exits_2_with_one_error_line(command, capsys):
+    # an empty --params used to skip parsing and crash the handler (exit 1)
+    assert main([command, "--params", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == ["error: --params expects n,m,mu, got ''"]
+
+
 @pytest.mark.parametrize(
     "params", ["1,1,inf", "1,1,1e-320", "2,1,1e308", "4,4,1e100", "8,1,1e-40", "64,1,1e-6"]
 )

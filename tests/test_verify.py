@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fbh import autgroup, bergman, polylog, verify
-from fbh.autgroup import Automorphism, identity, random_automorphism
+from fbh.autgroup import Automorphism, identity, jacobian, random_automorphism
 from fbh.bergman import kernel, kernel_batch, log_kernel_grad_wbar, metric
 from fbh.cli import main
 from fbh.domain import (
@@ -204,15 +204,46 @@ def test_kernel_law_random(params):
 
 # ------------------------------ metric law ---------------------------------
 
+def probed(params, P, Q, seed=0):
+    """(P, Q, X): given pairs with verify.METRIC_PROBES complex Gaussian probe columns each."""
+    rng = np.random.default_rng(seed)
+    shape = np.broadcast_shapes(P.z.shape[:-1], Q.z.shape[:-1]) + (params.dim, verify.METRIC_PROBES)
+    return P, Q, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("nm", [(1, 1), (3, 2), (32, 4), (64, 8)])
+def test_structured_operators_equal_the_dense_products(nm):
+    # metric-law applies T and J to probes and never forms them: they must act
+    # as metric() and jacobian() do, with (10, 1) automorphisms broadcast
+    # against (10, 5) pairs, single points and one automorphism against a
+    # stack, and the read-only probes left untouched
+    params = DomainParams(*nm, 1.0)
+    a = random_automorphism(params, 3, (10, 1))
+    P, Q, X = verify._probed_pairs(params, 4, (10, 5))
+    X.setflags(write=False)
+    p, q = Point(P.z[2, 1], P.zeta[2, 1]), Point(Q.z[2, 1], Q.zeta[2, 1])
+    one = Automorphism(a.U[2, 0], a.Uprime[2, 0], a.v[2, 0])
+    for aut, x, y, probes in [(a, P, Q, X), (one, p, q, X[2, 1]), (one, P, Q, X)]:
+        dense_T, J_x, J_y = metric(params, x, y), jacobian(params, aut, x), jacobian(params, aut, y)
+        pairs = [
+            (bergman._metric_times(params, x, y, probes), dense_T @ probes),
+            (autgroup._jacobian_times(params, aut, x, probes), J_x @ probes),
+            (autgroup._jacobian_h_times(params, aut, y, probes), J_y.conj().swapaxes(-1, -2) @ probes),
+        ]
+        for got, expected in pairs:
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
 def test_metric_law_identity_residual_zero():
-    report = check_metric_law(P11, identity(P11), sample_pairs(P11, 13, 10))
+    report = check_metric_law(P11, identity(P11), verify._probed_pairs(P11, 13, 10))
     assert report.max_residual <= 1e-15
 
 
 @pytest.mark.parametrize("params", CONFIGS)
 def test_metric_law_random(params):
     report = check_metric_law(
-        params, random_automorphism(params, 17), sample_pairs(params, 19, 15)
+        params, random_automorphism(params, 17), verify._probed_pairs(params, 19, 15)
     )
     assert report.passed
     assert report.max_residual <= 1e-7
@@ -225,11 +256,11 @@ def test_metric_law_checks_pairs_whose_kernel_underflows():
     ps = [Point([25.0], [0.0]), Point([-143.6], [0.0])]
     qs = [Point([-30.0], [0.0]), Point.origin(P11)]
     a = Automorphism(np.eye(1), np.eye(1), np.array([5.0]))
-    report = check_metric_law(P11, a, (stack(ps), stack(qs)))
+    report = check_metric_law(P11, a, probed(P11, stack(ps), stack(qs)))
     assert report.samples == 2 and 0.0 < report.max_residual <= 1e-15 and report.details == {}
     P, Q = sample_pairs(P11, 3, 4)
     P, Q = (stack(singles(x) + [y]) for x, y in ((P, ps[0]), (Q, qs[0])))
-    report = check_metric_law(P11, identity(P11), (P, Q))
+    report = check_metric_law(P11, identity(P11), probed(P11, P, Q))
     assert report.passed and report.samples == 5
 
 
@@ -243,18 +274,29 @@ def test_metric_law_underflowing_pairs_keep_their_rows():
     P, Q = sample_pairs(P11, 5, 3)
     far = Point(np.full((3, 1), -143.6), np.zeros((3, 1)))
     o = Point(np.zeros((3, 1)), np.zeros((3, 1)))
-    report = check_metric_law(P11, ab, (stack([P, far]), stack([Q, o])))
-    alone = check_metric_law(P11, a, (P, Q))
+    X = probed(P11, stack([P, far]), stack([Q, o]))[2]  # each row keeps its probes alone
+    report = check_metric_law(P11, ab, (stack([P, far]), stack([Q, o]), X))
+    alone = check_metric_law(P11, a, (P, Q, X[0]))
     assert report.samples == 6
-    assert report.max_residual == alone.max_residual > check_metric_law(P11, b, (far, o)).max_residual > 0.0
+    assert report.max_residual == alone.max_residual > check_metric_law(P11, b, (far, o, X[1])).max_residual > 0.0
+
+
+def test_metric_law_fails_with_inf_where_an_image_leaves_the_domain(monkeypatch):
+    # a doubled zeta multiplier sends some images out of the domain; the metric
+    # there raises OutsideDomain, which the check turns into a failed report
+    real = autgroup.scale_factor
+    monkeypatch.setattr(autgroup, "scale_factor", lambda params, a, z: 2.0 * real(params, a, z))
+    report = check_metric_law(P11, random_automorphism(P11, 1, (2, 1)), verify._probed_pairs(P11, 3, (2, 5)))
+    assert report.max_residual == math.inf and report.samples == 10 and not report.passed
 
 
 def test_metric_law_peak_memory_at_large_order():
-    # 50 pairs at (32, 4): each (50, 36, 36) stack is 1.04 MB, and the check
-    # keeps at most three of them live (seven before the in-place metric)
+    # 50 pairs at (32, 4) with two probes each: the check applies T and J to
+    # (50, 36, 2) blocks of 58 kB and peaks near 0.45 MB; when it formed the
+    # (50, 36, 36) stacks of 1.04 MB each, its peak was 3.3 MB
     params = DomainParams(32, 4, 1.0)
     a = random_automorphism(params, 501, (10, 1))
-    pairs = sample_pairs(params, 701, (10, 5))
+    pairs = verify._probed_pairs(params, 701, (10, 5))
     check_metric_law(params, a, pairs)
     tracemalloc.start()
     try:
@@ -263,7 +305,7 @@ def test_metric_law_peak_memory_at_large_order():
     finally:
         tracemalloc.stop()
     assert report.passed and report.samples == 50
-    assert peak <= 4e6, peak
+    assert peak <= 1e6, peak
 
 
 def test_metric_diagonal_pairs_hermitian():
@@ -728,10 +770,10 @@ def test_checks_take_no_seed_and_report_none():
     # the seed only labelled a report, and run_suite overwrote that label
     checks = (check_kernel_law, check_metric_law, check_cartan, check_gram_psd, check_boundary_invariance)
     assert not [c.__name__ for c in checks if "seed" in inspect.signature(c).parameters]
-    a, pairs = random_automorphism(P11, 1), sample_pairs(P11, 0, 5)
+    a, (P, Q, X) = random_automorphism(P11, 1), verify._probed_pairs(P11, 0, 5)
     reports = [
-        check_kernel_law(P11, a, pairs),
-        check_metric_law(P11, a, pairs),
+        check_kernel_law(P11, a, (P, Q)),
+        check_metric_law(P11, a, (P, Q, X)),
         check_cartan(P11, origin_fixing(P11, 2), sample_interior(P11, 3, 5)),
         check_gram_psd(P11, sample_interior(P11, 4, 5)),
         check_boundary_invariance(P11, a, sample_boundary(P11, 5, 5)),
@@ -921,14 +963,17 @@ def _failed_suites(params, suites):
 
 @pytest.mark.parametrize("params", MUTATION_CONFIGS)
 def test_mutation_jacobian_lower_left_sign(params, monkeypatch):
-    real = verify.jacobian
+    # J x with the sign of its rank-1 term -mu s(z) (U' zeta) (v* U x_z) flipped
+    real = verify._jacobian_times
 
-    def flipped(params, a, p):
-        J = real(params, a, p)
-        J[..., params.n :, : params.n] *= -1.0
-        return J
+    def flipped(params, a, p, X):
+        X_z = X.copy()
+        X_z[..., params.n :, :] = 0.0
+        rank1 = real(params, a, p, X_z)
+        rank1[..., : params.n, :] = 0.0
+        return real(params, a, p, X) - 2.0 * rank1
 
-    monkeypatch.setattr(verify, "jacobian", flipped)
+    monkeypatch.setattr(verify, "_jacobian_times", flipped)
     assert _failed_suites(params, ("metric-law",)) == {"metric-law"}
 
 
@@ -951,16 +996,32 @@ def test_mutation_scale_factor_without_norm_term(params, monkeypatch):
     assert _failed_suites(params, suites) == set(suites)
 
 
-@pytest.mark.parametrize("params", MUTATION_CONFIGS)
-def test_mutation_metric_z_block_scaled(params, monkeypatch):
-    real = verify.metric
+def _scaled_metric_parts(alpha_factor, C_factors):
+    """bergman._metric_parts with alpha and the entries of C scaled."""
+    real = bergman._metric_parts
 
     def scaled(params, p, q):
-        T = real(params, p, q)
-        T[..., : params.n, : params.n] *= 1.0 + 1e-4
-        return T
+        alpha, beta, C = real(params, p, q)
+        return alpha * alpha_factor, beta, C * np.asarray(C_factors)
 
-    monkeypatch.setattr(verify, "metric", scaled)
+    return scaled
+
+
+@pytest.mark.parametrize("params", MUTATION_CONFIGS)
+def test_mutation_metric_z_block_scaled(params, monkeypatch):
+    # the z block alpha I_n + mu^2 t W z zbar' times 1 + 1e-4.  alpha alone
+    # scaled stays green: it depends on t only, which every automorphism
+    # keeps, and J(a,q)^H diag(I_n, 0) J(a,p) = diag(I_n, 0)
+    f = 1.0 + 1e-4
+    monkeypatch.setattr(bergman, "_metric_parts", _scaled_metric_parts(f, [[f, 1.0], [1.0, 1.0]]))
+    assert _failed_suites(params, ("metric-law",)) == {"metric-law"}
+
+
+@pytest.mark.parametrize("params", MUTATION_CONFIGS)
+def test_mutation_metric_off_diagonal_scaled(params, monkeypatch):
+    # the off-diagonal blocks' coefficient mu E W times 1 + 1e-4
+    f = 1.0 + 1e-4
+    monkeypatch.setattr(bergman, "_metric_parts", _scaled_metric_parts(1.0, [[1.0, f], [f, 1.0]]))
     assert _failed_suites(params, ("metric-law",)) == {"metric-law"}
 
 
