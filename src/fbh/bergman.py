@@ -114,29 +114,6 @@ def kernel_batch(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray
     return values, t
 
 
-def _log_kernel_pieces(params: DomainParams, p: Point, q: Point):
-    """t, E = exp(mu s), G = F_{m+1}/F_m and H = G' at t, broadcast and checked
-    like kernel(); K is never formed, so an underflow of exp(m mu s) is not a
-    zero, and KernelZero is raised only where F_m(t) = 0 (log_derivatives)."""
-    _check_interior(params, p, q)
-    _, t, E = _kernel_args(params, p, q.z, q.zeta)
-    return (t, E) + log_derivatives(params.n, params.m, t)
-
-
-def log_kernel_grad_wbar(params: DomainParams, p: Point, q: Point) -> np.ndarray:
-    """Conjugate-Wirtinger gradient of log K(p, w) in w at w = q, along the last axis.
-
-    From log K = n log mu - (n+m) log pi + m mu <z, z'> + log F_m(t):
-
-        d/d conj(z'_i)    = mu z_i (m + t F_{m+1}(t)/F_m(t)),
-        d/d conj(zeta'_i) = exp(mu s) zeta_i F_{m+1}(t)/F_m(t).
-    """
-    t, E, G, _ = _log_kernel_pieces(params, p, q)
-    grad_z = params.mu * p.z * (params.m + t * G)[..., None]
-    grad_zeta = E[..., None] * p.zeta * G[..., None]
-    return np.concatenate([grad_z, grad_zeta], axis=-1)
-
-
 def _metric_parts(params: DomainParams, p: Point, q: Point):
     """(alpha, beta, C) of the metric in structured form,
 
@@ -144,10 +121,14 @@ def _metric_parts(params: DomainParams, p: Point, q: Point):
 
     with alpha = mu (m + t G), beta = E G and C = [[mu^2 t W, mu E W], [mu E W, E^2 H]]
     in the notation of metric().  alpha and beta have the broadcast leading
-    shape of the pairs and C that shape plus (2, 2); checked like metric()."""
+    shape of the pairs and C that shape plus (2, 2).  Points are checked like
+    kernel()'s; K is never formed, so an underflow of exp(m mu s) is not a
+    zero, and KernelZero is raised only where F_m(t) = 0 (log_derivatives)."""
+    _check_interior(params, p, q)
+    _, t, E = _kernel_args(params, p, q.z, q.zeta)
     # a trailing axis keeps even one pair's products in numpy's array loops,
     # whose complex rounding metric()'s bytes follow, not in scalar arithmetic
-    t, E, G, H = (x[..., None] for x in _log_kernel_pieces(params, p, q))
+    t, E, G, H = (x[..., None] for x in (t, E) + log_derivatives(params.n, params.m, t))
     W = G + t * H
     mu = params.mu
     C = np.empty(t.shape + (2, 2), dtype=complex)
@@ -155,6 +136,17 @@ def _metric_parts(params: DomainParams, p: Point, q: Point):
     C[..., 0, 1] = C[..., 1, 0] = mu * E * W
     C[..., 1, 1] = E * E * H
     return (mu * (params.m + t * G))[..., 0], (E * G)[..., 0], C[..., 0, :, :]
+
+
+def log_kernel_grad_wbar(params: DomainParams, p: Point, q: Point) -> np.ndarray:
+    """Conjugate-Wirtinger gradient of log K(p, w) in w at w = q, along the last axis.
+
+    From log K = n log mu - (n+m) log pi + m mu <z, z'> + log F_m(t) it is
+    [mu (m + t G) z, E G zeta] = [alpha z, beta zeta]: the diagonal part of
+    the metric applied to p, with alpha and beta from _metric_parts.
+    """
+    alpha, beta, _ = _metric_parts(params, p, q)
+    return np.concatenate([alpha[..., None] * p.z, beta[..., None] * p.zeta], axis=-1)
 
 
 def _metric_times(params: DomainParams, p: Point, q: Point, X) -> np.ndarray:
@@ -182,26 +174,20 @@ def metric(params: DomainParams, p: Point, q: Point) -> np.ndarray:
         [ mu (m + t G) I_n + mu^2 t W z zbar'      mu E W z zetabar'        ]
         [ mu E W zeta zbar'                        E G I_m + E^2 H zeta zetabar' ]
 
-    That is a diagonal plus a rank-2 term, assembled here from _metric_parts;
+    That is a diagonal plus a rank-2 term: each block is written from
+    _metric_parts' (alpha, beta, C) and the four are joined with np.block;
     _metric_times applies the same parts without forming T.  Hermitian
     positive definite on the diagonal; at q = origin it collapses to the
     constant diag(m mu I_n, (F_{m+1}(0)/F_m(0)) I_m).  Raises KernelZero only
     where F_m(t) = 0, not where exp(m mu s) underflows.
     """
-    alpha, beta, C = _metric_parts(params, p, q)
-    n = params.n
+    a, b, C = (x[..., None, None] for x in _metric_parts(params, p, q))
     z, zeta = p.z[..., :, None], p.zeta[..., :, None]
     zbar, zetabar = q.z.conj()[..., None, :], q.zeta.conj()[..., None, :]
-    # One output array, each block written into it bit for bit as above
-    T = np.empty(np.shape(alpha) + (params.dim, params.dim), dtype=complex)
-    C = C[..., None, None]
-    np.multiply(C[..., 0, 0, :, :], z * zbar, out=T[..., :n, :n])
-    np.multiply(C[..., 0, 1, :, :], z * zetabar, out=T[..., :n, n:])
-    np.multiply(C[..., 1, 0, :, :], zeta * zbar, out=T[..., n:, :n])
-    np.multiply(C[..., 1, 1, :, :], zeta * zetabar, out=T[..., n:, n:])
-    T[..., :n, :n] += alpha[..., None, None] * np.eye(n)
-    T[..., n:, n:] += beta[..., None, None] * np.eye(params.m)
-    return T
+    return np.block([
+        [a * np.eye(params.n) + C[..., 0, 0, :, :] * (z * zbar), C[..., 0, 1, :, :] * (z * zetabar)],
+        [C[..., 1, 0, :, :] * (zeta * zbar), b * np.eye(params.m) + C[..., 1, 1, :, :] * (zeta * zetabar)],
+    ])
 
 
 def _origin_metric_diagonal(params: DomainParams) -> np.ndarray:

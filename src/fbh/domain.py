@@ -177,14 +177,19 @@ def project_to_boundary(params: DomainParams, z, direction) -> Point:
 
     Returns (z, exp(-mu ||z||^2 / 2) * direction); its defect vanishes up to
     rounding.  Raises NotUnit when any ||direction|| deviates from 1 by more
-    than 1e-12, and DimensionMismatch when the shapes do not fit.
+    than 1e-12, DimensionMismatch when the shapes do not fit, and NotFinite,
+    with no warning, where the radius is 0 or NaN: for a non-finite z, or
+    mu ||z||^2 past about 1490, where zeta = 0 would be an interior point.
     """
     p = Point(z, direction)
     check_point(params, p)
     nrm = np.sqrt(_norm2(p.zeta))
     if not np.all(np.abs(nrm - 1.0) <= 1e-12):
         raise NotUnit(f"direction norm off 1 by {np.max(np.abs(nrm - 1.0))}, not within 1e-12")
-    radius = np.exp(-params.mu * _norm2(p.z) / 2.0)
+    with np.errstate(over="ignore"):
+        radius = np.exp(-params.mu * _norm2(p.z) / 2.0)
+    if not np.all(radius > 0):
+        raise NotFinite(f"the boundary radius is 0 or NaN at {np.count_nonzero(~(radius > 0))} point(s)")
     return Point(p.z, radius[..., None] * p.zeta)
 
 

@@ -2,16 +2,17 @@
 
 Each check measures a residual on the inputs it is given and reports
 pass/fail against its tolerance; run_suite draws those inputs from a seed
-and checks its own run inputs.  Residuals are relative wherever the
-reference magnitude is nonzero and absolute otherwise; every report
-records which convention it used.  Default tolerances reflect double
-precision error accumulation across determinants and matrix products.
+and checks its own run inputs.  A relative residual divides by the reference
+magnitude floored at KERNEL_FLOOR, so a vanishing reference gives no NaN, and
+boundary reads inf where the radius is 0; residual_kind records the
+convention.  Default tolerances reflect double precision error accumulation
+across determinants and matrix products.
 """
 
 import math
 import numbers
 import sys
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -55,7 +56,7 @@ from .domain import (
     sample_interior,
     sample_interior_arrays,
 )
-from .errors import NotFinite, OutsideDomain
+from .errors import DimensionMismatch, NotFinite, OutsideDomain
 
 # One row per suite: (check, automorphism factory, sampler, sample count,
 # parts, stream key).  Each suite draws from one default_rng([seed, key]):
@@ -247,11 +248,14 @@ def check_gram_psd(params, points, tolerance=None) -> CheckReport:
     with L = log(G / kernel_constant) from bergman._log_kernel, finite where
     G overflows; G is never formed.  The details give the overflow headroom
     log10_max_kernel = max_i log10 K(p_i, p_i), read off L.  The points get
-    kernel()'s checks; a normalized Gram with non-finite entries fails, with
+    kernel()'s checks, and a single point, which has no points axis, raises
+    DimensionMismatch; a normalized Gram with non-finite entries fails, with
     their count in the details, and no warning.  Reports seed None.
     """
     kind = "absolute (diagonal-normalized Gram)"
     _check_interior(params, points)
+    if points.z.ndim < 2:
+        raise DimensionMismatch("a Gram matrix takes a stack of points: one point has no points axis")
     z, zeta = points.z[..., None, :], points.zeta[..., None, :]  # rows; columns swap axes
     s, t, _ = _kernel_args(params, Point(z, zeta), z.swapaxes(-2, -3), zeta.swapaxes(-2, -3))
     npts = points.z[..., 0].size
@@ -331,8 +335,9 @@ def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, to
 
     `suites` is an iterable of names from SUITE_NAMES, or ("all",), in which
     case the Monte-Carlo check is included only where it is defined
-    (n = m = 1).  `samples` overrides the Monte-Carlo sample count, and a
-    run without that check rejects it.  `tolerances` must be a Mapping from
+    (n = m = 1); a string or a non-iterable raises ValueError.  `samples`
+    overrides the Monte-Carlo sample count, and a run without that check
+    rejects it.  `tolerances` must be a Mapping from
     the names of DEFAULT_TOLERANCES to overrides; any other name (mc derives
     its own tolerance), or one of a suite this run leaves out, raises
     ValueError.  An override must be a real number, not a bool, finite as a
@@ -343,6 +348,9 @@ def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, to
     must be a non-negative int.  All of these inputs are checked before
     any suite runs; the checks themselves check none of them.
     """
+    if isinstance(suites, str) or not isinstance(suites, Iterable):
+        raise ValueError(f"suites must be an iterable of suite names, got {suites!r}")
+    suites = list(suites)
     tolerances = {} if tolerances is None else tolerances
     if not isinstance(tolerances, Mapping):
         raise ValueError(f"tolerances must be a mapping of suite names to overrides, got {tolerances!r}")

@@ -8,9 +8,12 @@ perturbed points.
 The per-part suite runner is the reference for run_suite's one call per
 suite: it shares the checks and the stacked draws, and checks them slice by
 slice.  The block metric
-is the reference for metric's one output array: it shares the log-derivative
-pieces, not the assembly.  The one-stream Haar draw is the reference for the
-draw order of random_automorphism at an int seed.  The kernel formula is
+is the reference for metric, bit for bit: it shares _kernel_args and
+log_derivatives, not _metric_parts.  The closed-form gradient, mu z (m + t G)
+and E zeta G written out, is the reference for log_kernel_grad_wbar's
+assembly from _metric_parts up to rounding.  The one-stream Haar draw is the
+reference for the draw order of random_automorphism at an int seed.  The
+kernel formula is
 the reference for the kernel core's powers by squaring; it shares only the
 Hermitian product.  The exact F_m evaluates a_poly's integer numerator in
 rational arithmetic and rounds once; the exact Taylor coefficient of any
@@ -36,9 +39,9 @@ import numpy as np
 
 from fbh import verify
 from fbh.autgroup import apply
-from fbh.bergman import _kernel_args, _log_kernel_pieces, inner, kernel, log_kernel_grad_wbar, metric
+from fbh.bergman import _kernel_args, inner, kernel, log_kernel_grad_wbar, metric
 from fbh.domain import Point, sample_interior_arrays
-from fbh.polylog import _exp, _guarded, a_poly
+from fbh.polylog import _exp, _guarded, a_poly, log_derivatives
 
 # Central-difference step balancing truncation against rounding for first
 # derivatives in double precision.
@@ -259,8 +262,8 @@ def fd_metric(params, p, q, h=FD_STEP):
 def metric_block(params, p, q):
     """Reference for bergman.metric: the four blocks written as formulas and
     joined with np.block."""
-    _, _, G, H = _log_kernel_pieces(params, p, q)
     s, t = _kernel_args(params, p, q.z, q.zeta)[:2]
+    G, H = log_derivatives(params.n, params.m, t)
     s, t, G, H = (x[..., None, None] for x in (s, t, G, H))
     E = _exp(s, params.mu)
     W = G + t * H
@@ -272,6 +275,16 @@ def metric_block(params, p, q):
     zeta_z = mu * E * W * (zeta * zbar)
     zeta_zeta = E * G * np.eye(params.m) + E * E * H * (zeta * zetabar)
     return np.block([[zz, z_zeta], [zeta_z, zeta_zeta]])
+
+
+def grad_wbar_closed_form(params, p, q):
+    """Reference for bergman.log_kernel_grad_wbar: d/d conj(z'_i) = mu z_i (m + t G)
+    and d/d conj(zeta'_i) = E zeta_i G, with G = F_{m+1}/F_m, written out."""
+    _, t, E = _kernel_args(params, p, q.z, q.zeta)
+    G = log_derivatives(params.n, params.m, t)[0]
+    grad_z = params.mu * p.z * (params.m + t * G)[..., None]
+    grad_zeta = E[..., None] * p.zeta * G[..., None]
+    return np.concatenate([grad_z, grad_zeta], axis=-1)
 
 
 def fd_jacobian(params, a, p, h=FD_STEP):

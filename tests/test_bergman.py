@@ -39,6 +39,7 @@ from oracles import (
     assert_rows_match,
     fd_grad_wbar_log_kernel,
     fd_metric,
+    grad_wbar_closed_form,
     kernel_formula,
     log_kernel_reference,
     metric_block,
@@ -370,6 +371,22 @@ def test_grad_matches_finite_differences(params):
         numeric = fd_grad_wbar_log_kernel(params, p, q)
         scale = max(np.max(np.abs(analytic)), 1.0)
         assert np.max(np.abs(analytic - numeric)) <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("nm", [(1, 1), (3, 2), (32, 4), (2, 64), (64, 8)])
+def test_grad_equals_the_closed_form_oracle(nm):
+    # [alpha z, beta zeta] from _metric_parts against mu z (m + t G) and
+    # E zeta G, entry by entry, on single points, stacks, a stack broadcast
+    # against one point and origins; a zero entry must be exactly zero
+    params = DomainParams(*nm, 1.0)
+    X = sample_interior(params, 19, 40)
+    P = Point(X.z[:20].reshape(4, 5, -1), X.zeta[:20].reshape(4, 5, -1))
+    Q = Point(X.z[20:].reshape(4, 5, -1), X.zeta[20:].reshape(4, 5, -1))
+    p, o = singles(X)[0], Point.origin(params)
+    for a, b in [(p, singles(X)[1]), (P, Q), (p, Q), (P, p), (o, o), (P, o), (o, p), (p, o)]:
+        g, ref = log_kernel_grad_wbar(params, a, b), grad_wbar_closed_form(params, a, b)
+        assert g.shape == ref.shape
+        assert np.all(np.abs(g - ref) <= 1e-15 * np.abs(ref))
 
 
 # --------------------------------- metric ----------------------------------

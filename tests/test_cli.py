@@ -15,6 +15,11 @@ from fbh.domain import DomainParams, Point
 P11 = DomainParams(1, 1, 1.0)
 
 
+def _load(path):
+    with open(path) as f:
+        return json.load(f)
+
+
 @pytest.fixture
 def files(tmp_path):
     """Point and automorphism JSON files used by several subcommands."""
@@ -107,8 +112,8 @@ def test_kernel_eval_json_round_trip(capsys, files):
 def test_apply_matches_library(capsys, files):
     assert main(["apply", "--params", "1,1,1.0", "--aut", files["aut"], "--p", files["p"]]) == 0
     out = Point.from_json(json.loads(capsys.readouterr().out))
-    expected = apply(P11, Automorphism.from_json(json.loads(open(files["aut"]).read())),
-                     Point.from_json(json.loads(open(files["p"]).read())))
+    expected = apply(P11, Automorphism.from_json(_load(files["aut"])),
+                     Point.from_json(_load(files["p"])))
     assert np.allclose(out.coords(), expected.coords())
 
 
@@ -125,7 +130,7 @@ def test_compose_translation_phase(capsys, files):
 def test_inverse_round_trip(capsys, files):
     assert main(["inverse", "--a", files["aut"]]) == 0
     inv = Automorphism.from_json(json.loads(capsys.readouterr().out))
-    a = Automorphism.from_json(json.loads(open(files["aut"]).read()))
+    a = Automorphism.from_json(_load(files["aut"]))
     both = compose(P11, a, inv)
     assert np.max(np.abs(both.U - np.eye(1))) <= 1e-12
     assert np.max(np.abs(both.v)) <= 1e-12
@@ -329,7 +334,7 @@ def test_apply_stacked_point_matches_library(capsys, tmp_path, files):
     path.write_text(json.dumps(X.to_json()))
     assert main(["apply", "--params", "1,1,1.0", "--aut", files["aut"], "--p", str(path)]) == 0
     out = Point.from_json(json.loads(capsys.readouterr().out))
-    a = Automorphism.from_json(json.loads(open(files["aut"]).read()))
+    a = Automorphism.from_json(_load(files["aut"]))
     expected = apply(P11, a, X)
     assert np.array_equal(out.z, expected.z) and np.array_equal(out.zeta, expected.zeta)
 

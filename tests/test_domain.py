@@ -148,6 +148,17 @@ def test_project_to_boundary_rejects_non_unit():
         project_to_boundary(P11, np.array([0.0]), np.array([0.9]))
 
 
+@pytest.mark.parametrize("bad", [1e200, 40.0, math.inf, math.nan])
+def test_project_to_boundary_rejects_a_zero_radius(bad):
+    # ||z||^2 overflows at 1e200 and exp(-800) underflows at 40: either way
+    # the radius reads 0, whose zeta = 0 would be an interior point
+    z = np.array([[0.5], [bad], [1.0]])
+    for args in ((z[1], [1.0]), (z, np.ones((3, 1)))):
+        with pytest.raises(NotFinite):
+            project_to_boundary(P11, *args)
+    assert project_to_boundary(P11, [38.0], [1.0]).zeta[0] > 0.0  # subnormal, not yet 0
+
+
 @pytest.mark.parametrize("params", [P11, DomainParams(3, 2, 1.0), DomainParams(32, 4, 1.0)])
 def test_project_to_boundary_broadcasts_over_stacks(params):
     rng = np.random.default_rng(1)

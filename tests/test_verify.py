@@ -23,7 +23,7 @@ from fbh.domain import (
     sample_interior,
     sample_interior_arrays,
 )
-from fbh.errors import NotFinite, NotUnitary, OutsideDomain, PoleProximity
+from fbh.errors import DimensionMismatch, NotFinite, NotUnitary, OutsideDomain, PoleProximity
 from fbh.verify import (
     SUITE_NAMES,
     check_boundary_invariance,
@@ -381,6 +381,12 @@ def test_gram_reports_raw_overflow_and_stays_finite():
     assert all(math.isfinite(v) for v in report.details.values())
 
 
+def test_gram_rejects_a_single_point():
+    # a Gram matrix is taken over a points axis, which one point lacks
+    with pytest.raises(DimensionMismatch):
+        check_gram_psd(P11, Point([0.1], [0.1]))
+
+
 GRAM_BAD_POINTS = [
     ([0.0], [1.0], OutsideDomain),  # on the boundary
     ([math.nan], [0.0], NotFinite),
@@ -517,6 +523,17 @@ def test_run_suite_checks_samples_before_any_suite(monkeypatch, samples):
     monkeypatch.setattr(verify, "check_kernel_law", lambda *a, **k: calls.append(a))
     with pytest.raises(ValueError, match="samples"):
         run_suite(P11, 0, ("all",), samples=samples)
+    assert calls == []
+
+
+@pytest.mark.parametrize("suites", ["small", "gram", None])
+def test_run_suite_rejects_suites_that_are_not_an_iterable_of_names(monkeypatch, suites):
+    # "all" in "small" is a substring test, and "gram" iterates as letters
+    calls = []
+    for name in ("check_kernel_law", "check_gram_psd"):
+        monkeypatch.setattr(verify, name, lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="suites must be an iterable"):
+        run_suite(P11, 0, suites)
     assert calls == []
 
 
