@@ -142,11 +142,14 @@ def log_kernel_grad_wbar(params: DomainParams, p: Point, q: Point) -> np.ndarray
     """Conjugate-Wirtinger gradient of log K(p, w) in w at w = q, along the last axis.
 
     From log K = n log mu - (n+m) log pi + m mu <z, z'> + log F_m(t) it is
-    [mu (m + t G) z, E G zeta] = [alpha z, beta zeta]: the diagonal part of
-    the metric applied to p, with alpha and beta from _metric_parts.
+    [mu (m + t G) z, E zeta G], the metric's diagonal part applied to p, kept
+    apart from _metric_parts: zeta = 0 reads 0 here where its E G or E^2 overflows.
     """
-    alpha, beta, _ = _metric_parts(params, p, q)
-    return np.concatenate([alpha[..., None] * p.z, beta[..., None] * p.zeta], axis=-1)
+    _check_interior(params, p, q)
+    _, t, E = _kernel_args(params, p, q.z, q.zeta)
+    G = log_derivatives(params.n, params.m, t)[0]
+    grad_z = params.mu * p.z * (params.m + t * G)[..., None]
+    return np.concatenate([grad_z, E[..., None] * p.zeta * G[..., None]], axis=-1)
 
 
 def _metric_times(params: DomainParams, p: Point, q: Point, X) -> np.ndarray:
@@ -174,10 +177,9 @@ def metric(params: DomainParams, p: Point, q: Point) -> np.ndarray:
         [ mu (m + t G) I_n + mu^2 t W z zbar'      mu E W z zetabar'        ]
         [ mu E W zeta zbar'                        E G I_m + E^2 H zeta zetabar' ]
 
-    That is a diagonal plus a rank-2 term: each block is written from
-    _metric_parts' (alpha, beta, C) and the four are joined with np.block;
-    _metric_times applies the same parts without forming T.  Hermitian
-    positive definite on the diagonal; at q = origin it collapses to the
+    That is a diagonal plus a rank-2 term: np.block joins the four blocks over
+    _metric_parts' (alpha, beta, C), which _metric_times applies without forming
+    T.  Hermitian positive definite on the diagonal; at q = origin it is the
     constant diag(m mu I_n, (F_{m+1}(0)/F_m(0)) I_m).  Raises KernelZero only
     where F_m(t) = 0, not where exp(m mu s) underflows.
     """

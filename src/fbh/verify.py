@@ -12,7 +12,7 @@ across determinants and matrix products.
 import math
 import numbers
 import sys
-from collections.abc import Iterable, Mapping
+from collections.abc import Collection, Mapping
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -333,30 +333,28 @@ def _rotation(params: DomainParams, seed, shape=()) -> Automorphism:
 def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, tolerances=None):
     """Run the selected verification suites and return their reports.
 
-    `suites` is an iterable of names from SUITE_NAMES, or ("all",), in which
-    case the Monte-Carlo check is included only where it is defined
-    (n = m = 1); a string or a non-iterable raises ValueError.  `samples`
-    overrides the Monte-Carlo sample count, and a run without that check
-    rejects it.  `tolerances` must be a Mapping from
-    the names of DEFAULT_TOLERANCES to overrides; any other name (mc derives
-    its own tolerance), or one of a suite this run leaves out, raises
-    ValueError.  An override must be a real number, not a bool, finite as a
-    float and >= 0, else ValueError.  Each suite runs as its _SUITE_TABLE
-    row says: its parts are drawn together from the suite's
-    own stream and checked in one call, so the report holds the largest
-    residual over all parts.  Every report carries the root seed, which
-    must be a non-negative int.  All of these inputs are checked before
-    any suite runs; the checks themselves check none of them.
+    `suites` is a collection, such as a tuple, of names from SUITE_NAMES, or
+    ("all",), in which case the Monte-Carlo check is included only where it
+    is defined (n = m = 1); a string, a non-collection or an entry that is
+    not a str raises ValueError.  `samples` overrides the Monte-Carlo sample
+    count, and a run without that check rejects it.  `tolerances` must be a
+    Mapping from the names of DEFAULT_TOLERANCES to overrides; any other
+    name (mc derives its own tolerance), or one of a suite this run leaves
+    out, raises ValueError.  An override must be a real number, not a bool,
+    finite as a float and >= 0, else ValueError.  Each suite runs as its
+    _SUITE_TABLE row says: its parts are drawn together from the suite's own
+    stream and checked in one call, so the report holds the largest residual
+    over all parts.  Every report carries the root seed, which must be a
+    non-negative int.  All of these inputs are checked before any suite
+    runs; the checks themselves check none of them.
     """
-    if isinstance(suites, str) or not isinstance(suites, Iterable):
-        raise ValueError(f"suites must be an iterable of suite names, got {suites!r}")
-    suites = list(suites)
+    named = isinstance(suites, Collection) and not isinstance(suites, str)
+    if not (named and all(isinstance(s, str) for s in suites)):
+        raise ValueError(f"suites must be a collection of suite names, got {suites!r}")
     tolerances = {} if tolerances is None else tolerances
     if not isinstance(tolerances, Mapping):
         raise ValueError(f"tolerances must be a mapping of suite names to overrides, got {tolerances!r}")
-    wanted = list(SUITE_NAMES) if "all" in suites else list(suites)
-    if "all" in suites and not (params.n == 1 and params.m == 1):
-        wanted.remove("mc")
+    wanted = [s for s in SUITE_NAMES if s != "mc" or params.n == params.m == 1] if "all" in suites else suites
     unknown = set(wanted) - set(SUITE_NAMES) | set(tolerances) - set(DEFAULT_TOLERANCES).intersection(wanted)
     if unknown:
         raise ValueError(f"unknown suites, or tolerance overrides this run would drop: {sorted(unknown)}")

@@ -9,9 +9,10 @@ The per-part suite runner is the reference for run_suite's one call per
 suite: it shares the checks and the stacked draws, and checks them slice by
 slice.  The block metric
 is the reference for metric, bit for bit: it shares _kernel_args and
-log_derivatives, not _metric_parts.  The closed-form gradient, mu z (m + t G)
-and E zeta G written out, is the reference for log_kernel_grad_wbar's
-assembly from _metric_parts up to rounding.  The one-stream Haar draw is the
+log_derivatives, not _metric_parts.  The metric-diagonal gradient,
+[alpha z, beta zeta] from _metric_parts, is the reference for
+log_kernel_grad_wbar's closed form up to rounding, so the gradient and the
+metric's alpha and beta check each other.  The one-stream Haar draw is the
 reference for the draw order of random_automorphism at an int seed.  The
 kernel formula is
 the reference for the kernel core's powers by squaring; it shares only the
@@ -39,7 +40,7 @@ import numpy as np
 
 from fbh import verify
 from fbh.autgroup import apply
-from fbh.bergman import _kernel_args, inner, kernel, log_kernel_grad_wbar, metric
+from fbh.bergman import _kernel_args, _metric_parts, inner, kernel, log_kernel_grad_wbar, metric
 from fbh.domain import Point, sample_interior_arrays
 from fbh.polylog import _exp, _guarded, a_poly, log_derivatives
 
@@ -277,14 +278,11 @@ def metric_block(params, p, q):
     return np.block([[zz, z_zeta], [zeta_z, zeta_zeta]])
 
 
-def grad_wbar_closed_form(params, p, q):
-    """Reference for bergman.log_kernel_grad_wbar: d/d conj(z'_i) = mu z_i (m + t G)
-    and d/d conj(zeta'_i) = E zeta_i G, with G = F_{m+1}/F_m, written out."""
-    _, t, E = _kernel_args(params, p, q.z, q.zeta)
-    G = log_derivatives(params.n, params.m, t)[0]
-    grad_z = params.mu * p.z * (params.m + t * G)[..., None]
-    grad_zeta = E[..., None] * p.zeta * G[..., None]
-    return np.concatenate([grad_z, grad_zeta], axis=-1)
+def grad_wbar_by_metric_diagonal(params, p, q):
+    """Reference for bergman.log_kernel_grad_wbar: the metric's diagonal part
+    applied to p, [alpha z, beta zeta] with alpha, beta from _metric_parts."""
+    alpha, beta, _ = _metric_parts(params, p, q)
+    return np.concatenate([alpha[..., None] * p.z, beta[..., None] * p.zeta], axis=-1)
 
 
 def fd_jacobian(params, a, p, h=FD_STEP):

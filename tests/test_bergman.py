@@ -39,7 +39,7 @@ from oracles import (
     assert_rows_match,
     fd_grad_wbar_log_kernel,
     fd_metric,
-    grad_wbar_closed_form,
+    grad_wbar_by_metric_diagonal,
     kernel_formula,
     log_kernel_reference,
     metric_block,
@@ -331,6 +331,19 @@ def test_metric_is_finite_where_the_exponential_factor_underflows():
         assert metric(params, P, Q).tobytes() == metric_block(params, P, Q).tobytes()
 
 
+@pytest.mark.parametrize("nm, z", [((64, 1), 26.5), ((1, 1), 19.0)])
+def test_grad_is_finite_on_the_zeta_zero_slice_where_e_g_overflows(nm, z):
+    # at p = q = (z e_1, 0), E = exp(z^2) is finite, but E G = e^702 2^65 at
+    # (64,1) and E^2 = e^722 at (1,1) overflow; the gradient multiplies E by
+    # zeta = 0 first and never forms E^2, so it reads [m z e_1, 0] and warns not
+    params = DomainParams(*nm, 1.0)
+    p = Point([z] + [0.0] * (params.n - 1), [0.0] * params.m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = log_kernel_grad_wbar(params, p, p)
+    assert np.array_equal(g, np.eye(params.dim)[0] * params.m * z)
+
+
 def test_metric_raises_kernel_zero_where_f_m_vanishes(monkeypatch):
     # A = 1 + 4t vanishes at t = -1/4, exactly the t of (0; 1/2), (0; -1/2)
     monkeypatch.setattr(polylog, "a_poly", lambda n, m: PolyExact((1, 4)))
@@ -374,9 +387,9 @@ def test_grad_matches_finite_differences(params):
 
 
 @pytest.mark.parametrize("nm", [(1, 1), (3, 2), (32, 4), (2, 64), (64, 8)])
-def test_grad_equals_the_closed_form_oracle(nm):
-    # [alpha z, beta zeta] from _metric_parts against mu z (m + t G) and
-    # E zeta G, entry by entry, on single points, stacks, a stack broadcast
+def test_grad_equals_the_metric_diagonal_oracle(nm):
+    # mu z (m + t G) and E zeta G against [alpha z, beta zeta] from
+    # _metric_parts, entry by entry, on single points, stacks, a stack broadcast
     # against one point and origins; a zero entry must be exactly zero
     params = DomainParams(*nm, 1.0)
     X = sample_interior(params, 19, 40)
@@ -384,7 +397,7 @@ def test_grad_equals_the_closed_form_oracle(nm):
     Q = Point(X.z[20:].reshape(4, 5, -1), X.zeta[20:].reshape(4, 5, -1))
     p, o = singles(X)[0], Point.origin(params)
     for a, b in [(p, singles(X)[1]), (P, Q), (p, Q), (P, p), (o, o), (P, o), (o, p), (p, o)]:
-        g, ref = log_kernel_grad_wbar(params, a, b), grad_wbar_closed_form(params, a, b)
+        g, ref = log_kernel_grad_wbar(params, a, b), grad_wbar_by_metric_diagonal(params, a, b)
         assert g.shape == ref.shape
         assert np.all(np.abs(g - ref) <= 1e-15 * np.abs(ref))
 

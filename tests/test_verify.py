@@ -526,13 +526,14 @@ def test_run_suite_checks_samples_before_any_suite(monkeypatch, samples):
     assert calls == []
 
 
-@pytest.mark.parametrize("suites", ["small", "gram", None])
-def test_run_suite_rejects_suites_that_are_not_an_iterable_of_names(monkeypatch, suites):
-    # "all" in "small" is a substring test, and "gram" iterates as letters
+@pytest.mark.parametrize("suites", ["small", "gram", None, [1, "x"], b"gram"])
+def test_run_suite_rejects_suites_that_are_not_a_collection_of_names(monkeypatch, suites):
+    # "all" in "small" is a substring test, "gram" iterates as letters, b"gram"
+    # as ints, and [1, "x"] failed in sorted() with a bare TypeError
     calls = []
     for name in ("check_kernel_law", "check_gram_psd"):
         monkeypatch.setattr(verify, name, lambda *a, **k: calls.append(a))
-    with pytest.raises(ValueError, match="suites must be an iterable"):
+    with pytest.raises(ValueError, match="suites must be a collection"):
         run_suite(P11, 0, suites)
     assert calls == []
 
