@@ -115,55 +115,48 @@ def kernel_batch(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray
 
 
 def _metric_parts(params: DomainParams, p: Point, q: Point):
-    """(alpha, beta, C) of the metric in structured form,
+    """(alpha, G, E, C) of T(p, q) = diag(alpha I_n, E G I_m) + B_p C B_q^H, with
 
-        T(p, q) = diag(alpha I_n, beta I_m) + B_p C B_q^H,   B = [[z, 0], [0, zeta]] (N x 2),
+        B_p = [[z, 0], [0, E zeta]],   B_q^H = [[zbar', 0], [0, E zetabar']],
+        alpha = mu (m + t G),   C = [[mu^2 t W, mu W], [mu W, H]]
 
-    with alpha = mu (m + t G), beta = E G and C = [[mu^2 t W, mu E W], [mu E W, E^2 H]]
-    in the notation of metric().  alpha and beta have the broadcast leading
-    shape of the pairs and C that shape plus (2, 2).  Points are checked like
-    kernel()'s; K is never formed, so an underflow of exp(m mu s) is not a
-    zero, and KernelZero is raised only where F_m(t) = 0 (log_derivatives)."""
+    in the notation of metric().  E scales zeta before C acts and meets G only
+    in the diagonal, so no E^2 is formed and zeta = 0 reads 0 wherever E is
+    finite.  alpha, G and E carry the pairs' broadcast leading shape and (1, 1),
+    to scale matrices, C that shape and (2, 2).  Points are checked like
+    kernel()'s; K is never formed, so KernelZero is raised only where F_m(t) = 0."""
     _check_interior(params, p, q)
     _, t, E = _kernel_args(params, p, q.z, q.zeta)
-    # a trailing axis keeps even one pair's products in numpy's array loops,
+    # the trailing axes keep even one pair's products in numpy's array loops,
     # whose complex rounding metric()'s bytes follow, not in scalar arithmetic
-    t, E, G, H = (x[..., None] for x in (t, E) + log_derivatives(params.n, params.m, t))
+    t, G, H = (x[..., None, None] for x in (t,) + log_derivatives(params.n, params.m, t))
     W = G + t * H
     mu = params.mu
-    C = np.empty(t.shape + (2, 2), dtype=complex)
-    C[..., 0, 0] = mu * mu * t * W
-    C[..., 0, 1] = C[..., 1, 0] = mu * E * W
-    C[..., 1, 1] = E * E * H
-    return (mu * (params.m + t * G))[..., 0], (E * G)[..., 0], C[..., 0, :, :]
+    C = np.concatenate([mu * mu * t * W, mu * W, mu * W, H], axis=-1).reshape(t.shape[:-2] + (2, 2))
+    return mu * (params.m + t * G), G, E[..., None, None], C
 
 
 def log_kernel_grad_wbar(params: DomainParams, p: Point, q: Point) -> np.ndarray:
     """Conjugate-Wirtinger gradient of log K(p, w) in w at w = q, along the last axis.
 
     From log K = n log mu - (n+m) log pi + m mu <z, z'> + log F_m(t) it is
-    [mu (m + t G) z, E zeta G], the metric's diagonal part applied to p, kept
-    apart from _metric_parts: zeta = 0 reads 0 here where its E G or E^2 overflows.
+    [alpha z, (E zeta) G], the metric's diagonal part applied to p (_metric_parts).
     """
-    _check_interior(params, p, q)
-    _, t, E = _kernel_args(params, p, q.z, q.zeta)
-    G = log_derivatives(params.n, params.m, t)[0]
-    grad_z = params.mu * p.z * (params.m + t * G)[..., None]
-    return np.concatenate([grad_z, E[..., None] * p.zeta * G[..., None]], axis=-1)
+    alpha, G, E = (x[..., 0] for x in _metric_parts(params, p, q)[:3])
+    return np.concatenate([alpha * p.z, E * p.zeta * G], axis=-1)
 
 
 def _metric_times(params: DomainParams, p: Point, q: Point, X) -> np.ndarray:
     """T(p, q) X for column blocks X of shape (..., N, k), T never formed: the
     diagonal scales X, and B_p C B_q^H X costs two inner products per column.
     X's leading axes broadcast against those of the pairs."""
-    alpha, beta, C = _metric_parts(params, p, q)
-    n = params.n
-    X_z, X_zeta = X[..., :n, :], X[..., n:, :]
-    Bq_X = np.concatenate([q.z.conj()[..., None, :] @ X_z, q.zeta.conj()[..., None, :] @ X_zeta], axis=-2)
+    alpha, G, E, C = _metric_parts(params, p, q)
+    X_z, X_zeta = X[..., :params.n, :], X[..., params.n:, :]
+    Bq_X = np.concatenate([q.z.conj()[..., None, :] @ X_z, E * (q.zeta.conj()[..., None, :] @ X_zeta)], axis=-2)
     D = C @ Bq_X  # (..., 2, k)
     return np.concatenate([
-        alpha[..., None, None] * X_z + p.z[..., :, None] * D[..., :1, :],
-        beta[..., None, None] * X_zeta + p.zeta[..., :, None] * D[..., 1:, :],
+        alpha * X_z + p.z[..., :, None] * D[..., :1, :],
+        E * G * X_zeta + E * p.zeta[..., :, None] * D[..., 1:, :],
     ], axis=-2)
 
 
@@ -174,21 +167,21 @@ def metric(params: DomainParams, p: Point, q: Point) -> np.ndarray:
     Analytic blocks, with E = exp(mu s), G = F_{m+1}/F_m,
     H = F_{m+2}/F_m - G^2 and W = G + t H:
 
-        [ mu (m + t G) I_n + mu^2 t W z zbar'      mu E W z zetabar'        ]
-        [ mu E W zeta zbar'                        E G I_m + E^2 H zeta zetabar' ]
+        [ mu (m + t G) I_n + mu^2 t W z zbar'    mu W z (E zetabar')               ]
+        [ mu W (E zeta) zbar'                    E G I_m + H (E zeta) (E zetabar') ]
 
-    That is a diagonal plus a rank-2 term: np.block joins the four blocks over
-    _metric_parts' (alpha, beta, C), which _metric_times applies without forming
-    T.  Hermitian positive definite on the diagonal; at q = origin it is the
-    constant diag(m mu I_n, (F_{m+1}(0)/F_m(0)) I_m).  Raises KernelZero only
-    where F_m(t) = 0, not where exp(m mu s) underflows.
+    np.block joins these over _metric_parts, which _metric_times applies without
+    forming T.  Hermitian positive definite on the diagonal; at q = origin it is
+    the constant diag(m mu I_n, (F_{m+1}(0)/F_m(0)) I_m).  Raises KernelZero
+    only where F_m(t) = 0, not where exp(m mu s) underflows.
     """
-    a, b, C = (x[..., None, None] for x in _metric_parts(params, p, q))
-    z, zeta = p.z[..., :, None], p.zeta[..., :, None]
-    zbar, zetabar = q.z.conj()[..., None, :], q.zeta.conj()[..., None, :]
+    a, G, E, C = _metric_parts(params, p, q)
+    z, zeta = p.z[..., :, None], E * p.zeta[..., :, None]
+    zbar, zetabar = q.z.conj()[..., None, :], E * q.zeta.conj()[..., None, :]
     return np.block([
-        [a * np.eye(params.n) + C[..., 0, 0, :, :] * (z * zbar), C[..., 0, 1, :, :] * (z * zetabar)],
-        [C[..., 1, 0, :, :] * (zeta * zbar), b * np.eye(params.m) + C[..., 1, 1, :, :] * (zeta * zetabar)],
+        [a * np.eye(params.n) + C[..., 0, 0, None, None] * (z * zbar), C[..., 0, 1, None, None] * (z * zetabar)],
+        [C[..., 1, 0, None, None] * (zeta * zbar),
+         E * G * np.eye(params.m) + C[..., 1, 1, None, None] * (zeta * zetabar)],
     ])
 
 

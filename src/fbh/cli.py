@@ -202,7 +202,7 @@ def main(argv=None) -> int:
         if getattr(args, "tol", None):
             args.tol = _parse_tolerances(args.tol)
         return args.run(args)
-    except (FbhError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (FbhError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

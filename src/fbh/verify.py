@@ -333,24 +333,24 @@ def _rotation(params: DomainParams, seed, shape=()) -> Automorphism:
 def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, tolerances=None):
     """Run the selected verification suites and return their reports.
 
-    `suites` is a collection, such as a tuple, of names from SUITE_NAMES, or
-    ("all",), in which case the Monte-Carlo check is included only where it
-    is defined (n = m = 1); a string, a non-collection or an entry that is
-    not a str raises ValueError.  `samples` overrides the Monte-Carlo sample
-    count, and a run without that check rejects it.  `tolerances` must be a
-    Mapping from the names of DEFAULT_TOLERANCES to overrides; any other
-    name (mc derives its own tolerance), or one of a suite this run leaves
-    out, raises ValueError.  An override must be a real number, not a bool,
-    finite as a float and >= 0, else ValueError.  Each suite runs as its
-    _SUITE_TABLE row says: its parts are drawn together from the suite's own
-    stream and checked in one call, so the report holds the largest residual
-    over all parts.  Every report carries the root seed, which must be a
-    non-negative int.  All of these inputs are checked before any suite
-    runs; the checks themselves check none of them.
+    `suites` is a non-empty collection, such as a tuple, of names from
+    SUITE_NAMES, or ("all",), in which case the Monte-Carlo check is included
+    only where it is defined (n = m = 1); a string, a non-collection, an empty
+    one or an entry that is not a str raises ValueError.  `samples` overrides
+    the Monte-Carlo sample count, and a run without that check rejects it.
+    `tolerances` must be a Mapping from the names of DEFAULT_TOLERANCES to
+    overrides; any other name (mc derives its own tolerance), or one of a
+    suite this run leaves out, raises ValueError.  An override must be a real
+    number, not a bool, finite as a float and >= 0, else ValueError.  Each
+    suite runs as its _SUITE_TABLE row says: its parts are drawn together from
+    the suite's own stream and checked in one call, so the report holds the
+    largest residual over all parts.  Every report carries the root seed,
+    which must be a non-negative int.  All of these inputs are checked before
+    any suite runs; the checks themselves check none of them.
     """
-    named = isinstance(suites, Collection) and not isinstance(suites, str)
+    named = isinstance(suites, Collection) and not isinstance(suites, str) and len(suites) > 0
     if not (named and all(isinstance(s, str) for s in suites)):
-        raise ValueError(f"suites must be a collection of suite names, got {suites!r}")
+        raise ValueError(f"suites must be a collection of one or more suite names, got {suites!r}")
     tolerances = {} if tolerances is None else tolerances
     if not isinstance(tolerances, Mapping):
         raise ValueError(f"tolerances must be a mapping of suite names to overrides, got {tolerances!r}")
@@ -359,7 +359,12 @@ def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, to
     if unknown:
         raise ValueError(f"unknown suites, or tolerance overrides this run would drop: {sorted(unknown)}")
     for name, value in tolerances.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value <= sys.float_info.max:
+        try:  # as a float64: a numpy float32 would compare in float32, casting the bound to inf
+            usable = not isinstance(value, bool) and isinstance(value, numbers.Real)
+            usable = usable and 0 <= float(value) <= sys.float_info.max
+        except OverflowError:  # an int or Fraction past the float range
+            usable = False
+        if not usable:
             raise ValueError(f"tolerance for {name} must be a finite real number >= 0, got {value!r}")
     if samples is not None:
         if "mc" not in wanted:

@@ -10,9 +10,9 @@ suite: it shares the checks and the stacked draws, and checks them slice by
 slice.  The block metric
 is the reference for metric, bit for bit: it shares _kernel_args and
 log_derivatives, not _metric_parts.  The metric-diagonal gradient,
-[alpha z, beta zeta] from _metric_parts, is the reference for
-log_kernel_grad_wbar's closed form up to rounding, so the gradient and the
-metric's alpha and beta check each other.  The one-stream Haar draw is the
+[mu z (m + t G), E zeta G] in closed form, is the reference for
+log_kernel_grad_wbar up to rounding, so the closed form checks the
+gradient's assembly from _metric_parts.  The one-stream Haar draw is the
 reference for the draw order of random_automorphism at an int seed.  The
 kernel formula is
 the reference for the kernel core's powers by squaring; it shares only the
@@ -40,7 +40,7 @@ import numpy as np
 
 from fbh import verify
 from fbh.autgroup import apply
-from fbh.bergman import _kernel_args, _metric_parts, inner, kernel, log_kernel_grad_wbar, metric
+from fbh.bergman import _kernel_args, inner, kernel, log_kernel_grad_wbar, metric
 from fbh.domain import Point, sample_interior_arrays
 from fbh.polylog import _exp, _guarded, a_poly, log_derivatives
 
@@ -261,28 +261,31 @@ def fd_metric(params, p, q, h=FD_STEP):
 
 
 def metric_block(params, p, q):
-    """Reference for bergman.metric: the four blocks written as formulas and
-    joined with np.block."""
+    """Reference for bergman.metric: the four blocks written as formulas, with
+    zeta scaled by E = exp(mu s) first, and joined with np.block."""
     s, t = _kernel_args(params, p, q.z, q.zeta)[:2]
     G, H = log_derivatives(params.n, params.m, t)
     s, t, G, H = (x[..., None, None] for x in (s, t, G, H))
     E = _exp(s, params.mu)
     W = G + t * H
     mu = params.mu
-    z, zeta = p.z[..., :, None], p.zeta[..., :, None]
-    zbar, zetabar = q.z.conj()[..., None, :], q.zeta.conj()[..., None, :]
+    z, zeta = p.z[..., :, None], E * p.zeta[..., :, None]
+    zbar, zetabar = q.z.conj()[..., None, :], E * q.zeta.conj()[..., None, :]
     zz = mu * (params.m + t * G) * np.eye(params.n) + mu * mu * t * W * (z * zbar)
-    z_zeta = mu * E * W * (z * zetabar)
-    zeta_z = mu * E * W * (zeta * zbar)
-    zeta_zeta = E * G * np.eye(params.m) + E * E * H * (zeta * zetabar)
+    z_zeta = mu * W * (z * zetabar)
+    zeta_z = mu * W * (zeta * zbar)
+    zeta_zeta = E * G * np.eye(params.m) + H * (zeta * zetabar)
     return np.block([[zz, z_zeta], [zeta_z, zeta_zeta]])
 
 
 def grad_wbar_by_metric_diagonal(params, p, q):
     """Reference for bergman.log_kernel_grad_wbar: the metric's diagonal part
-    applied to p, [alpha z, beta zeta] with alpha, beta from _metric_parts."""
-    alpha, beta, _ = _metric_parts(params, p, q)
-    return np.concatenate([alpha[..., None] * p.z, beta[..., None] * p.zeta], axis=-1)
+    applied to p in closed form, [mu z (m + t G), E zeta G], from _kernel_args
+    and log_derivatives, not from _metric_parts, which the gradient assembles."""
+    _, t, E = _kernel_args(params, p, q.z, q.zeta)
+    G = log_derivatives(params.n, params.m, t)[0]
+    grad_z = params.mu * p.z * (params.m + t * G)[..., None]
+    return np.concatenate([grad_z, E[..., None] * p.zeta * G[..., None]], axis=-1)
 
 
 def fd_jacobian(params, a, p, h=FD_STEP):

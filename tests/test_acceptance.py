@@ -7,6 +7,7 @@ Runtime bounds are asserted where the criterion states one.
 import math
 import time
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from oracles import fd_metric, series_polylog_deriv, singles
 LAW_CONFIGS = [(1, 1), (2, 1), (1, 2), (2, 2)]
 KERNEL_CONFIGS = LAW_CONFIGS + [(3, 2)]
 MUS = (0.5, 1.0, 2.0)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _criterion(name, ok, started, limit=None, detail=""):
@@ -265,3 +267,18 @@ def test_exports_resolve_sorted_and_complete():
     assert fbh.__all__ == sorted(set(fbh.__all__))
     public = {k for k, v in vars(fbh).items() if not k.startswith("_") and not isinstance(v, types.ModuleType)}
     assert public <= set(fbh.__all__)
+
+
+def test_readme_quick_start_runs_and_gives_its_commented_values():
+    # the README's python block runs as written, and the values its comments
+    # give for the kernel, the metric and the representative map hold
+    block = README.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    lines = (line.split("#", 1) for line in block.splitlines() if "#" in line)
+    commented = {comment.strip(): expression for expression, comment in lines}
+    expected = {"1/pi^2": 1 / math.pi**2, "diag(1, 4)": np.diag([1.0, 4.0]), "[0.5, 0.2]": [0.5, 0.2]}
+    for comment, value in expected.items():
+        got = eval(commented[comment], namespace)
+        assert np.shape(got) == np.shape(value)
+        assert np.all(np.abs(got - np.asarray(value)) <= 1e-15 * np.abs(value)), (comment, got)

@@ -92,7 +92,7 @@ def test_mc_streams_blocks_through_verify_attributes(monkeypatch):
 def test_metric_law_calls_the_structured_operators_at_their_module_attributes(monkeypatch):
     # metric-law applies T and J to probes through verify's _metric_times,
     # _jacobian_times and _jacobian_h_times, and _metric_times reads its
-    # (alpha, beta, C) from bergman._metric_parts: the metric mutants patch
+    # (alpha, G, E, C) from bergman._metric_parts: the metric mutants patch
     # these.  The dense metric and jacobian stay verify attributes only for
     # the benchmark's shims, and neither suite calls them there
     calls = []

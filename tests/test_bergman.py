@@ -11,6 +11,7 @@ from fbh.autgroup import Automorphism, identity, random_automorphism
 from fbh.bergman import (
     _kernel_args,
     _log_kernel,
+    _metric_times,
     inner,
     inv_sqrt_pd,
     kernel,
@@ -344,6 +345,19 @@ def test_grad_is_finite_on_the_zeta_zero_slice_where_e_g_overflows(nm, z):
     assert np.array_equal(g, np.eye(params.dim)[0] * params.m * z)
 
 
+def test_metric_is_finite_on_the_zeta_zero_slice_where_e_squared_overflows():
+    # at p = q = (19, 0) the zeta zeta entry is E G = 4 e^361, a finite float,
+    # but E^2 = e^722 is not: E scales zeta = 0 before C acts, so it reads 0
+    p, X = Point([19.0], [0.0]), np.array([[1.0, 2.0j], [-3.0, 0.5 + 1.0j]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        T, TX = metric(P11, p, p), _metric_times(P11, p, p, X)
+    assert np.all(np.isfinite(T)) and np.all(np.isfinite(TX))
+    expected = np.diag([1.0, 4.0 * math.exp(361.0)])
+    assert np.all(np.abs(T - expected) <= 1e-15 * np.abs(expected))
+    assert np.all(np.abs(TX - T @ X) <= 1e-15 * np.abs(T @ X))
+
+
 def test_metric_raises_kernel_zero_where_f_m_vanishes(monkeypatch):
     # A = 1 + 4t vanishes at t = -1/4, exactly the t of (0; 1/2), (0; -1/2)
     monkeypatch.setattr(polylog, "a_poly", lambda n, m: PolyExact((1, 4)))
@@ -388,9 +402,10 @@ def test_grad_matches_finite_differences(params):
 
 @pytest.mark.parametrize("nm", [(1, 1), (3, 2), (32, 4), (2, 64), (64, 8)])
 def test_grad_equals_the_metric_diagonal_oracle(nm):
-    # mu z (m + t G) and E zeta G against [alpha z, beta zeta] from
-    # _metric_parts, entry by entry, on single points, stacks, a stack broadcast
-    # against one point and origins; a zero entry must be exactly zero
+    # [alpha z, (E zeta) G] from _metric_parts against the closed form
+    # mu z (m + t G), E zeta G, entry by entry, on single points, stacks, a
+    # stack broadcast against one point and origins; a zero entry must be
+    # exactly zero
     params = DomainParams(*nm, 1.0)
     X = sample_interior(params, 19, 40)
     P = Point(X.z[:20].reshape(4, 5, -1), X.zeta[:20].reshape(4, 5, -1))

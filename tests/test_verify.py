@@ -216,14 +216,16 @@ def test_structured_operators_equal_the_dense_products(nm):
     # metric-law applies T and J to probes and never forms them: they must act
     # as metric() and jacobian() do, with (10, 1) automorphisms broadcast
     # against (10, 5) pairs, single points and one automorphism against a
-    # stack, and the read-only probes left untouched
+    # stack, and the read-only probes left untouched.  On the zeta = 0 slice
+    # at z = 19 e_1, where E^2 = e^722 overflows, both read finite and warn not
     params = DomainParams(*nm, 1.0)
     a = random_automorphism(params, 3, (10, 1))
     P, Q, X = verify._probed_pairs(params, 4, (10, 5))
     X.setflags(write=False)
     p, q = Point(P.z[2, 1], P.zeta[2, 1]), Point(Q.z[2, 1], Q.zeta[2, 1])
+    far = Point(19.0 * np.eye(params.n)[0], np.zeros(params.m))
     one = Automorphism(a.U[2, 0], a.Uprime[2, 0], a.v[2, 0])
-    for aut, x, y, probes in [(a, P, Q, X), (one, p, q, X[2, 1]), (one, P, Q, X)]:
+    for aut, x, y, probes in [(a, P, Q, X), (one, p, q, X[2, 1]), (one, P, Q, X), (one, far, far, X[2, 1])]:
         dense_T, J_x, J_y = metric(params, x, y), jacobian(params, aut, x), jacobian(params, aut, y)
         pairs = [
             (bergman._metric_times(params, x, y, probes), dense_T @ probes),
@@ -526,10 +528,11 @@ def test_run_suite_checks_samples_before_any_suite(monkeypatch, samples):
     assert calls == []
 
 
-@pytest.mark.parametrize("suites", ["small", "gram", None, [1, "x"], b"gram"])
+@pytest.mark.parametrize("suites", ["small", "gram", None, [1, "x"], b"gram", (), set()])
 def test_run_suite_rejects_suites_that_are_not_a_collection_of_names(monkeypatch, suites):
     # "all" in "small" is a substring test, "gram" iterates as letters, b"gram"
-    # as ints, and [1, "x"] failed in sorted() with a bare TypeError
+    # as ints, [1, "x"] failed in sorted() with a bare TypeError, and an empty
+    # collection checked nothing and read as passed
     calls = []
     for name in ("check_kernel_law", "check_gram_psd"):
         monkeypatch.setattr(verify, name, lambda *a, **k: calls.append(a))
@@ -847,7 +850,7 @@ def test_run_suite_rejects_tolerances_that_are_no_mapping(tolerances, monkeypatc
         run_suite(P11, 0, ("boundary",), tolerances=tolerances)
 
 
-@pytest.mark.parametrize("value", [0, 1e-9, np.float64(1e-3)])
+@pytest.mark.parametrize("value", [0, 1e-9, np.float64(1e-3), np.float32(1e-3)])
 def test_run_suite_passes_a_good_tolerance_through(value):
     [report] = run_suite(P11, 0, ("boundary",), tolerances={"boundary": value})
     assert report.tolerance == value and type(report.tolerance) is float
@@ -1019,8 +1022,8 @@ def _scaled_metric_parts(alpha_factor, C_factors):
     real = bergman._metric_parts
 
     def scaled(params, p, q):
-        alpha, beta, C = real(params, p, q)
-        return alpha * alpha_factor, beta, C * np.asarray(C_factors)
+        alpha, G, E, C = real(params, p, q)
+        return alpha * alpha_factor, G, E, C * np.asarray(C_factors)
 
     return scaled
 
