@@ -21,7 +21,7 @@ import numpy as np
 
 from .autgroup import Automorphism, jacobian
 from .domain import DomainParams, Point, _check_interior, check_point
-from .errors import DimensionMismatch, DoesNotFixOrigin, NotHermitian, NotPositiveDefinite
+from .errors import DimensionMismatch, DoesNotFixOrigin, NotFinite, NotHermitian, NotPositiveDefinite
 from .polylog import _exp, _guarded, _power, a_poly, log_derivatives, polylog_deriv
 
 HERMITIAN_TOL = 1e-10
@@ -173,16 +173,21 @@ def metric(params: DomainParams, p: Point, q: Point) -> np.ndarray:
     np.block joins these over _metric_parts, which _metric_times applies without
     forming T.  Hermitian positive definite on the diagonal; at q = origin it is
     the constant diag(m mu I_n, (F_{m+1}(0)/F_m(0)) I_m).  Raises KernelZero
-    only where F_m(t) = 0, not where exp(m mu s) underflows.
+    only where F_m(t) = 0, not where exp(m mu s) underflows, and NotFinite,
+    with no warning, where an entry leaves the float range.
     """
-    a, G, E, C = _metric_parts(params, p, q)
-    z, zeta = p.z[..., :, None], E * p.zeta[..., :, None]
-    zbar, zetabar = q.z.conj()[..., None, :], E * q.zeta.conj()[..., None, :]
-    return np.block([
-        [a * np.eye(params.n) + C[..., 0, 0, None, None] * (z * zbar), C[..., 0, 1, None, None] * (z * zetabar)],
-        [C[..., 1, 0, None, None] * (zeta * zbar),
-         E * G * np.eye(params.m) + C[..., 1, 1, None, None] * (zeta * zetabar)],
-    ])
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, G, E, C = _metric_parts(params, p, q)
+        z, zeta = p.z[..., :, None], E * p.zeta[..., :, None]
+        zbar, zetabar = q.z.conj()[..., None, :], E * q.zeta.conj()[..., None, :]
+        T = np.block([
+            [a * np.eye(params.n) + C[..., 0, 0, None, None] * (z * zbar), C[..., 0, 1, None, None] * (z * zetabar)],
+            [C[..., 1, 0, None, None] * (zeta * zbar),
+             E * G * np.eye(params.m) + C[..., 1, 1, None, None] * (zeta * zetabar)],
+        ])
+    if not np.isfinite(T).all():
+        raise NotFinite(f"{np.count_nonzero(~np.isfinite(T))} of {T.size} metric entries leave the float range")
+    return T
 
 
 def _origin_metric_diagonal(params: DomainParams) -> np.ndarray:

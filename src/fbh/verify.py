@@ -23,7 +23,6 @@ from .autgroup import (
     _jacobian_times,
     _matvec,
     apply,
-    haar_unitary,
     jacobian,
     jacobian_det,
     random_automorphism,
@@ -58,20 +57,23 @@ from .domain import (
 )
 from .errors import DimensionMismatch, NotFinite, OutsideDomain
 
-# One row per suite: (check, automorphism factory, sampler, sample count,
-# parts, stream key).  Each suite draws from one default_rng([seed, key]):
-# first its automorphisms, shaped (parts, 1), then its samples, shaped
-# (parts, count); the check runs once on the stacks.  Without a sampler the
-# check gets the stream and count.  Names resolve when the suite runs, so
-# whatever the module attribute holds then gets called.
+# One row per suite: (check, automorphism, sampler, sample count, parts,
+# stream key).  A run draws one stack of AUT_PARTS automorphisms, shaped (10, 1),
+# from default_rng([seed, AUT_KEY]) when the first suite that takes one runs;
+# "stack" hands a check that stack, "_rotation" its rotation part.  Each suite
+# draws its samples, shaped (parts, count), from a default_rng([seed, key]) of
+# its own (boundary: 10 parts of 20 points); the check runs once on the stacks,
+# or, without a sampler, on the stream and count.  Names resolve when the suite
+# runs, so whatever the module attribute holds then gets called.
 _SUITE_TABLE = {
-    "kernel-law": ("check_kernel_law", "random_automorphism", "sample_pairs", 10, 10, 101),
-    "metric-law": ("check_metric_law", "random_automorphism", "_probed_pairs", 5, 10, 501),
+    "kernel-law": ("check_kernel_law", "stack", "sample_pairs", 10, 10, 101),
+    "metric-law": ("check_metric_law", "stack", "_probed_pairs", 5, 10, 501),
     "cartan": ("check_cartan", "_rotation", "sample_interior", 10, 10, 901),
     "gram": ("check_gram_psd", None, "sample_interior", 40, 1, 1301),
     "mc": ("mc_reproduce_constant", None, None, 1_000_000, 1, 1501),
-    "boundary": ("check_boundary_invariance", "random_automorphism", "sample_boundary", 50, 4, 1701),
+    "boundary": ("check_boundary_invariance", "stack", "sample_boundary", 20, 10, 1701),
 }
+AUT_KEY, AUT_PARTS = 1901, 10  # stream key and parts of the shared automorphism stack
 SUITE_NAMES = tuple(_SUITE_TABLE)
 
 MC_MIN_SAMPLES = 100_000  # fewest samples the Monte-Carlo check accepts
@@ -178,10 +180,12 @@ def check_kernel_law(params, a: Automorphism, pairs, tolerance=None) -> CheckRep
     domain fails the law instead of raising OutsideDomain.  Reports seed None."""
     P, Q = pairs
     kv = kernel(params, P, Q).value
-    det_p, det_q = jacobian_det(params, a, P), jacobian_det(params, a, Q)
-    aP, aQ = apply(params, a, P), apply(params, a, Q)
-    image = _kernel_rows(params, aP, aQ.z, aQ.zeta)[1]
-    rhs = np.conj(det_q) * image * det_p
+    k = max(a.v.ndim, P.z.ndim, Q.z.ndim)  # P and Q stacked on a new axis left of a's leading axes
+    both = Point(*(np.stack(np.broadcast_arrays(*(x[(None,) * (k - x.ndim)] for x in xs)))
+                   for xs in ((P.z, Q.z), (P.zeta, Q.zeta))))
+    (det_p, det_q), image = jacobian_det(params, a, both), apply(params, a, both)
+    value = _kernel_rows(params, Point(image.z[0], image.zeta[0]), image.z[1], image.zeta[1])[1]
+    rhs = np.conj(det_q) * value * det_p
     residuals = np.abs(kv - rhs) / np.maximum(np.abs(kv), KERNEL_FLOOR)
     return _report("kernel-law", _worst(residuals), tolerance, residuals.size, "relative")
 
@@ -323,11 +327,9 @@ def check_boundary_invariance(params, a: Automorphism, boundary_points, toleranc
 
 # ------------------------------ suite runner --------------------------------
 
-def _rotation(params: DomainParams, seed, shape=()) -> Automorphism:
-    """Origin-fixing automorphisms: random_automorphism's U and U' for seed, v = 0."""
-    rng = np.random.default_rng(seed)
-    U = haar_unitary(params.n, rng, shape)
-    return Automorphism(U, haar_unitary(params.m, rng, shape), np.zeros(U.shape[:-1]))
+def _rotation(a: Automorphism) -> Automorphism:
+    """The origin-fixing part of a: its U and U', v = 0."""
+    return Automorphism(a.U, a.Uprime, np.zeros_like(a.v))
 
 
 def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, tolerances=None):
@@ -342,10 +344,12 @@ def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, to
     overrides; any other name (mc derives its own tolerance), or one of a
     suite this run leaves out, raises ValueError.  An override must be a real
     number, not a bool, finite as a float and >= 0, else ValueError.  Each
-    suite runs as its _SUITE_TABLE row says: its parts are drawn together from
-    the suite's own stream and checked in one call, so the report holds the
-    largest residual over all parts.  Every report carries the root seed,
-    which must be a non-negative int.  All of these inputs are checked before
+    suite runs as its _SUITE_TABLE row says: the suites that take automorphisms
+    share one stack, drawn from its own stream when the first of them runs,
+    and each suite's samples are drawn together from a stream of its own and
+    checked in one call, so the report holds the largest residual over all
+    parts, and a suite run alone reports what it reports in a larger run.
+    Every report carries the root seed, which must be a non-negative int.  All of these inputs are checked before
     any suite runs; the checks themselves check none of them.
     """
     named = isinstance(suites, Collection) and not isinstance(suites, str) and len(suites) > 0
@@ -372,11 +376,13 @@ def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, to
         samples = _integer(samples, "samples", MC_MIN_SAMPLES)
     seed = _integer(seed, "seed", 0)
 
-    names, reports = globals(), []
+    names, reports, stack = globals(), [], None
     for name in wanted:
-        check, factory, sampler, count, parts, key = _SUITE_TABLE[name]
+        check, aut, sampler, count, parts, key = _SUITE_TABLE[name]
+        if aut is not None and stack is None:
+            stack = names["random_automorphism"](params, np.random.default_rng([seed, AUT_KEY]), (AUT_PARTS, 1))
+        args = [] if aut is None else [stack if aut == "stack" else names[aut](stack)]
         rng = np.random.default_rng([seed, key])
-        args = [] if factory is None else [names[factory](params, rng, (parts, 1))]
         if sampler is None:
             args += [rng, count if samples is None else samples]
         else:

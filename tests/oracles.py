@@ -6,8 +6,9 @@ builds the numerators without the recurrences a_poly uses, and the
 finite-difference oracles only ever call the functions they are checking at
 perturbed points.
 The per-part suite runner is the reference for run_suite's one call per
-suite: it shares the checks and the stacked draws, and checks them slice by
-slice.  The block metric
+suite and its lazily drawn automorphism stack: it shares the checks and the
+stacked draws, draws the stack before any suite, and checks the draws slice
+by slice.  The block metric
 is the reference for metric, bit for bit: it shares _kernel_args and
 log_derivatives, not _metric_parts.  The metric-diagonal gradient,
 [mu z (m + t G), E zeta G] in closed form, is the reference for
@@ -429,18 +430,20 @@ def _part(draw, j):
 
 
 def run_suite_per_part(params, seed, suites):
-    """Reference for verify.run_suite: every suite is drawn as _SUITE_TABLE
-    says, each part's slice of the stacked draws (automorphism and samples)
-    is checked in a call of its own, and the part reports are merged."""
+    """Reference for verify.run_suite: the shared automorphism stack and every
+    suite's samples are drawn as _SUITE_TABLE says, the stack up front, each
+    part's slice of them is checked in a call of its own, and the part
+    reports are merged."""
+    stack = verify.random_automorphism(params, np.random.default_rng([seed, verify.AUT_KEY]), (verify.AUT_PARTS, 1))
     reports = []
     for name in suites:
-        check, factory, sampler, count, parts, key = verify._SUITE_TABLE[name]
+        check, aut, sampler, count, parts, key = verify._SUITE_TABLE[name]
         fn = getattr(verify, check)
         rng = np.random.default_rng([seed, key])
         if sampler is None:
             reports.append(_merge_parts([fn(params, rng, count)], seed))
             continue
-        auts = None if factory is None else getattr(verify, factory)(params, rng, (parts, 1))
+        auts = None if aut is None else stack if aut == "stack" else getattr(verify, aut)(stack)
         draws = getattr(verify, sampler)(params, rng, (parts, count))
         part_reports = []
         for j in range(parts):

@@ -358,6 +358,22 @@ def test_metric_is_finite_on_the_zeta_zero_slice_where_e_squared_overflows():
     assert np.all(np.abs(TX - T @ X) <= 1e-15 * np.abs(T @ X))
 
 
+@pytest.mark.parametrize("x", [26.5, 30.0])
+def test_metric_raises_not_finite_where_an_entry_leaves_the_float_range(x):
+    # interior points on the zeta = 0 slice of (64, 1): at z = 26.5 e_1 the zeta
+    # zeta entry E G = e^702 2^65 is about 1.8e324; at z = 30 e_1, E = e^900
+    # itself overflows and t = E * 0 is NaN.  Both returned inf or NaN with
+    # RuntimeWarnings; a stack holding such a pair raises as a whole
+    params = DomainParams(64, 1, 1.0)
+    p, o = Point(x * np.eye(64)[0], np.zeros(1)), Point.origin(params)
+    P = Point(np.stack([o.z, p.z]), np.stack([o.zeta, p.zeta]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in ((p, p), (P, P)):
+            with pytest.raises(NotFinite, match=r"^\d+ of \d+ metric entries leave the float range$"):
+                metric(params, a, b)
+
+
 def test_metric_raises_kernel_zero_where_f_m_vanishes(monkeypatch):
     # A = 1 + 4t vanishes at t = -1/4, exactly the t of (0; 1/2), (0; -1/2)
     monkeypatch.setattr(polylog, "a_poly", lambda n, m: PolyExact((1, 4)))
