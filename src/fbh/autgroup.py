@@ -193,7 +193,9 @@ def haar_unitary(dim: int, rng, shape=()) -> np.ndarray:
     dim = _integer(dim, "dim", 1)
     rng = np.random.default_rng(rng)
     shape = _leading(shape) + (dim, dim)
-    g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
+    g = np.empty(shape, complex)  # filled in place: no complex temporaries
+    g.real, g.imag = rng.standard_normal(shape), rng.standard_normal(shape)
+    g /= math.sqrt(2)  # complex /= matches (re + 1j im) / sqrt(2) bit for bit; a float view's does not
     q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]

@@ -23,25 +23,10 @@ from .autgroup import (
     _jacobian_times,
     _matvec,
     apply,
-    jacobian,
     jacobian_det,
     random_automorphism,
 )
-# jacobian, metric, representative_map, sqrt_pd and inv_sqrt_pd have no caller here;
-# the benchmark's tracing shims patch them.
-from .bergman import (
-    _kernel_args,
-    _kernel_rows,
-    _log_kernel,
-    _metric_times,
-    inv_sqrt_pd,
-    kernel,
-    kernel_batch,
-    l_matrix,
-    metric,
-    representative_map,
-    sqrt_pd,
-)
+from .bergman import _kernel_args, _kernel_rows, _log_kernel, _metric_times, kernel, kernel_batch, l_matrix
 from .domain import (
     DomainParams,
     Point,
@@ -50,31 +35,16 @@ from .domain import (
     _leading,
     _norm2,
     defect,
-    sample_boundary,
+    project_to_boundary,
     sample_density_arrays,
-    sample_interior,
     sample_interior_arrays,
 )
 from .errors import DimensionMismatch, NotFinite, OutsideDomain
 
-# One row per suite: (check, automorphism, sampler, sample count, parts,
-# stream key).  A run draws one stack of AUT_PARTS automorphisms, shaped (10, 1),
-# from default_rng([seed, AUT_KEY]) when the first suite that takes one runs;
-# "stack" hands a check that stack, "_rotation" its rotation part.  Each suite
-# draws its samples, shaped (parts, count), from a default_rng([seed, key]) of
-# its own (boundary: 10 parts of 20 points); the check runs once on the stacks,
-# or, without a sampler, on the stream and count.  Names resolve when the suite
-# runs, so whatever the module attribute holds then gets called.
-_SUITE_TABLE = {
-    "kernel-law": ("check_kernel_law", "stack", "sample_pairs", 10, 10, 101),
-    "metric-law": ("check_metric_law", "stack", "_probed_pairs", 5, 10, 501),
-    "cartan": ("check_cartan", "_rotation", "sample_interior", 10, 10, 901),
-    "gram": ("check_gram_psd", None, "sample_interior", 40, 1, 1301),
-    "mc": ("mc_reproduce_constant", None, None, 1_000_000, 1, 1501),
-    "boundary": ("check_boundary_invariance", "stack", "sample_boundary", 20, 10, 1701),
-}
-AUT_KEY, AUT_PARTS = 1901, 10  # stream key and parts of the shared automorphism stack
-SUITE_NAMES = tuple(_SUITE_TABLE)
+# No caller here: the benchmark's tracing shims patch these names at fbh.verify.
+from .autgroup import jacobian
+from .bergman import inv_sqrt_pd, metric, representative_map, sqrt_pd
+from .domain import sample_boundary, sample_interior
 
 MC_MIN_SAMPLES = 100_000  # fewest samples the Monte-Carlo check accepts
 
@@ -158,16 +128,6 @@ def sample_pairs(params: DomainParams, seed, count):
         need -= len(kept[-1][0])
     sides = [np.concatenate(x).reshape(lead + x[0].shape[-1:]) for x in zip(*kept)]
     return Point(*sides[:2]), Point(*sides[2:])
-
-
-def _probed_pairs(params: DomainParams, seed, count):
-    """(P, Q, X) for check_metric_law: sample_pairs' pairs, then METRIC_PROBES
-    complex Gaussian probe columns per pair, X of shape lead + (N, METRIC_PROBES),
-    drawn from the same stream."""
-    rng = np.random.default_rng(seed)
-    P, Q = sample_pairs(params, rng, count)
-    shape = P.z.shape[:-1] + (params.dim, METRIC_PROBES)
-    return P, Q, (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
 
 
 # ------------------------------ law checks ---------------------------------
@@ -332,6 +292,40 @@ def _rotation(a: Automorphism) -> Automorphism:
     return Automorphism(a.U, a.Uprime, np.zeros_like(a.v))
 
 
+def _metric_law_inputs(params: DomainParams, P, Q, rng):
+    """(P, Q, X) for check_metric_law: each part's first 5 pairs, METRIC_PROBES probes per pair from rng."""
+    P, Q = (Point(x.z[:, :5], x.zeta[:, :5]) for x in (P, Q))
+    shape = P.z.shape[:-1] + (params.dim, METRIC_PROBES)
+    return P, Q, (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
+
+
+def _boundary_inputs(params: DomainParams, P, Q, rng) -> Point:
+    """P and Q joined on their points axis, projected onto the boundary along their zeta directions."""
+    z, zeta = (np.concatenate(x, axis=-2) for x in ((P.z, Q.z), (P.zeta, Q.zeta)))
+    return project_to_boundary(params, z, zeta / np.sqrt(_norm2(zeta))[..., None])
+
+
+# One row per suite: (check, automorphism, inputs, stream key).  A run draws two
+# stacks, each when the first suite that reads it runs: AUT_PARTS automorphisms,
+# shaped (10, 1), from default_rng([seed, AUT_KEY]), and the pairs (P, Q) of
+# sample_pairs(params, default_rng([seed, PAIR_KEY]), (AUT_PARTS, 10)).  "stack"
+# hands a check the automorphism stack, "_rotation" its rotation part, and
+# inputs(params, P, Q, rng) its slice of the pairs, rng = default_rng([seed, key]) if keyed;
+# mc takes its stream and sample count alone.  Each law holds for every automorphism
+# at every point, so sharing the draws costs no suite any power.  Names resolve at run time.
+_SUITE_TABLE = {
+    "kernel-law": ("check_kernel_law", "stack", lambda params, P, Q, rng: (P, Q), None),
+    "metric-law": ("check_metric_law", "stack", _metric_law_inputs, 501),
+    "cartan": ("check_cartan", "_rotation", lambda params, P, Q, rng: P, None),
+    "gram": ("check_gram_psd", None,  # the first 40 P points, as one Gram matrix
+             lambda params, P, Q, rng: Point(*(x[:4].reshape(1, 40, -1) for x in (P.z, P.zeta))), None),
+    "mc": ("mc_reproduce_constant", None, None, 1501),
+    "boundary": ("check_boundary_invariance", "stack", _boundary_inputs, None),
+}
+AUT_KEY, AUT_PARTS, PAIR_KEY = 1901, 10, 2101  # stream keys of the shared stacks, parts of each
+SUITE_NAMES = tuple(_SUITE_TABLE)
+
+
 def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, tolerances=None):
     """Run the selected verification suites and return their reports.
 
@@ -344,13 +338,16 @@ def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, to
     overrides; any other name (mc derives its own tolerance), or one of a
     suite this run leaves out, raises ValueError.  An override must be a real
     number, not a bool, finite as a float and >= 0, else ValueError.  Each
-    suite runs as its _SUITE_TABLE row says: the suites that take automorphisms
-    share one stack, drawn from its own stream when the first of them runs,
-    and each suite's samples are drawn together from a stream of its own and
-    checked in one call, so the report holds the largest residual over all
-    parts, and a suite run alone reports what it reports in a larger run.
-    Every report carries the root seed, which must be a non-negative int.  All of these inputs are checked before
-    any suite runs; the checks themselves check none of them.
+    suite runs as its _SUITE_TABLE row says: one automorphism stack, from
+    default_rng([seed, AUT_KEY]), and one pair stack, from [seed, PAIR_KEY],
+    each drawn when the first suite that reads it runs, serve every suite but
+    mc.  kernel-law checks all 100 pairs, metric-law the first 5 of each part,
+    cartan the 100 P points, gram the first 40 as one Gram matrix, and
+    boundary P and Q projected onto the boundary, each in one call, so a
+    report holds the largest residual over all parts, and a suite run alone
+    reports what it reports in a larger run.  Every report carries the root
+    seed, a non-negative int.  All of these inputs are checked before any
+    suite runs; the checks themselves check none of them.
     """
     named = isinstance(suites, Collection) and not isinstance(suites, str) and len(suites) > 0
     if not (named and all(isinstance(s, str) for s in suites)):
@@ -376,17 +373,18 @@ def run_suite(params: DomainParams, seed: int, suites=("all",), samples=None, to
         samples = _integer(samples, "samples", MC_MIN_SAMPLES)
     seed = _integer(seed, "seed", 0)
 
-    names, reports, stack = globals(), [], None
+    names, reports, stack, pairs = globals(), [], None, None
     for name in wanted:
-        check, aut, sampler, count, parts, key = _SUITE_TABLE[name]
+        check, aut, inputs, key = _SUITE_TABLE[name]
         if aut is not None and stack is None:
             stack = names["random_automorphism"](params, np.random.default_rng([seed, AUT_KEY]), (AUT_PARTS, 1))
         args = [] if aut is None else [stack if aut == "stack" else names[aut](stack)]
-        rng = np.random.default_rng([seed, key])
-        if sampler is None:
-            args += [rng, count if samples is None else samples]
+        rng = None if key is None else np.random.default_rng([seed, key])
+        if inputs is None:  # mc: its stream and sample count
+            args += [rng] + ([] if samples is None else [samples])
         else:
-            args += [names[sampler](params, rng, (parts, count)), tolerances.get(name)]
+            pairs = pairs or names["sample_pairs"](params, np.random.default_rng([seed, PAIR_KEY]), (AUT_PARTS, 10))
+            args += [inputs(params, *pairs, rng), tolerances.get(name)]
         reports.append(names[check](params, *args))
         reports[-1].seed = seed
     return reports

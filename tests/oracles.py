@@ -6,9 +6,9 @@ builds the numerators without the recurrences a_poly uses, and the
 finite-difference oracles only ever call the functions they are checking at
 perturbed points.
 The per-part suite runner is the reference for run_suite's one call per
-suite and its lazily drawn automorphism stack: it shares the checks and the
-stacked draws, draws the stack before any suite, and checks the draws slice
-by slice.  The block metric
+suite and its lazily drawn automorphism and pair stacks: it shares the checks,
+the stacked draws and each suite's slice of the pairs, draws both stacks
+before any suite, and checks each slice part by part.  The block metric
 is the reference for metric, bit for bit: it shares _kernel_args and
 log_derivatives, not _metric_parts.  The metric-diagonal gradient,
 [mu z (m + t G), E zeta G] in closed form, is the reference for
@@ -430,24 +430,35 @@ def _part(draw, j):
 
 
 def run_suite_per_part(params, seed, suites):
-    """Reference for verify.run_suite: the shared automorphism stack and every
-    suite's samples are drawn as _SUITE_TABLE says, the stack up front, each
-    part's slice of them is checked in a call of its own, and the part
-    reports are merged."""
+    """Reference for verify.run_suite: the shared automorphism and pair
+    stacks are drawn up front as _SUITE_TABLE says, each suite takes its
+    slice of the pairs, each part of that slice is checked in a call of its
+    own, and the part reports are merged."""
     stack = verify.random_automorphism(params, np.random.default_rng([seed, verify.AUT_KEY]), (verify.AUT_PARTS, 1))
+    pairs = verify.sample_pairs(params, np.random.default_rng([seed, verify.PAIR_KEY]), (verify.AUT_PARTS, 10))
     reports = []
     for name in suites:
-        check, aut, sampler, count, parts, key = verify._SUITE_TABLE[name]
+        check, aut, inputs, key = verify._SUITE_TABLE[name]
         fn = getattr(verify, check)
-        rng = np.random.default_rng([seed, key])
-        if sampler is None:
-            reports.append(_merge_parts([fn(params, rng, count)], seed))
+        rng = None if key is None else np.random.default_rng([seed, key])
+        if inputs is None:
+            reports.append(_merge_parts([fn(params, rng)], seed))
             continue
         auts = None if aut is None else stack if aut == "stack" else getattr(verify, aut)(stack)
-        draws = getattr(verify, sampler)(params, rng, (parts, count))
+        draws = inputs(params, *pairs, rng)
         part_reports = []
-        for j in range(parts):
+        for j in range(len((draws[0] if isinstance(draws, tuple) else draws).z)):
             args = [params] if auts is None else [params, _part(auts, (j, 0))]
             part_reports.append(fn(*args, _part(draws, j), None))
         reports.append(_merge_parts(part_reports, seed))
     return reports
+
+
+def probed_pairs(params, seed, count):
+    """(P, Q, X) for check_metric_law: sample_pairs' pairs, then
+    verify.METRIC_PROBES complex Gaussian probe columns per pair, X of shape
+    lead + (N, METRIC_PROBES), drawn from the same stream."""
+    rng = np.random.default_rng(seed)
+    P, Q = verify.sample_pairs(params, rng, count)
+    shape = P.z.shape[:-1] + (params.dim, verify.METRIC_PROBES)
+    return P, Q, (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)

@@ -24,7 +24,6 @@ from fbh.bergman import kernel, metric, representative_map, sqrt_pd
 from fbh.domain import DomainParams, Point, defect, sample_boundary, sample_interior
 from fbh.polylog import a_poly, polylog_deriv
 from fbh.verify import (
-    _probed_pairs,
     check_boundary_invariance,
     check_cartan,
     check_gram_psd,
@@ -33,7 +32,7 @@ from fbh.verify import (
     mc_reproduce_constant,
 )
 
-from oracles import fd_metric, series_polylog_deriv, singles
+from oracles import fd_metric, probed_pairs, series_polylog_deriv, singles
 
 LAW_CONFIGS = [(1, 1), (2, 1), (1, 2), (2, 2)]
 KERNEL_CONFIGS = LAW_CONFIGS + [(3, 2)]
@@ -149,7 +148,7 @@ def test_criterion_06_transformation_laws():
             base = 10_000 * n + 1_000 * m + int(10 * mu)
             for j in range(10):  # 10 automorphisms x 10 pairs = 100 draws per law
                 a = random_automorphism(params, base + j)
-                P, Q, X = _probed_pairs(params, base + 100 + j, 10)  # sample_pairs' pairs, then probes
+                P, Q, X = probed_pairs(params, base + 100 + j, 10)  # sample_pairs' pairs, then probes
                 worst_kernel = max(
                     worst_kernel, check_kernel_law(params, a, (P, Q)).max_residual
                 )
