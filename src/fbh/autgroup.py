@@ -14,6 +14,7 @@ cross-checked pointwise by the test-suite.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,13 @@ class Automorphism:
         object.__setattr__(self, "Uprime", Up)
         object.__setattr__(self, "v", v)
 
+    @cached_property
+    def _scale_row(self) -> tuple:
+        """(v* U, ||v||^2), the automorphism's part of scale_factor's exponent, formed on the
+        first call and kept: a stack shared by several checks forms it once."""
+        v_star = self.v.conj()
+        return _frozen(_matvec(self.U.swapaxes(-1, -2), v_star)), np.sum(v_star * self.v, axis=-1)
+
     def to_json(self) -> dict:
         return {"U": to_pairs(self.U), "Uprime": to_pairs(self.Uprime), "v": to_pairs(self.v)}
 
@@ -68,6 +76,16 @@ class Automorphism:
 
 def identity(params: DomainParams) -> Automorphism:
     return Automorphism(np.eye(params.n), np.eye(params.m), np.zeros(params.n))
+
+
+def _rotation(a: Automorphism) -> Automorphism:
+    """The origin-fixing part (U, U', 0) of a, which the constructor validated: it shares
+    a's read-only U and U', so they are not validated again, and starts with no cached
+    state.  Package-internal; everyone else builds an Automorphism by its constructor."""
+    rot = object.__new__(Automorphism)
+    for name, value in (("U", a.U), ("Uprime", a.Uprime), ("v", _frozen(np.zeros_like(a.v)))):
+        object.__setattr__(rot, name, value)
+    return rot
 
 
 def _matvec(M, x):
@@ -91,12 +109,10 @@ def _check_dims(params: DomainParams, a: Automorphism, lead=()) -> None:
 
 def scale_factor(params: DomainParams, a: Automorphism, z: np.ndarray):
     """The zeta multiplier exp(-mu v*(U z) - mu ||v||^2 / 2), one per row of
-    z, which has shape (..., n)."""
-    v_star = a.v.conj()
-    return np.exp(
-        -params.mu * np.sum(z * _matvec(a.U.swapaxes(-1, -2), v_star), axis=-1)
-        - 0.5 * params.mu * np.sum(v_star * a.v, axis=-1)
-    )
+    z, which has shape (..., n); the row v* U and ||v||^2 are a's, formed
+    once per automorphism (Automorphism._scale_row)."""
+    row, norm2 = a._scale_row
+    return np.exp(-params.mu * np.sum(z * row, axis=-1) - 0.5 * params.mu * norm2)
 
 
 def apply(params: DomainParams, a: Automorphism, p: Point) -> Point:
@@ -143,7 +159,7 @@ def jacobian(params: DomainParams, a: Automorphism, p: Point) -> np.ndarray:
     _check_dims(params, a, p.z.shape[:-1])
     n = params.n
     s = scale_factor(params, a, p.z)[..., None, None]
-    row_vhU = _matvec(a.U.swapaxes(-1, -2), a.v.conj())[..., None, :]
+    row_vhU = a._scale_row[0][..., None, :]
     J = np.zeros(s.shape[:-2] + (params.dim, params.dim), dtype=complex)
     J[..., :n, :n] = a.U
     J[..., n:, :n] = -params.mu * s * (_matvec(a.Uprime, p.zeta)[..., :, None] * row_vhU)

@@ -80,11 +80,14 @@ def _kernel_rows(params: DomainParams, p: Point, Z: np.ndarray, Zeta: np.ndarray
 
 def _log_kernel(params: DomainParams, s, t):
     """log(K / kernel_constant) = m mu s + log A(t) - (n+m+1) log(1-t) from _kernel_args' s, t:
-    finite where K overflows, with no warning, behind polylog_deriv's pole guard (PoleProximity)."""
+    finite where K overflows, with no warning, behind polylog_deriv's pole guard (PoleProximity).
+    Each log is taken in real arithmetic, log x = log|x| + i arg x, at a fraction of a complex
+    log's cost; |x| is np.abs (hypot), as x.real**2 + x.imag**2 would overflow once |A| > 1e154."""
     t, u = _guarded(params.n, t)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        L = params.m * params.mu * s + np.log(a_poly(params.n, params.m).eval(t))
-        L -= (params.dim + 1) * np.log(u)
+        A = a_poly(params.n, params.m).eval(t)
+        L = params.m * params.mu * s + (np.log(np.abs(A)) + 1j * np.angle(A))
+        L -= (params.dim + 1) * (np.log(np.abs(u)) + 1j * np.angle(u))
     return L
 
 

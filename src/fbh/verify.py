@@ -22,6 +22,7 @@ from .autgroup import (
     _jacobian_h_times,
     _jacobian_times,
     _matvec,
+    _rotation,
     apply,
     jacobian_det,
     random_automorphism,
@@ -287,11 +288,6 @@ def check_boundary_invariance(params, a: Automorphism, boundary_points, toleranc
 
 # ------------------------------ suite runner --------------------------------
 
-def _rotation(a: Automorphism) -> Automorphism:
-    """The origin-fixing part of a: its U and U', v = 0."""
-    return Automorphism(a.U, a.Uprime, np.zeros_like(a.v))
-
-
 def _metric_law_inputs(params: DomainParams, P, Q, rng):
     """(P, Q, X) for check_metric_law: each part's first 5 pairs, METRIC_PROBES probes per pair from rng."""
     P, Q = (Point(x.z[:, :5], x.zeta[:, :5]) for x in (P, Q))
@@ -309,7 +305,8 @@ def _boundary_inputs(params: DomainParams, P, Q, rng) -> Point:
 # stacks, each when the first suite that reads it runs: AUT_PARTS automorphisms,
 # shaped (10, 1), from default_rng([seed, AUT_KEY]), and the pairs (P, Q) of
 # sample_pairs(params, default_rng([seed, PAIR_KEY]), (AUT_PARTS, 10)).  "stack"
-# hands a check the automorphism stack, "_rotation" its rotation part, and
+# hands a check the automorphism stack, "_rotation" its rotation part (autgroup's,
+# sharing the stack's validated U and U', so a run validates once), and
 # inputs(params, P, Q, rng) its slice of the pairs, rng = default_rng([seed, key]) if keyed;
 # mc takes its stream and sample count alone.  Each law holds for every automorphism
 # at every point, so sharing the draws costs no suite any power.  Names resolve at run time.

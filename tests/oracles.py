@@ -29,7 +29,8 @@ same generator and draw order, full-size temporaries, and their own norm.
 The representative map by gradient is the reference for its closed form:
 it evaluates the kernel gradient and the metric at the origin, never the
 closed-form origin metric.  The log kernel reference is the two lines the
-Gram check once held, the reference for bergman._log_kernel bit for bit.
+Gram check once held, with complex logs, the reference for bergman._log_kernel
+up to the rounding of its real-arithmetic logs.
 """
 
 import math

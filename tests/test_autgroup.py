@@ -350,6 +350,37 @@ def test_automorphism_json_round_trip():
     assert np.allclose(a.v, b.v)
 
 
+def uncached_scale_factor(params, a, z):
+    """scale_factor as one expression, forming v* U and ||v||^2 on every call."""
+    v_star = a.v.conj()
+    return np.exp(
+        -params.mu * np.sum(z * (a.U.swapaxes(-1, -2) @ v_star[..., None])[..., 0], axis=-1)
+        - 0.5 * params.mu * np.sum(v_star * a.v, axis=-1)
+    )
+
+
+@pytest.mark.parametrize("params", [P11, DomainParams(3, 2, 0.7), DomainParams(32, 4, 1.0)])
+def test_scale_factor_reads_a_cached_row_equal_to_the_uncached_expression(params):
+    # the row v* U and ||v||^2 are formed on an automorphism's first scale_factor
+    # and kept; every later call, and every group operation's result, matches the
+    # one expression bit for bit, and to_json carries nothing of the cache
+    a, b = random_automorphism(params, 71), random_automorphism(params, 72, (2, 3))
+    X = sample_interior(params, 73, 6)
+    Z = X.z.reshape(2, 3, -1)
+    results = {
+        "single": a, "stacked": b, "compose": compose(params, a, b), "inverse": inverse(params, b),
+        "identity": identity(params), "from_json": Automorphism.from_json(json.loads(json.dumps(b.to_json()))),
+    }
+    for name, c in results.items():
+        before = c.to_json()
+        for z in (Z, Z[0, 0], Z[:, :1]):  # the second and later calls read the cache
+            got, ref = scale_factor(params, c, z), uncached_scale_factor(params, c, z)
+            assert np.shape(got) == np.shape(ref) and got.tobytes() == ref.tobytes(), name
+        assert c.to_json() == before, name
+    with pytest.raises(ValueError):
+        b._scale_row[0][0] = 0.0  # read-only, like the arrays it is formed from
+
+
 def test_automorphism_arrays_are_frozen_copies():
     U = np.eye(2)
     a = Automorphism(U, np.eye(1), np.zeros(2))

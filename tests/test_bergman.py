@@ -130,9 +130,13 @@ def test_kernel_diagonal_real_positive(params):
         assert abs(kv.t_arg.imag) <= 1e-14
 
 
-def test_log_kernel_equals_the_reference_bit_for_bit():
-    # the Gram check's two formula lines, moved into bergman, on the pairwise s, t
-    # of 40 interior points; some K pass 1e308, where only the log form is finite
+def test_log_kernel_matches_the_reference_within_rounding():
+    # the Gram check's two formula lines, with complex logs, on the pairwise s, t
+    # of 40 interior points; some K pass 1e308, where only the log form is finite.
+    # _log_kernel takes log|x| + i arg x: arg is atan2, as in the complex log, and
+    # log|x| is off by about u where hypot rounds, which the factor n+m+1 on
+    # log(1-t) amplifies, so |L - ref| <= 8u max(|ref|, n+m+1) with u = 2^-53
+    # (worst 5.2u over seeds 0-29 at these orders and (8,8), (1,64))
     past_float_range = False
     for params in (P11, DomainParams(3, 2, 0.7), DomainParams(32, 4, 1.0), DomainParams(64, 8, 1.0),
                    DomainParams(64, 64, 1.0)):
@@ -141,7 +145,8 @@ def test_log_kernel_equals_the_reference_bit_for_bit():
         s, t, _ = _kernel_args(params, Point(z, zeta), z.swapaxes(0, 1), zeta.swapaxes(0, 1))
         got, ref = _log_kernel(params, s, t), log_kernel_reference(params, s, t)
         assert got.dtype == ref.dtype and got.shape == ref.shape == (40, 40)
-        assert got.tobytes() == ref.tobytes()
+        assert np.isfinite(got).all() and np.isfinite(ref).all()
+        assert np.all(np.abs(got - ref) <= 8 * 2.0**-53 * np.maximum(np.abs(ref), params.dim + 1))
         past_float_range |= np.max(got.real) + math.log(params.kernel_constant) > math.log(sys.float_info.max)
     assert past_float_range
     with pytest.raises(PoleProximity):

@@ -1,5 +1,6 @@
 """Tests for the verification harness itself."""
 
+import copy
 import inspect
 import json
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from fbh import autgroup, bergman, polylog, verify
-from fbh.autgroup import Automorphism, identity, jacobian, random_automorphism
+from fbh.autgroup import Automorphism, identity, jacobian, random_automorphism, scale_factor
 from fbh.bergman import kernel, kernel_batch, log_kernel_grad_wbar, metric
 from fbh.cli import main
 from fbh.domain import (
@@ -131,10 +132,41 @@ def test_every_draw_rejects_an_empty_shape(draw):
 
 @pytest.mark.parametrize("params", STACK_PARAMS)
 def test_rotation_is_the_rotation_part_of_the_random_automorphism(params):
+    # it shares the validated stack's read-only blocks, not copies of them
     a = random_automorphism(params, 901, (3, 1))
     rot = verify._rotation(a)
-    assert rot.U.tobytes() == a.U.tobytes() and rot.Uprime.tobytes() == a.Uprime.tobytes()
+    assert rot.U is a.U and rot.Uprime is a.Uprime
     assert rot.v.shape == a.v.shape == (3, 1, params.n) and not np.any(rot.v)
+    assert not rot.v.flags.writeable and rot.v.dtype == complex
+
+
+@pytest.mark.parametrize("params", [DomainParams(3, 2, 1.0), DomainParams(32, 4, 1.0)])
+def test_rotation_starts_with_no_cached_state(params):
+    # the stack's cached row v* U and ||v||^2 filled first, as metric-law fills
+    # it before cartan in a full run: the rotation part forms its own
+    a = random_automorphism(params, 902, (10, 1))
+    P = sample_interior(params, 903, (10, 10))
+    assert np.all(scale_factor(params, a, P.z) != 1.0)
+    rot = verify._rotation(a)
+    assert np.all(scale_factor(params, rot, P.z) == 1.0)
+    assert check_cartan(params, rot, P).passed
+
+
+@pytest.mark.parametrize("params", [DomainParams(3, 2, 1.0), DomainParams(32, 4, 1.0)])
+def test_mutation_rotation_keeping_the_stacks_cached_row(params, monkeypatch):
+    # a rotation part copied from the stack inherits its cached row, so it
+    # scales zeta as the stack does; cartan, run after metric-law has filled
+    # the cache, sees it
+    real = verify._rotation
+
+    def copied(a):
+        rot = copy.copy(a)
+        object.__setattr__(rot, "v", real(a).v)
+        return rot
+
+    monkeypatch.setattr(verify, "_rotation", copied)
+    reports = run_suite(params, 0, ("metric-law", "cartan"))
+    assert [r.passed for r in reports] == [True, False]
 
 
 @pytest.mark.parametrize("params", STACK_PARAMS)
@@ -706,7 +738,7 @@ def test_run_suite_makes_one_check_call_per_suite(monkeypatch):
     run_suite(params, 5, ("all",))
     assert {name: len(calls.get(name, ())) for name in checks} == dict.fromkeys(checks, 1)
     assert len(calls["polylog_deriv"]) <= 10
-    assert len(calls["validate"]) == 2  # the stack, and its rotation part for cartan
+    assert len(calls["validate"]) == 1  # the stack; its rotation part for cartan shares its blocks
     # the automorphism and pair stacks are built with the first suite that
     # takes them, and metric-law's probe stream with metric-law; every draw
     # continues its stream
