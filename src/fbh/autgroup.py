@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .domain import DomainParams, Point, _frozen, _integer, _leading, check_point, from_pairs, to_pairs
-from .errors import DimensionMismatch, NotUnitary
+from .errors import DimensionMismatch, NotFinite, NotUnitary
 
 UNITARY_TOL = 1e-10
 
@@ -61,7 +61,7 @@ class Automorphism:
 
     @cached_property
     def _scale_row(self) -> tuple:
-        """(v* U, ||v||^2), the automorphism's part of scale_factor's exponent, formed on the
+        """(v* U, ||v||^2), the automorphism's part of _log_scale, formed on the
         first call and kept: a stack shared by several checks forms it once."""
         v_star = self.v.conj()
         return _frozen(_matvec(self.U.swapaxes(-1, -2), v_star)), np.sum(v_star * self.v, axis=-1)
@@ -107,12 +107,11 @@ def _check_dims(params: DomainParams, a: Automorphism, lead=()) -> None:
         raise DimensionMismatch(f"leading shapes {a.v.shape[:-1]}, {lead} mismatch") from None
 
 
-def scale_factor(params: DomainParams, a: Automorphism, z: np.ndarray):
-    """The zeta multiplier exp(-mu v*(U z) - mu ||v||^2 / 2), one per row of
-    z, which has shape (..., n); the row v* U and ||v||^2 are a's, formed
-    once per automorphism (Automorphism._scale_row)."""
+def _log_scale(params: DomainParams, a: Automorphism, z: np.ndarray):
+    """log s(z) = -mu v*(U z) - mu ||v||^2 / 2 of the zeta multiplier s(z), one per row of z (..., n),
+    from a's v* U and ||v||^2 (Automorphism._scale_row): the one source of s, its readers take exp."""
     row, norm2 = a._scale_row
-    return np.exp(-params.mu * np.sum(z * row, axis=-1) - 0.5 * params.mu * norm2)
+    return -params.mu * np.sum(z * row, axis=-1) - 0.5 * params.mu * norm2
 
 
 def apply(params: DomainParams, a: Automorphism, p: Point) -> Point:
@@ -121,7 +120,7 @@ def apply(params: DomainParams, a: Automorphism, p: Point) -> Point:
     check_point(params, p)
     _check_dims(params, a, p.z.shape[:-1])
     z_new = _matvec(a.U, p.z) + a.v
-    zeta_new = scale_factor(params, a, p.z)[..., None] * _matvec(a.Uprime, p.zeta)
+    zeta_new = np.exp(_log_scale(params, a, p.z))[..., None] * _matvec(a.Uprime, p.zeta)
     return Point(z_new, zeta_new)
 
 
@@ -158,7 +157,7 @@ def jacobian(params: DomainParams, a: Automorphism, p: Point) -> np.ndarray:
     check_point(params, p)
     _check_dims(params, a, p.z.shape[:-1])
     n = params.n
-    s = scale_factor(params, a, p.z)[..., None, None]
+    s = np.exp(_log_scale(params, a, p.z))[..., None, None]
     row_vhU = a._scale_row[0][..., None, :]
     J = np.zeros(s.shape[:-2] + (params.dim, params.dim), dtype=complex)
     J[..., :n, :n] = a.U
@@ -177,7 +176,7 @@ def _jacobian_times(params: DomainParams, a: Automorphism, p: Point, X) -> np.nd
     n = params.n
     UX = a.U @ X[..., :n, :]
     W = X[..., n:, :] - params.mu * p.zeta[..., :, None] * (a.v.conj()[..., None, :] @ UX)
-    return np.concatenate([UX, scale_factor(params, a, p.z)[..., None, None] * (a.Uprime @ W)], axis=-2)
+    return np.concatenate([UX, np.exp(_log_scale(params, a, p.z))[..., None, None] * (a.Uprime @ W)], axis=-2)
 
 
 def _jacobian_h_times(params: DomainParams, a: Automorphism, p: Point, Y) -> np.ndarray:
@@ -188,19 +187,29 @@ def _jacobian_h_times(params: DomainParams, a: Automorphism, p: Point, Y) -> np.
         [ conj(s) W                          ]
     """
     n = params.n
-    s = np.conj(scale_factor(params, a, p.z))[..., None, None]
+    s = np.conj(np.exp(_log_scale(params, a, p.z)))[..., None, None]
     W = a.Uprime.conj().swapaxes(-1, -2) @ Y[..., n:, :]
     Y_z = Y[..., :n, :] - params.mu * s * a.v[..., :, None] * (p.zeta.conj()[..., None, :] @ W)
     return np.concatenate([a.U.conj().swapaxes(-1, -2) @ Y_z, s * W], axis=-2)
 
 
-def jacobian_det(params: DomainParams, a: Automorphism, p: Point):
-    """det J(a, p) = det U * det U' * s(z)^m in closed form (J is block
-    lower-triangular), one value per point of a stack."""
+def _log_jacobian_det(params: DomainParams, a: Automorphism, p: Point):
+    """log det J(a, p) = log det U + log det U' + m log s(z) (J is block lower-triangular), one
+    per point of a stack, det U and det U' by slogdet: finite where s(z)^m leaves the float range."""
     check_point(params, p)
     _check_dims(params, a, p.z.shape[:-1])
-    s = scale_factor(params, a, p.z)
-    return np.linalg.det(a.U) * np.linalg.det(a.Uprime) * s**params.m
+    (sign_U, log_U), (sign_Up, log_Up) = np.linalg.slogdet(a.U), np.linalg.slogdet(a.Uprime)
+    return log_U + log_Up + 1j * np.angle(sign_U * sign_Up) + params.m * _log_scale(params, a, p.z)
+
+
+def jacobian_det(params: DomainParams, a: Automorphism, p: Point):
+    """det J(a, p) = det U * det U' * s(z)^m, the exp of _log_jacobian_det.  Raises NotFinite,
+    with no warning, where it leaves the float range (|det J| = s(z)^m is never 0)."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        det = np.exp(_log_jacobian_det(params, a, p))
+    if bad := np.count_nonzero(~((0 < np.abs(det)) & (np.abs(det) < np.inf))):
+        raise NotFinite(f"det J leaves the float range at {bad} of {np.size(det)} points")
+    return det
 
 
 def haar_unitary(dim: int, rng, shape=()) -> np.ndarray:
@@ -218,12 +227,12 @@ def haar_unitary(dim: int, rng, shape=()) -> np.ndarray:
 
 
 def random_automorphism(params: DomainParams, seed, shape=()) -> Automorphism:
-    """Haar-random U and U', complex Gaussian v with unit per-coordinate
-    variance, drawn in that order from one stream; a stack of leading shape
-    `shape` is checked for unitarity once, as a whole."""
+    """Haar-random U and U', complex Gaussian v with variance 1/mu per coordinate, so
+    that mu ||v||^2 does not grow with mu, drawn in that order from one stream; a stack
+    of leading shape `shape` is checked for unitarity once, as a whole."""
     rng = np.random.default_rng(seed)
     U = haar_unitary(params.n, rng, shape)
     Up = haar_unitary(params.m, rng, shape)
     v_shape = U.shape[:-1]
-    v = (rng.standard_normal(v_shape) + 1j * rng.standard_normal(v_shape)) / math.sqrt(2)
+    v = (rng.standard_normal(v_shape) + 1j * rng.standard_normal(v_shape)) / math.sqrt(2 * params.mu)
     return Automorphism(U, Up, v)

@@ -1,12 +1,11 @@
 """Numerical verification suites.
 
-Each check measures a residual on the inputs it is given and reports
-pass/fail against its tolerance; run_suite draws those inputs from a seed
-and checks its own run inputs.  A relative residual divides by the reference
-magnitude floored at KERNEL_FLOOR, so a vanishing reference gives no NaN, and
-boundary reads inf where the radius is 0; residual_kind records the
-convention.  Default tolerances reflect double precision error accumulation
-across determinants and matrix products.
+Each check measures a residual on the inputs it is given and reports pass/fail against its
+tolerance; run_suite draws those inputs from a seed and checks its own run inputs.  kernel-law
+takes |expm1| of its law's log ratio, finite where K and det J leave the float range; other
+relative residuals divide by the reference magnitude floored at KERNEL_FLOOR, so a vanishing
+reference gives no NaN, and boundary reads inf where the radius is 0; residual_kind records
+the convention.  Default tolerances reflect double precision error accumulation.
 """
 
 import math
@@ -21,13 +20,13 @@ from .autgroup import (
     Automorphism,
     _jacobian_h_times,
     _jacobian_times,
+    _log_jacobian_det,
     _matvec,
     _rotation,
     apply,
-    jacobian_det,
     random_automorphism,
 )
-from .bergman import _kernel_args, _kernel_rows, _log_kernel, _metric_times, kernel, kernel_batch, l_matrix
+from .bergman import _kernel_args, _log_kernel, _metric_times, kernel_batch, l_matrix
 from .domain import (
     DomainParams,
     Point,
@@ -44,7 +43,7 @@ from .errors import DimensionMismatch, NotFinite, OutsideDomain
 
 # No caller here: the benchmark's tracing shims patch these names at fbh.verify.
 from .autgroup import jacobian
-from .bergman import inv_sqrt_pd, metric, representative_map, sqrt_pd
+from .bergman import inv_sqrt_pd, kernel, metric, representative_map, sqrt_pd
 from .domain import sample_boundary, sample_interior
 
 MC_MIN_SAMPLES = 100_000  # fewest samples the Monte-Carlo check accepts
@@ -134,20 +133,20 @@ def sample_pairs(params: DomainParams, seed, count):
 # ------------------------------ law checks ---------------------------------
 
 def check_kernel_law(params, a: Automorphism, pairs, tolerance=None) -> CheckReport:
-    """Residual of K(p,q) = conj(det J(a,q)) K(a p, a q) det J(a,p), relative
-    to |K(p,q)| per pair.  `pairs` is a tuple (P, Q) of stacked Points, whose
-    leading shape broadcasts against that of a stacked `a`.  K at the images
-    comes from the unchecked kernel core, so an action that leaves the
-    domain fails the law instead of raising OutsideDomain.  Reports seed None."""
+    """Residual |expm1(r)| per pair of K(p,q) = conj(det J(a,q)) K(a p, a q) det J(a,p) in logs:
+    r = L(p,q) - L(ap,aq) - log det J(a,p) - conj(log det J(a,q)), Im r wrapped into (-pi, pi], L
+    from bergman._log_kernel, finite where K or det J is not.  `pairs` (P, Q) are stacked interior
+    Points broadcasting against a stacked `a`; an image outside the domain fails.  Reports seed None."""
     P, Q = pairs
-    kv = kernel(params, P, Q).value
+    _check_interior(params, P, Q)
     k = max(a.v.ndim, P.z.ndim, Q.z.ndim)  # P and Q stacked on a new axis left of a's leading axes
     both = Point(*(np.stack(np.broadcast_arrays(*(x[(None,) * (k - x.ndim)] for x in xs)))
                    for xs in ((P.z, Q.z), (P.zeta, Q.zeta))))
-    (det_p, det_q), image = jacobian_det(params, a, both), apply(params, a, both)
-    value = _kernel_rows(params, Point(image.z[0], image.zeta[0]), image.z[1], image.zeta[1])[1]
-    rhs = np.conj(det_q) * value * det_p
-    residuals = np.abs(kv - rhs) / np.maximum(np.abs(kv), KERNEL_FLOOR)
+    (ld_p, ld_q), image = _log_jacobian_det(params, a, both), apply(params, a, both)
+    L, aL = (_log_kernel(params, *_kernel_args(params, p, q.z, q.zeta)[:2])
+             for p, q in ((P, Q), (Point(image.z[0], image.zeta[0]), Point(image.z[1], image.zeta[1]))))
+    r = L - aL - ld_p - np.conj(ld_q)
+    residuals = np.abs(np.expm1(r.real + 1j * (np.pi - np.mod(np.pi - r.imag, 2 * np.pi))))
     return _report("kernel-law", _worst(residuals), tolerance, residuals.size, "relative")
 
 

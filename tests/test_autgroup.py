@@ -8,6 +8,7 @@ import pytest
 
 from fbh.autgroup import (
     Automorphism,
+    _log_scale,
     apply,
     compose,
     haar_unitary,
@@ -16,7 +17,6 @@ from fbh.autgroup import (
     jacobian,
     jacobian_det,
     random_automorphism,
-    scale_factor,
 )
 from fbh.domain import DomainParams, Point, defect, sample_boundary, sample_interior
 from fbh.errors import DimensionMismatch, NotUnitary
@@ -115,7 +115,7 @@ def test_action_broadcasts_over_stacks(params):
     a = random_automorphism(params, 5)
     X = sample_interior(params, 7, 10)
     pts = singles(X)
-    assert_rows_match(scale_factor(params, a, X.z), [scale_factor(params, a, p.z) for p in pts])
+    assert_rows_match(_log_scale(params, a, X.z), [_log_scale(params, a, p.z) for p in pts])
     assert_rows_match(apply(params, a, X).coords(), [apply(params, a, p).coords() for p in pts])
     assert_rows_match(jacobian(params, a, X), [jacobian(params, a, p) for p in pts])
 
@@ -140,7 +140,7 @@ def test_automorphism_stacks_broadcast_against_point_stacks(params):
     assert_rows_match(apply(params, A, X).coords(), [apply(params, a, r).coords() for a, r in ar])
     for fn in (jacobian, jacobian_det):
         assert_rows_match(fn(params, A, X), [fn(params, a, r) for a, r in ar])
-    assert_rows_match(scale_factor(params, A, X.z), [scale_factor(params, a, r.z) for a, r in ar])
+    assert_rows_match(_log_scale(params, A, X.z), [_log_scale(params, a, r.z) for a, r in ar])
     # one point against the whole stack, and the stack against one automorphism
     p = rows[0]
     assert apply(params, A, Point(p.z[0], p.zeta[0])).z.shape == (3, 1, params.n)
@@ -350,10 +350,10 @@ def test_automorphism_json_round_trip():
     assert np.allclose(a.v, b.v)
 
 
-def uncached_scale_factor(params, a, z):
-    """scale_factor as one expression, forming v* U and ||v||^2 on every call."""
+def uncached_log_scale(params, a, z):
+    """_log_scale as one expression, forming v* U and ||v||^2 on every call."""
     v_star = a.v.conj()
-    return np.exp(
+    return (
         -params.mu * np.sum(z * (a.U.swapaxes(-1, -2) @ v_star[..., None])[..., 0], axis=-1)
         - 0.5 * params.mu * np.sum(v_star * a.v, axis=-1)
     )
@@ -361,7 +361,7 @@ def uncached_scale_factor(params, a, z):
 
 @pytest.mark.parametrize("params", [P11, DomainParams(3, 2, 0.7), DomainParams(32, 4, 1.0)])
 def test_scale_factor_reads_a_cached_row_equal_to_the_uncached_expression(params):
-    # the row v* U and ||v||^2 are formed on an automorphism's first scale_factor
+    # the row v* U and ||v||^2 are formed on an automorphism's first _log_scale
     # and kept; every later call, and every group operation's result, matches the
     # one expression bit for bit, and to_json carries nothing of the cache
     a, b = random_automorphism(params, 71), random_automorphism(params, 72, (2, 3))
@@ -374,7 +374,7 @@ def test_scale_factor_reads_a_cached_row_equal_to_the_uncached_expression(params
     for name, c in results.items():
         before = c.to_json()
         for z in (Z, Z[0, 0], Z[:, :1]):  # the second and later calls read the cache
-            got, ref = scale_factor(params, c, z), uncached_scale_factor(params, c, z)
+            got, ref = _log_scale(params, c, z), uncached_log_scale(params, c, z)
             assert np.shape(got) == np.shape(ref) and got.tobytes() == ref.tobytes(), name
         assert c.to_json() == before, name
     with pytest.raises(ValueError):

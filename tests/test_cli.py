@@ -270,6 +270,14 @@ def test_verify_gram_passes_where_kernel_values_overflow(params, capsys):
     assert report["passed"] and report["details"]["log10_max_kernel"] > math.log10(sys.float_info.max)
 
 
+# K and det J leave the float range at the large orders, and at large mu a
+# v on the unit scale would send images many length scales out
+@pytest.mark.parametrize("params", ["64,8,1.0", "64,64,1.0", "32,4,5", "3,2,100"])
+def test_verify_passes_at_large_orders_and_large_mu(params, capsys):
+    assert main(["verify", "--params", params]) == 0
+    assert capsys.readouterr().err == ""
+
+
 POINT_11 = {"z": [[0.3, 0.1]], "zeta": [[0.2, 0.0]]}
 # case -> (subcommand, payload, a fragment of the expected error line)
 BAD_INPUTS = {

@@ -13,7 +13,15 @@ import numpy as np
 import pytest
 
 from fbh import autgroup, bergman, polylog, verify
-from fbh.autgroup import Automorphism, identity, jacobian, random_automorphism, scale_factor
+from fbh.autgroup import (
+    Automorphism,
+    _log_jacobian_det,
+    _log_scale,
+    identity,
+    jacobian,
+    jacobian_det,
+    random_automorphism,
+)
 from fbh.bergman import kernel, kernel_batch, log_kernel_grad_wbar, metric
 from fbh.cli import main
 from fbh.domain import (
@@ -146,9 +154,9 @@ def test_rotation_starts_with_no_cached_state(params):
     # it before cartan in a full run: the rotation part forms its own
     a = random_automorphism(params, 902, (10, 1))
     P = sample_interior(params, 903, (10, 10))
-    assert np.all(scale_factor(params, a, P.z) != 1.0)
+    assert np.all(_log_scale(params, a, P.z) != 0.0)
     rot = verify._rotation(a)
-    assert np.all(scale_factor(params, rot, P.z) == 1.0)
+    assert np.all(_log_scale(params, rot, P.z) == 0.0)
     assert check_cartan(params, rot, P).passed
 
 
@@ -343,8 +351,8 @@ def test_law_checks_broadcast_a_longer_automorphism_stack_against_the_pairs(para
 def test_metric_law_fails_with_inf_where_an_image_leaves_the_domain(monkeypatch):
     # a doubled zeta multiplier sends some images out of the domain; the metric
     # there raises OutsideDomain, which the check turns into a failed report
-    real = autgroup.scale_factor
-    monkeypatch.setattr(autgroup, "scale_factor", lambda params, a, z: 2.0 * real(params, a, z))
+    real = autgroup._log_scale
+    monkeypatch.setattr(autgroup, "_log_scale", lambda params, a, z: real(params, a, z) + math.log(2.0))
     report = check_metric_law(P11, random_automorphism(P11, 1, (2, 1)), probed_pairs(P11, 3, (2, 5)))
     assert report.max_residual == math.inf and report.samples == 10 and not report.passed
 
@@ -707,11 +715,9 @@ def test_run_suite_matches_the_per_part_oracle(params, seed):
 
 def test_run_suite_makes_one_check_call_per_suite(monkeypatch):
     # the call budget of one (32, 4) op: a per-part loop would call each check
-    # 10 times, polylog_deriv 111 times, draw an automorphism 40 times and the
-    # samplers 41 times; one automorphism stack and one pair stack serve every
-    # suite, each suite reading its own slice of the pairs
-    from fbh import bergman
-
+    # 10 times, draw an automorphism 40 times and the samplers 41 times; one
+    # automorphism stack and one pair stack serve every suite, each suite
+    # reading its own slice of the pairs
     calls, outs, streams = {}, {}, []
 
     def spy(name, fn):
@@ -731,13 +737,11 @@ def test_run_suite_makes_one_check_call_per_suite(monkeypatch):
     samplers = ["sample_pairs", "sample_interior", "sample_interior_arrays", "sample_boundary"]
     for name in checks + samplers + ["random_automorphism", "_rotation"]:
         monkeypatch.setattr(verify, name, spy(name, getattr(verify, name)))
-    monkeypatch.setattr(bergman, "polylog_deriv", spy("polylog_deriv", bergman.polylog_deriv))
     monkeypatch.setattr(Automorphism, "__post_init__", spy("validate", Automorphism.__post_init__))
     monkeypatch.setattr(np.random, "default_rng", default_rng)
     params = DomainParams(32, 4, 1.0)
     run_suite(params, 5, ("all",))
     assert {name: len(calls.get(name, ())) for name in checks} == dict.fromkeys(checks, 1)
-    assert len(calls["polylog_deriv"]) <= 10
     assert len(calls["validate"]) == 1  # the stack; its rotation part for cartan shares its blocks
     # the automorphism and pair stacks are built with the first suite that
     # takes them, and metric-law's probe stream with metric-law; every draw
@@ -1030,23 +1034,57 @@ def test_run_suite_full_grid(nm, mu):
     assert not failing, f"suites failed at {params}: {failing}"
 
 
-# kernel-law overflows at the other seven orders of the grid (exp(m mu <z,z'>)
-# F_m(t) and s(z)^m leave the float range); those failures are not pinned.
-# At (8, 32) seed 0 it reads NaN on the shared automorphism stack.
-_KERNEL_LAW_PASSES = {(1, 1), (1, 8), (1, 32), (1, 64), (8, 1), (8, 8), (32, 1), (32, 8), (64, 1)}
-
-
 DECLARED_GRID = [(n, m) for n in (1, 8, 32, 64) for m in (1, 8, 32, 64)]
 
 
+# K and s(z)^m leave the float range at the large orders; kernel-law compares
+# the law's two sides in logs, so it forms neither
 @pytest.mark.parametrize("nm", DECLARED_GRID)
 def test_run_suite_over_the_declared_range(nm):
-    with np.errstate(over="ignore", invalid="ignore"):
-        reports = run_suite(DomainParams(nm[0], nm[1], 1.0), 0, ("all",))
-    failing = {r.name for r in reports if not r.passed}
-    assert failing <= {"kernel-law"}, [r.to_dict() for r in reports if not r.passed]
-    if nm in _KERNEL_LAW_PASSES:
-        assert not failing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(3):
+            reports = run_suite(DomainParams(nm[0], nm[1], 1.0), seed, ("all",))
+            assert all(r.passed for r in reports), [r.to_dict() for r in reports if not r.passed]
+
+
+@pytest.mark.parametrize("nm", DECLARED_GRID)
+def test_log_jacobian_det_is_finite_on_every_grid_stack(nm):
+    params = DomainParams(nm[0], nm[1], 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(3):
+            a = random_automorphism(params, np.random.default_rng([seed, verify.AUT_KEY]), (10, 1))
+            pairs = sample_pairs(params, np.random.default_rng([seed, verify.PAIR_KEY]), (10, 10))
+            for p in pairs:
+                assert np.all(np.isfinite(_log_jacobian_det(params, a, p)))
+
+
+def test_jacobian_det_raises_where_it_leaves_the_float_range():
+    # s(z)^m underflows at every shared P point of seed 0 at (64, 64); det J
+    # is never 0, so it raises there, and its log stays finite
+    params = DomainParams(64, 64, 1.0)
+    a = random_automorphism(params, np.random.default_rng([0, verify.AUT_KEY]), (10, 1))
+    P, _ = sample_pairs(params, np.random.default_rng([0, verify.PAIR_KEY]), (10, 10))
+    assert np.all(np.isfinite(_log_jacobian_det(params, a, P)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotFinite, match="at 100 of 100 points"):
+            jacobian_det(params, a, P)
+
+
+# v is drawn with variance 1/mu per coordinate, so mu ||v||^2 and the reach of
+# s(z) do not grow with mu and the images stay on the domain's length scale
+@pytest.mark.parametrize("mu", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("nm", [(1, 1), (3, 2), (32, 4)])
+def test_run_suite_passes_at_small_and_large_mu(nm, mu):
+    params = DomainParams(nm[0], nm[1], mu)
+    suites = [s for s in SUITE_NAMES if s != "mc"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(10):
+            reports = run_suite(params, seed, suites)
+            assert all(r.passed for r in reports), [r.to_dict() for r in reports if not r.passed]
 
 
 @pytest.mark.parametrize("nm", [(2, 64), (1, 64)])
@@ -1136,19 +1174,21 @@ def test_mutation_jacobian_lower_left_sign(params, monkeypatch):
 
 @pytest.mark.parametrize("params", MUTATION_CONFIGS)
 def test_mutation_jacobian_det_without_scale_power(params, monkeypatch):
+    # log det J without its m log s(z) term
     def no_scale_power(params, a, p):
-        return np.linalg.det(a.U) * np.linalg.det(a.Uprime) * np.ones(p.z.shape[:-1])
+        (sign_U, log_U), (sign_Up, log_Up) = np.linalg.slogdet(a.U), np.linalg.slogdet(a.Uprime)
+        return (log_U + log_Up + 1j * np.angle(sign_U * sign_Up)) * np.ones(p.z.shape[:-1])
 
-    monkeypatch.setattr(verify, "jacobian_det", no_scale_power)
+    monkeypatch.setattr(verify, "_log_jacobian_det", no_scale_power)
     assert _failed_suites(params, ("kernel-law",)) == {"kernel-law"}
 
 
 @pytest.mark.parametrize("params", MUTATION_CONFIGS)
 def test_mutation_scale_factor_without_norm_term(params, monkeypatch):
     def no_norm_term(params, a, z):
-        return np.exp(-params.mu * np.einsum("...i,...ij,...j->...", a.v.conj(), a.U, z))
+        return -params.mu * np.einsum("...i,...ij,...j->...", a.v.conj(), a.U, z)
 
-    monkeypatch.setattr(autgroup, "scale_factor", no_norm_term)
+    monkeypatch.setattr(autgroup, "_log_scale", no_norm_term)
     suites = ("kernel-law", "metric-law", "boundary")
     assert _failed_suites(params, suites) == set(suites)
 
@@ -1185,10 +1225,8 @@ def test_mutation_metric_off_diagonal_scaled(params, monkeypatch):
 def test_mutation_scale_factor_perturbed_at_large_order(monkeypatch):
     # the boundary defect shrinks like exp(-mu ||z||^2); only a relative
     # residual sees a 1e-9 error in the zeta multiplier at (32, 4)
-    real = autgroup.scale_factor
-    monkeypatch.setattr(
-        autgroup, "scale_factor", lambda params, a, z: real(params, a, z) * (1.0 + 1e-9)
-    )
+    real = autgroup._log_scale
+    monkeypatch.setattr(autgroup, "_log_scale", lambda params, a, z: real(params, a, z) + math.log1p(1e-9))
     assert _failed_suites(DomainParams(32, 4, 1.0), ("boundary",)) == {"boundary"}
 
 
